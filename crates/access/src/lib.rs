@@ -18,14 +18,17 @@
 //! * [`PlanCache`] — memoizes the Gaussian eliminations behind decode and
 //!   repair plans, keyed by the availability pattern, with
 //!   `access.plan.cache.{hit,miss}` telemetry counters;
-//! * [`ObjectStore`] / [`PutOptions`] — the unified mutable-object API
-//!   (put/get/get_range/write_range/append/delete) every stack
-//!   implements, so whole-object reads, in-place delta writes, appends
-//!   and small-object packing behave identically across transports.
+//! * [`ObjectStore`] / [`PutOptions`] — the mutable-object API
+//!   (put/get/get_range/write_range/append/delete) and its single
+//!   implementation: the naming, packing and extent policy is written
+//!   once over the small [`ObjectBackend`] trait of per-file primitives,
+//!   so a transport supplies ~10 short methods and never re-types policy;
+//! * [`parallel`] — the shared worker pool ([`parallel::ParallelCtx`])
+//!   and two-stage [`parallel::pipeline`] the transports fan out on.
 //!
-//! The three in-tree transports are `filestore` (in-memory blocks, via
-//! [`MemorySource`]), `dfs` (simulated datanodes) and `cluster` (real TCP
-//! datanodes).
+//! The two in-tree byte-moving stacks are `filestore` (in-memory blocks,
+//! via [`MemorySource`]) and `cluster` (real TCP datanodes); `dfs`
+//! simulates *time*, not bytes, and uses only the planning half.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +36,7 @@
 mod cache;
 mod executor;
 mod object;
+pub mod parallel;
 mod plan;
 mod source;
 
@@ -42,7 +46,10 @@ pub use executor::{
     ExecError, FetchedStripe, PlanExecutor, RegionRead, RepairOutcome, StripeRead,
     DEFAULT_MAX_REPLANS,
 };
-pub use object::{ObjectStore, PutOptions};
+pub use object::{
+    check_range, Extent, ObjectBackend, ObjectError, ObjectStore, PackCursor, PutOptions,
+    DEFAULT_PACK_LIMIT, PACK_PREFIX,
+};
 pub use plan::{DegradedPlan, ReadPlan, RepairPlan};
 pub use source::{BatchRequest, BlockSource, Fetch, MemorySource};
 

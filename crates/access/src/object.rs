@@ -1,15 +1,33 @@
-//! The unified mutable-object API: one trait for every storage stack.
+//! The one object layer: the mutable-object API and its only
+//! implementation.
 //!
-//! The repo grew three ad-hoc surfaces for "store bytes under a name" —
-//! the in-memory filestore, the simulated DFS, and the TCP cluster
-//! client each had their own `put`/`get` shapes. [`ObjectStore`] folds
-//! them into one contract covering the full mutable-data lifecycle:
-//! whole-object put/get, byte-range reads, **in-place `write_range`**
-//! (delta parity updates — cost proportional to the touched region, not
-//! the stripe), **`append`** (growing the object, adding stripes as
-//! needed) and `delete`. The tri-stack equivalence tests drive all
-//! three implementations through this trait, so a mutation path that
-//! works on one stack is byte-identical on the others.
+//! [`ObjectStore`] is the contract covering the full mutable-data
+//! lifecycle: whole-object put/get, byte-range reads, **in-place
+//! `write_range`** (delta parity updates — cost proportional to the
+//! touched region, not the stripe), **`append`** (growing the object,
+//! adding stripes as needed) and `delete`.
+//!
+//! The object *policy* — the reserved [`PACK_PREFIX`] namespace, the
+//! duplicate-name check, small-object packing with its one rollover
+//! rule, extent resolution with one overflow-checked bounds check
+//! ([`check_range`]), "packed objects cannot grow" and
+//! delete-drops-the-extent — is written once, here, as the blanket
+//! [`ObjectStore`] impl for every [`ObjectBackend`]. A transport supplies
+//! only that backend: per-file primitives on whole named striped
+//! files, an extent table and a [`PackCursor`]. The in-memory filestore
+//! (`filestore::LocalObjects`) and the TCP cluster client
+//! (`cluster::ClusterClient`) are the two in-tree backends;
+//! `tests/object_store_contract.rs` holds both to one executable
+//! contract.
+//!
+//! Packing addresses the small-object problem of erasure-coded stores:
+//! a 4 KiB object striped over `k` blocks wastes most of every block
+//! and costs `n` block writes. A *packed* put instead appends the
+//! object's bytes to a shared **pack** (an ordinary striped file named
+//! `.pack-NNNN`) and records only a per-object [`Extent`]. Reads resolve
+//! the extent to a range read on the pack; deletes drop the extent and
+//! leave a hole (packs are append-only; reclaiming holes is a compaction
+//! concern, out of scope here).
 //!
 //! [`PutOptions`] is the builder for per-put knobs. It is deliberately
 //! transport-agnostic: the code is named by its *spec string* (e.g.
@@ -85,12 +103,12 @@ impl PutOptions {
 
 /// A named store of erasure-coded mutable objects.
 ///
-/// Methods take `&mut self` because every in-tree implementation keeps
+/// Methods take `&mut self` because every in-tree backend keeps
 /// per-connection or per-cache mutable state; a shared store wraps the
 /// implementation in its own synchronization.
 ///
-/// Contract highlights every implementation upholds (and the tri-stack
-/// tests verify):
+/// Contract highlights (verified against every backend by
+/// `tests/object_store_contract.rs`):
 ///
 /// * `get(name)` after `put(name, data)` returns exactly `data`;
 /// * `write_range(name, off, patch)` only overwrites — `off +
@@ -167,6 +185,331 @@ pub trait ObjectStore {
     ///
     /// Implementation-defined; unknown names are an error.
     fn object_len(&mut self, name: &str) -> Result<u64, Self::Error>;
+}
+
+/// Reserved name prefix for pack files: no object may be stored under a
+/// name starting with it.
+pub const PACK_PREFIX: &str = ".pack-";
+
+/// Default pack capacity: a packed put that would take the open pack
+/// past this many bytes starts a fresh pack instead.
+pub const DEFAULT_PACK_LIMIT: u64 = 1 << 20;
+
+/// A packed object's location inside a pack file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Extent {
+    /// The pack file (an ordinary striped file) holding the bytes.
+    pub pack: String,
+    /// Byte offset of the object within the pack.
+    pub offset: u64,
+    /// Object length in bytes.
+    pub len: u64,
+}
+
+/// A refusal decided by the object policy rather than by a transport.
+/// Backends map it onto their own error type (`From<ObjectError>`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ObjectError {
+    /// The name starts with the reserved [`PACK_PREFIX`].
+    ReservedName {
+        /// The refused name.
+        name: String,
+    },
+    /// An object is already stored under the name (delete first).
+    Exists {
+        /// The conflicting name.
+        name: String,
+    },
+    /// No object is stored under the name.
+    Unknown {
+        /// The requested name.
+        name: String,
+    },
+    /// `offset + len` overflows or runs past the object's end.
+    RangeOutOfBounds {
+        /// Requested range start.
+        offset: u64,
+        /// Requested length.
+        len: u64,
+        /// Length of the object (or file) the range was checked against.
+        object_len: u64,
+    },
+    /// Packed objects cannot grow; delete and re-put instead.
+    PackedAppend {
+        /// The packed object's name.
+        name: String,
+    },
+    /// Empty objects cannot be stored, packed or not.
+    EmptyObject,
+}
+
+impl std::fmt::Display for ObjectError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ObjectError::ReservedName { name } => write!(
+                f,
+                "name {name:?} is reserved: names starting with {PACK_PREFIX:?} belong to packs"
+            ),
+            ObjectError::Exists { name } => write!(f, "object {name:?} already exists"),
+            ObjectError::Unknown { name } => write!(f, "unknown object {name:?}"),
+            ObjectError::RangeOutOfBounds {
+                offset,
+                len,
+                object_len,
+            } => write!(f, "range {offset}+{len} exceeds length {object_len}"),
+            ObjectError::PackedAppend { name } => {
+                write!(f, "packed object {name:?} cannot grow; delete and re-put")
+            }
+            ObjectError::EmptyObject => write!(f, "cannot store an empty object"),
+        }
+    }
+}
+
+impl std::error::Error for ObjectError {}
+
+/// The one range validation: `[offset, offset + len)` must lie within
+/// `object_len` bytes, with the sum overflow-checked. Returns the range's
+/// end.
+///
+/// # Errors
+///
+/// [`ObjectError::RangeOutOfBounds`] when the sum overflows or exceeds
+/// `object_len`.
+///
+/// # Examples
+///
+/// ```
+/// use access::check_range;
+///
+/// assert_eq!(check_range(10, 5, 15), Ok(15));
+/// assert!(check_range(10, 6, 15).is_err());
+/// assert!(check_range(u64::MAX, 2, 15).is_err());
+/// ```
+pub fn check_range(offset: u64, len: u64, object_len: u64) -> Result<u64, ObjectError> {
+    match offset.checked_add(len) {
+        Some(end) if end <= object_len => Ok(end),
+        _ => Err(ObjectError::RangeOutOfBounds {
+            offset,
+            len,
+            object_len,
+        }),
+    }
+}
+
+/// Where a backend's next packed put goes: the pack being filled, the
+/// next pack-name suffix to try, and the rollover limit.
+#[derive(Debug, Clone)]
+pub struct PackCursor {
+    /// The open pack: `(name, bytes used)`.
+    open: Option<(String, u64)>,
+    /// Next `.pack-NNNN` suffix to try.
+    seq: u64,
+    /// A put that would take the open pack past this many bytes rolls
+    /// over to a fresh pack.
+    pub limit: u64,
+}
+
+impl Default for PackCursor {
+    /// No open pack, [`DEFAULT_PACK_LIMIT`].
+    fn default() -> Self {
+        PackCursor {
+            open: None,
+            seq: 0,
+            limit: DEFAULT_PACK_LIMIT,
+        }
+    }
+}
+
+/// What a transport supplies to become an [`ObjectStore`]: primitives on
+/// whole named striped *files* (an object, or a pack shared by many
+/// objects), an extent table for packed objects, and the open-pack
+/// cursor. Everything an *object* means on top of that — naming rules,
+/// packing, extent bounds — is the blanket [`ObjectStore`] impl's job,
+/// so a backend never re-implements policy and a test can substitute a
+/// fake.
+///
+/// File primitives validate their own byte ranges against the file's
+/// length with [`check_range`].
+pub trait ObjectBackend {
+    /// The backend's error type; policy refusals convert into it.
+    type Error: std::error::Error + From<ObjectError>;
+
+    /// Encodes and stores `data` (non-empty) as a new file. Only `opts`'
+    /// code and block-size hints apply; packing is decided above.
+    ///
+    /// # Errors
+    ///
+    /// Backend-defined (geometry, placement, transport).
+    fn create(&mut self, file: &str, data: &[u8], opts: &PutOptions) -> Result<(), Self::Error>;
+
+    /// The file's length in bytes, `None` when no such file exists.
+    fn len(&mut self, file: &str) -> Option<u64>;
+
+    /// Reads `len` bytes at `offset` of a file — or, with `range` `None`,
+    /// the whole file.
+    ///
+    /// # Errors
+    ///
+    /// Backend-defined; unknown files and out-of-bounds ranges are errors.
+    fn read(&mut self, file: &str, range: Option<(u64, u64)>) -> Result<Vec<u8>, Self::Error>;
+
+    /// Overwrites the file's bytes at `offset` in place (parity follows by
+    /// delta). Cannot grow the file.
+    ///
+    /// # Errors
+    ///
+    /// Backend-defined; unknown files and out-of-bounds ranges are errors.
+    fn overwrite(&mut self, file: &str, offset: u64, data: &[u8]) -> Result<(), Self::Error>;
+
+    /// Appends `data` to the file, returning its new length.
+    ///
+    /// # Errors
+    ///
+    /// Backend-defined; unknown files are an error.
+    fn extend(&mut self, file: &str, data: &[u8]) -> Result<u64, Self::Error>;
+
+    /// Removes the file, returning whether it existed.
+    ///
+    /// # Errors
+    ///
+    /// Backend-defined (transport failures, not absence).
+    fn remove(&mut self, file: &str) -> Result<bool, Self::Error>;
+
+    /// The extent of a packed object, `None` when `object` is not packed.
+    fn extent(&mut self, object: &str) -> Option<Extent>;
+
+    /// Records a packed object's extent.
+    ///
+    /// # Errors
+    ///
+    /// Backend-defined (e.g. a metadata-log append failure).
+    fn set_extent(&mut self, object: &str, extent: Extent) -> Result<(), Self::Error>;
+
+    /// Drops a packed object's extent, returning whether it existed. The
+    /// pack keeps the (now unreachable) bytes.
+    ///
+    /// # Errors
+    ///
+    /// Backend-defined.
+    fn drop_extent(&mut self, object: &str) -> Result<bool, Self::Error>;
+
+    /// The open-pack cursor.
+    fn pack_cursor(&mut self) -> &mut PackCursor;
+}
+
+/// Appends `data` to the backend's open pack — or, when none is open or
+/// `open_len + data.len()` would exceed the cursor's limit, to a fresh
+/// pack — and returns where it landed.
+fn pack_put<B: ObjectBackend>(backend: &mut B, data: &[u8]) -> Result<Extent, B::Error> {
+    let len = data.len() as u64;
+    let cursor = backend.pack_cursor();
+    let limit = cursor.limit;
+    let open = cursor.open.clone().filter(|(_, used)| used + len <= limit);
+    let (pack, offset, used) = match open {
+        Some((pack, offset)) => {
+            let used = backend.extend(&pack, data)?;
+            (pack, offset, used)
+        }
+        None => {
+            // Another writer may have taken a suffix already; probe the
+            // namespace until a free one turns up.
+            let pack = loop {
+                let cursor = backend.pack_cursor();
+                let candidate = format!("{PACK_PREFIX}{:04}", cursor.seq);
+                cursor.seq += 1;
+                if backend.len(&candidate).is_none() {
+                    break candidate;
+                }
+            };
+            // A pack's geometry is the backend's default, fixed when the
+            // pack is created — never one object's options.
+            backend.create(&pack, data, &PutOptions::new())?;
+            (pack, 0, len)
+        }
+    };
+    backend.pack_cursor().open = Some((pack.clone(), used));
+    Ok(Extent { pack, offset, len })
+}
+
+/// Resolves `[offset, offset + len)` of a packed object to pack
+/// coordinates, refusing ranges past the object's extent even though the
+/// pack continues beyond it.
+fn within_extent(ext: &Extent, offset: u64, len: u64) -> Result<u64, ObjectError> {
+    check_range(offset, len, ext.len)?;
+    Ok(ext.offset + offset)
+}
+
+impl<B: ObjectBackend> ObjectStore for B {
+    type Error = B::Error;
+
+    fn put_opts(&mut self, name: &str, data: &[u8], opts: &PutOptions) -> Result<(), B::Error> {
+        if name.starts_with(PACK_PREFIX) {
+            return Err(ObjectError::ReservedName { name: name.into() }.into());
+        }
+        if self.extent(name).is_some() || self.len(name).is_some() {
+            return Err(ObjectError::Exists { name: name.into() }.into());
+        }
+        if data.is_empty() {
+            return Err(ObjectError::EmptyObject.into());
+        }
+        if opts.packed() {
+            let extent = pack_put(self, data)?;
+            self.set_extent(name, extent)
+        } else {
+            self.create(name, data, opts)
+        }
+    }
+
+    fn get(&mut self, name: &str) -> Result<Vec<u8>, B::Error> {
+        match self.extent(name) {
+            Some(ext) => self.read(&ext.pack, Some((ext.offset, ext.len))),
+            None => self.read(name, None),
+        }
+    }
+
+    fn get_range(&mut self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, B::Error> {
+        match self.extent(name) {
+            Some(ext) => {
+                let at = within_extent(&ext, offset, len)?;
+                self.read(&ext.pack, Some((at, len)))
+            }
+            None => self.read(name, Some((offset, len))),
+        }
+    }
+
+    fn write_range(&mut self, name: &str, offset: u64, data: &[u8]) -> Result<(), B::Error> {
+        match self.extent(name) {
+            Some(ext) => {
+                let at = within_extent(&ext, offset, data.len() as u64)?;
+                self.overwrite(&ext.pack, at, data)
+            }
+            None => self.overwrite(name, offset, data),
+        }
+    }
+
+    fn append(&mut self, name: &str, data: &[u8]) -> Result<u64, B::Error> {
+        if self.extent(name).is_some() {
+            return Err(ObjectError::PackedAppend { name: name.into() }.into());
+        }
+        self.extend(name, data)
+    }
+
+    fn delete(&mut self, name: &str) -> Result<bool, B::Error> {
+        // A packed delete drops only the extent; the pack keeps the (now
+        // unreachable) bytes until a future compaction.
+        if self.extent(name).is_some() {
+            return self.drop_extent(name);
+        }
+        self.remove(name)
+    }
+
+    fn object_len(&mut self, name: &str) -> Result<u64, B::Error> {
+        if let Some(ext) = self.extent(name) {
+            return Ok(ext.len);
+        }
+        self.len(name)
+            .ok_or_else(|| ObjectError::Unknown { name: name.into() }.into())
+    }
 }
 
 #[cfg(test)]

@@ -22,11 +22,18 @@
 //!   over the client's [`ParallelCtx`] workers, each on its own cached
 //!   connection, so one stripe's `p` unit reads (or `d` helper reads) hit
 //!   all nodes concurrently instead of paying `p` sequential round trips;
-//! * **stripe pipelining** — [`ClusterClient::get_file`] keeps up to `W`
+//! * **stripe pipelining** — every read touching more than one stripe
+//!   (`get`, a multi-stripe `get_range`) keeps up to `W`
 //!   ([`ClusterClient::with_pipeline_depth`]) stripes in flight, decoding
-//!   stripe `i` while stripe `i+1` is being fetched, and
-//!   [`ClusterClient::put_file`] overlaps stripe encoding with block
-//!   uploads, recycling `EncodedStripe` buffers through the pipeline.
+//!   stripe `i` while stripe `i+1` is being fetched, and puts overlap
+//!   stripe encoding with block uploads, recycling `EncodedStripe`
+//!   buffers through the pipeline.
+//!
+//! The client is an [`access::ObjectBackend`]: it supplies per-file
+//! primitives (`put_file`, the one range read, delta `write_file_range`,
+//! `append_file`, block-reclaiming delete) and the [`MetaRouter`]'s
+//! extent table, and the object layer in `access` — shared with the
+//! in-memory filestore — makes it an [`access::ObjectStore`].
 //!
 //! Decode plans are memoized in an [`access::PlanCache`] keyed by the
 //! availability pattern, and mid-operation replanning is bounded: a cluster
@@ -45,19 +52,19 @@ use std::ops::AddAssign;
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
+use access::parallel::{self, ParallelCtx};
 use access::{
-    BatchRequest, BlockSource, ExecError, Fetch, FetchedStripe, ObjectStore, PlanCache,
-    PlanExecutor, PutOptions, ReadMode,
+    check_range, BatchRequest, BlockSource, ExecError, Extent, Fetch, FetchedStripe, ObjectBackend,
+    PackCursor, PlanCache, PlanExecutor, PutOptions, ReadMode,
 };
 use dfs::Placement;
 use erasure::{CodeError, ColumnUpdater, ErasureCode as _, HelperTask};
 use filestore::format::CodeSpec;
-use filestore::{FileCodec, FileError, DEFAULT_PACK_LIMIT, PACK_PREFIX};
+use filestore::{FileCodec, FileError};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use workloads::parallel::{self, ParallelCtx};
+use rand::SeedableRng;
 
-use crate::coordinator::{Coordinator, FilePlacement, ObjectExtent};
+use crate::coordinator::{Coordinator, FilePlacement};
 use crate::error::ClusterError;
 use crate::protocol::{self, BlockId, Request, Response};
 use crate::repair::{FanInGate, RepairStatusReport};
@@ -475,7 +482,6 @@ struct CachedManifest {
 pub struct ClusterClient {
     link: Link,
     plans: PlanCache,
-    max_replans: usize,
     /// Worker pool for per-node request fan-out.
     ctx: ParallelCtx,
     /// Stripes kept in flight by the get/put pipelines (`0` = no
@@ -490,9 +496,9 @@ pub struct ClusterClient {
     manifest_misses: u64,
     tx_bytes: u64,
     rx_bytes: u64,
-    /// Code used by [`ObjectStore`] puts that name none.
+    /// Code used by puts that name none (and by every pack).
     default_spec: CodeSpec,
-    /// Block size used by [`ObjectStore`] puts that name none.
+    /// Block size used by puts that name none (and by every pack).
     default_block_bytes: usize,
     /// Placement policy for every put/append this client performs.
     placement: Placement,
@@ -500,12 +506,8 @@ pub struct ClusterClient {
     /// placements are reproducible; override with
     /// [`ClusterClient::with_seed`].
     rng: StdRng,
-    /// The pack this client is currently filling: `(name, length)`.
-    open_pack: Option<(String, u64)>,
-    /// Next pack name suffix to try.
-    pack_seq: u64,
-    /// Pack rollover threshold in bytes.
-    pack_limit: u64,
+    /// The pack this client is currently filling, and its rollover limit.
+    packs: PackCursor,
 }
 
 impl ClusterClient {
@@ -525,7 +527,6 @@ impl ClusterClient {
                 timeout: Duration::from_secs(10),
             },
             plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            max_replans: access::DEFAULT_MAX_REPLANS,
             ctx: ParallelCtx::default(),
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             repair_gate: None,
@@ -538,22 +539,20 @@ impl ClusterClient {
             default_block_bytes: 1 << 16,
             placement: Placement::Random,
             rng: StdRng::seed_from_u64(0x5EED),
-            open_pack: None,
-            pack_seq: 0,
-            pack_limit: DEFAULT_PACK_LIMIT,
+            packs: PackCursor::default(),
         }
     }
 
-    /// Overrides the code used by [`ObjectStore`] puts that do not name
-    /// one via [`PutOptions::code`].
+    /// Overrides the code used by puts that do not name one via
+    /// [`PutOptions::code`].
     #[must_use]
     pub fn with_default_code(mut self, spec: CodeSpec) -> Self {
         self.default_spec = spec;
         self
     }
 
-    /// Overrides the block size used by [`ObjectStore`] puts that do not
-    /// set [`PutOptions::block_bytes`].
+    /// Overrides the block size used by puts that do not set
+    /// [`PutOptions::block_bytes`].
     #[must_use]
     pub fn with_default_block_bytes(mut self, bytes: usize) -> Self {
         self.default_block_bytes = bytes;
@@ -578,7 +577,7 @@ impl ClusterClient {
     /// next packed put starts a fresh pack file.
     #[must_use]
     pub fn with_pack_limit(mut self, bytes: u64) -> Self {
-        self.pack_limit = bytes;
+        self.packs.limit = bytes;
         self
     }
 
@@ -586,13 +585,6 @@ impl ClusterClient {
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.link.timeout = timeout;
-        self
-    }
-
-    /// Overrides the bound on mid-operation replans per stripe.
-    #[must_use]
-    pub fn with_max_replans(mut self, max_replans: usize) -> Self {
-        self.max_replans = max_replans;
         self
     }
 
@@ -619,7 +611,7 @@ impl ClusterClient {
     /// Caps this client's concurrent helper repair reads per datanode.
     /// The gate is shared: the repair scheduler hands every worker client
     /// the same [`FanInGate`] so the cap holds across the whole pool.
-    /// Foreground reads (`get_file`) are never gated.
+    /// Foreground reads are never gated.
     #[must_use]
     pub fn with_repair_gate(mut self, gate: Arc<FanInGate>) -> Self {
         self.repair_gate = Some(gate);
@@ -642,7 +634,7 @@ impl ClusterClient {
     /// cached entry is served only if its recorded epoch still matches,
     /// so any concurrent placement mutation forces a refetch (an extra
     /// round to the shard, never a stale manifest). This is the lookup
-    /// `get_file` runs on every call.
+    /// every read runs on every call.
     ///
     /// # Errors
     ///
@@ -712,21 +704,19 @@ impl ClusterClient {
     /// uploads every block. With a nonzero pipeline depth the stripe
     /// encoder runs ahead of the uploads, recycling a fixed ring of
     /// `EncodedStripe` buffers; each stripe's `n` block uploads fan out
-    /// over the client's workers. This is the engine under
-    /// [`ObjectStore::put_opts`], the only public entry point.
+    /// over the client's workers. The engine under
+    /// [`ObjectBackend::create`].
     ///
     /// # Errors
     ///
     /// Propagates geometry errors, placement failures (too few alive
     /// nodes, duplicate name) and upload failures.
-    pub(crate) fn put_file(
+    fn put_file(
         &mut self,
         name: &str,
         data: &[u8],
         spec: CodeSpec,
         block_bytes: usize,
-        placement: Placement,
-        rng: &mut impl Rng,
     ) -> Result<FilePlacement, ClusterError> {
         let ctx = &self.ctx.clone();
         if data.is_empty() {
@@ -745,8 +735,8 @@ impl ClusterClient {
             data.len() as u64,
             block_bytes,
             chunks.len(),
-            placement,
-            rng,
+            self.placement,
+            &mut self.rng,
         )?;
 
         let link = &self.link;
@@ -819,24 +809,23 @@ impl ClusterClient {
         Ok(fp)
     }
 
-    /// Reads a whole file back, byte-identical to what was stored.
-    ///
-    /// Per stripe the executor plans against the roles whose nodes the
-    /// coordinator believes alive, fetches the whole plan as one
-    /// fanned-out batch, and — if any fetch fails mid-read — excludes
-    /// *all* failed roles and replans, degrading from the direct parallel
-    /// path to the degraded/fallback paths without surfacing the failure
-    /// to the caller. With a nonzero pipeline depth, stripe `i` decodes
-    /// while stripe `i+1` is being fetched.
+    /// Reads `len` bytes at `offset` of a placed file (`range` `None`: the
+    /// whole file, counted as one `cluster.reads`), byte-identical to what
+    /// was stored — the engine under [`ObjectBackend::read`], so under
+    /// `get`, `get_range` and every packed-object read.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownFile`] for unknown names,
-    /// [`ClusterError::Unavailable`] when a stripe has fewer than `k`
-    /// reachable blocks, and [`ClusterError::ReplansExhausted`] when nodes
-    /// keep dying mid-read past the replan budget.
-    pub(crate) fn get_file(&mut self, name: &str) -> Result<Vec<u8>, ClusterError> {
-        let _timer = if telemetry::ENABLED {
+    /// [`ClusterError::Protocol`] for ranges past the file's end, and the
+    /// failures of [`ClusterClient::read_span`].
+    fn read_file(
+        &mut self,
+        name: &str,
+        range: Option<(u64, u64)>,
+    ) -> Result<Vec<u8>, ClusterError> {
+        let whole = range.is_none();
+        let _timer = if whole && telemetry::ENABLED {
             READS.inc();
             Some(telemetry::span("cluster.read.ns"))
         } else {
@@ -845,17 +834,61 @@ impl ClusterClient {
         // The whole read is one trace: per-stripe fetch/decode spans hang
         // off this root, and every wire request carries its ids so the
         // serving nodes' spans land in the same trace.
-        let op = telemetry::trace::TraceCtx::root().child("cluster.op.get_us");
-        let op_ctx = op.ctx();
+        let op = telemetry::trace::TraceCtx::root().child(if whole {
+            "cluster.op.get_us"
+        } else {
+            "cluster.op.get_range_us"
+        });
         let fp = self.file_manifest(name)?;
+        let (offset, len) = range.unwrap_or((0, fp.file_len));
+        let (out, degraded) = self.read_span(&fp, offset, len, op.ctx())?;
+        if whole && degraded && telemetry::ENABLED {
+            READS_DEGRADED.inc();
+        }
+        Ok(out)
+    }
+
+    /// Turns bytes `[offset, offset + len)` of a placed file into
+    /// fetched-and-decoded bytes, touching only the stripes involved;
+    /// also reports whether any stripe left the direct read path.
+    ///
+    /// Per stripe the executor plans against the roles whose nodes the
+    /// coordinator believes alive, fetches the whole plan as one
+    /// fanned-out batch, and — if any fetch fails mid-read — excludes
+    /// *all* failed roles and replans, degrading from the direct parallel
+    /// path to the degraded/fallback paths without surfacing the failure
+    /// to the caller. With a nonzero pipeline depth and more than one
+    /// stripe touched, stripe `i` decodes while stripe `i+1` is being
+    /// fetched; each decoded stripe's overlap with the range is copied
+    /// straight into the output.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::Protocol`] for ranges past the file's end,
+    /// [`ClusterError::Unavailable`] when a stripe has fewer than `k`
+    /// reachable blocks, and [`ClusterError::ReplansExhausted`] when nodes
+    /// keep dying mid-read past the replan budget.
+    fn read_span(
+        &mut self,
+        fp: &FilePlacement,
+        offset: u64,
+        len: u64,
+        op_ctx: telemetry::trace::TraceCtx,
+    ) -> Result<(Vec<u8>, bool), ClusterError> {
+        let end = check_range(offset, len, fp.file_len)?;
+        if len == 0 {
+            return Ok((Vec::new(), false));
+        }
+        let name = fp.name.as_str();
         let code = fp.spec.build()?;
         let sub = code.linear().sub();
         let w = fp.block_bytes / sub;
-        let sdb = code.k() * fp.block_bytes;
-        let executor = PlanExecutor::new(&self.plans).with_max_replans(self.max_replans);
+        let sdb = (code.k() * fp.block_bytes) as u64;
+        let first = (offset / sdb) as usize;
+        let last = ((end - 1) / sdb) as usize;
+        let executor = PlanExecutor::new(&self.plans);
         let link = &self.link;
         let ctx = &self.ctx;
-        let fp = &fp;
         let code = &code;
 
         // Fetch one stripe's plan-worth of units (no decode yet).
@@ -880,8 +913,9 @@ impl ClusterClient {
             (fetched, source.tally)
         };
 
-        // Decode a fetched stripe straight into its slice of the output.
-        let mut out = vec![0u8; fp.file_len as usize];
+        // Decode a fetched stripe and copy its overlap with the range
+        // straight into the output.
+        let mut out = vec![0u8; len as usize];
         let mut degraded = false;
         let mut decode_into = |s: usize,
                                fetched: Result<FetchedStripe, ClusterError>,
@@ -897,16 +931,18 @@ impl ClusterClient {
             if let Some(t) = decoded_at {
                 PHASE_DECODE.record(t.elapsed().as_micros() as u64);
             }
-            let at = s * sdb;
-            let take = sdb.min(out.len() - at.min(out.len())).min(data.len());
-            out[at..at + take].copy_from_slice(&data[..take]);
+            let stripe_start = s as u64 * sdb;
+            let lo = offset.max(stripe_start);
+            let hi = end.min(stripe_start + sdb);
+            out[(lo - offset) as usize..(hi - offset) as usize]
+                .copy_from_slice(&data[(lo - stripe_start) as usize..(hi - stripe_start) as usize]);
             Ok(())
         };
 
         let mut tally = Tally::default();
         let mut outcome: Result<(), ClusterError> = Ok(());
-        if self.pipeline_depth == 0 || fp.stripes <= 1 {
-            for s in 0..fp.stripes {
+        if self.pipeline_depth == 0 || first == last {
+            for s in first..=last {
                 let (fetched, t) = fetch_one(s);
                 tally += t;
                 outcome = decode_into(s, fetched, &mut out);
@@ -922,7 +958,7 @@ impl ClusterClient {
                 self.pipeline_depth,
                 move |pipe| -> Tally {
                     let mut tally = Tally::default();
-                    for s in 0..fp.stripes {
+                    for s in first..=last {
                         let (fetched, t) = fetch_one(s);
                         tally += t;
                         let failed = fetched.is_err();
@@ -956,10 +992,7 @@ impl ClusterClient {
         }
         self.fold(tally);
         outcome?;
-        if degraded && telemetry::ENABLED {
-            READS_DEGRADED.inc();
-        }
-        Ok(out)
+        Ok((out, degraded))
     }
 
     /// Finds and rebuilds every missing block of `name`, executing the
@@ -1037,7 +1070,7 @@ impl ClusterClient {
         let sub = code.linear().sub();
         let w = fp.block_bytes / sub;
         let d = code.d();
-        let executor = PlanExecutor::new(&self.plans).with_max_replans(self.max_replans);
+        let executor = PlanExecutor::new(&self.plans);
         let mut report = RepairReport::default();
         let mut tally = Tally::default();
         // Keep a local copy so a block re-homed mid-stripe can serve as a
@@ -1210,72 +1243,6 @@ impl ClusterClient {
         }
     }
 
-    /// Reads `len` bytes at byte `offset` of a placed file, fetching and
-    /// decoding only the touched stripes (the engine under
-    /// [`ObjectStore::get_range`] and every packed-object read).
-    fn read_file_range(
-        &mut self,
-        name: &str,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, ClusterError> {
-        let op = telemetry::trace::TraceCtx::root().child("cluster.op.get_range_us");
-        let op_ctx = op.ctx();
-        let fp = self.file_manifest(name)?;
-        let end = offset.saturating_add(len);
-        if end > fp.file_len {
-            return Err(ClusterError::Protocol {
-                reason: format!(
-                    "range {offset}+{len} past end of {name:?} ({} bytes)",
-                    fp.file_len
-                ),
-            });
-        }
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let code = fp.spec.build()?;
-        let sub = code.linear().sub();
-        let w = fp.block_bytes / sub;
-        let sdb = (code.k() * fp.block_bytes) as u64;
-        let first = (offset / sdb) as usize;
-        let last = ((end - 1) / sdb) as usize;
-        let executor = PlanExecutor::new(&self.plans).with_max_replans(self.max_replans);
-        let mut buf = Vec::with_capacity((last - first + 1) * sdb as usize);
-        let mut tally = Tally::default();
-        let outcome = (|| -> Result<(), ClusterError> {
-            let link = &self.link;
-            let ctx = &self.ctx;
-            for s in first..=last {
-                let span = op_ctx.child("cluster.fetch.stripe_us");
-                let mut source = StripeSource {
-                    link,
-                    ctx,
-                    name,
-                    stripe: s,
-                    row: &fp.nodes[s],
-                    sub,
-                    w,
-                    present: None,
-                    trace: span.ctx(),
-                    gate: None,
-                    tally: Tally::default(),
-                };
-                let fetched = executor
-                    .fetch_stripe(&code, &mut source)
-                    .map_err(|e| read_error(name, s, e));
-                tally += source.tally;
-                let data = fetched?.decode().map_err(|_| unreadable(name, s))?;
-                buf.extend_from_slice(&data);
-            }
-            Ok(())
-        })();
-        self.fold(tally);
-        outcome?;
-        let at = (offset - first as u64 * sdb) as usize;
-        Ok(buf[at..at + len as usize].to_vec())
-    }
-
     /// Ships an in-place edit of `name`'s bytes as per-node
     /// [`Request::WriteDelta`]s: for each touched stripe the edit's
     /// unit-aligned message deltas are computed once, and every affected
@@ -1382,39 +1349,30 @@ impl ClusterClient {
         outcome
     }
 
-    /// The file half of [`ObjectStore::write_range`]: bounds-check
-    /// against the current length, read the old span, delta-write the
-    /// new one.
+    /// The engine under [`ObjectBackend::overwrite`]: bounds-check
+    /// against the current length (growth is append's job), read the old
+    /// span, delta-write the new one.
     fn write_file_range(
         &mut self,
         name: &str,
         offset: u64,
         new: &[u8],
-        op_ctx: telemetry::trace::TraceCtx,
     ) -> Result<(), ClusterError> {
+        let op = telemetry::trace::TraceCtx::root().child("cluster.op.write_range_us");
         let fp = self.file_manifest(name)?;
-        let end = offset.saturating_add(new.len() as u64);
-        if end > fp.file_len {
-            return Err(ClusterError::Protocol {
-                reason: format!(
-                    "write_range cannot extend {name:?}: {offset}+{} past {} bytes (use append)",
-                    new.len(),
-                    fp.file_len
-                ),
-            });
-        }
+        check_range(offset, new.len() as u64, fp.file_len)?;
         if new.is_empty() {
             return Ok(());
         }
-        let old = self.read_file_range(name, offset, new.len() as u64)?;
-        self.delta_write(name, &fp, offset, &old, new, op_ctx)?;
+        let old = self.read_file(name, Some((offset, new.len() as u64)))?;
+        self.delta_write(name, &fp, offset, &old, new, op.ctx())?;
         if telemetry::ENABLED {
             UPDATE_WRITES.inc();
         }
         Ok(())
     }
 
-    /// The file half of [`ObjectStore::append`]: fill the last stripe's
+    /// The engine under [`ObjectBackend::extend`]: fill the last stripe's
     /// zero padding by delta (old bytes are implicit zeros), then encode
     /// any overflow into fresh stripes placed by
     /// [`MetaRouter::extend_file`].
@@ -1435,13 +1393,10 @@ impl ClusterClient {
         let new_len = old_len + tail.len() as u64;
         // Metadata first, mirroring put: the new stripes' homes are
         // durable (one FileExtended record) before any block lands.
-        let mut rng = self.rng.clone();
-        let rows = self
-            .link
-            .meta
-            .extend_file(name, new_len, added, self.placement, &mut rng);
-        self.rng = rng;
-        let rows = rows?;
+        let rows =
+            self.link
+                .meta
+                .extend_file(name, new_len, added, self.placement, &mut self.rng)?;
         if fill > 0 {
             // Bytes past the old end are implicit zero padding of the
             // stripe message, so the fill is a delta with all-zero old.
@@ -1477,165 +1432,17 @@ impl ClusterClient {
         Ok(new_len)
     }
 
-    /// Packs a small object into the client's open pack (or a fresh
-    /// one), recording only its extent with the metadata service. Packs
-    /// are ordinary cluster files named `.pack-NNNN` and encoded with
-    /// the client's default code, so packed objects inherit the whole
-    /// read/degraded-read/repair machinery for free. Deleting a packed
-    /// object drops its extent; the pack keeps the (now unreachable)
-    /// bytes until a future compaction pass.
-    fn pack_put(&mut self, name: &str, data: &[u8]) -> Result<(), ClusterError> {
-        if data.is_empty() {
-            return Err(ClusterError::Protocol {
-                reason: "cannot pack an empty object".into(),
-            });
-        }
-        let rolls = match &self.open_pack {
-            Some((_, len)) => len + data.len() as u64 > self.pack_limit,
-            None => true,
-        };
-        let (pack, at) = if rolls {
-            // Another client may have taken a suffix already; probe the
-            // namespace until a free one turns up.
-            let pack = loop {
-                let candidate = format!("{PACK_PREFIX}{:04}", self.pack_seq);
-                self.pack_seq += 1;
-                if self.link.meta.file(&candidate).is_none() {
-                    break candidate;
-                }
-            };
-            let (spec, block_bytes) = (self.default_spec, self.default_block_bytes);
-            let placement = self.placement;
-            let mut rng = self.rng.clone();
-            let result = self.put_file(&pack, data, spec, block_bytes, placement, &mut rng);
-            self.rng = rng;
-            result?;
-            self.open_pack = Some((pack.clone(), data.len() as u64));
-            (pack, 0)
-        } else {
-            let (pack, at) = self.open_pack.clone().expect("checked above");
-            let new_len = self.append_file(&pack, data)?;
-            self.open_pack = Some((pack.clone(), new_len));
-            (pack, at)
-        };
-        self.link.meta.put_extent(
-            name,
-            ObjectExtent {
-                pack,
-                offset: at,
-                len: data.len() as u64,
-            },
-        )?;
-        if telemetry::ENABLED {
-            UPDATE_PACKED.inc();
-        }
-        Ok(())
-    }
-}
-
-impl ObjectStore for ClusterClient {
-    type Error = ClusterError;
-
-    fn put_opts(&mut self, name: &str, data: &[u8], opts: &PutOptions) -> Result<(), ClusterError> {
-        if name.starts_with(PACK_PREFIX) {
-            return Err(ClusterError::Protocol {
-                reason: format!("names starting with {PACK_PREFIX:?} are reserved for packs"),
-            });
-        }
-        if self.link.meta.file(name).is_some() || self.link.meta.extent(name).is_some() {
-            return Err(ClusterError::Protocol {
-                reason: format!("file {name:?} already exists"),
-            });
-        }
-        if opts.packed() {
-            // Packed puts use the client's default code and block size:
-            // the pack's geometry is fixed when the pack is created, not
-            // per object.
-            return self.pack_put(name, data);
-        }
-        let spec = match opts.code_spec() {
-            Some(s) => CodeSpec::parse(s)?,
-            None => self.default_spec,
-        };
-        let block_bytes = opts.block_bytes_hint().unwrap_or(self.default_block_bytes);
-        let placement = self.placement;
-        let mut rng = self.rng.clone();
-        let result = self.put_file(name, data, spec, block_bytes, placement, &mut rng);
-        self.rng = rng;
-        result.map(|_| ())
-    }
-
-    fn get(&mut self, name: &str) -> Result<Vec<u8>, ClusterError> {
-        match self.link.meta.extent(name) {
-            Some(ext) => self.read_file_range(&ext.pack, ext.offset, ext.len),
-            None => self.get_file(name),
-        }
-    }
-
-    fn get_range(&mut self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, ClusterError> {
-        match self.link.meta.extent(name) {
-            Some(ext) => {
-                if offset.saturating_add(len) > ext.len {
-                    return Err(ClusterError::Protocol {
-                        reason: format!(
-                            "range {offset}+{len} past end of {name:?} ({} bytes)",
-                            ext.len
-                        ),
-                    });
-                }
-                self.read_file_range(&ext.pack, ext.offset + offset, len)
-            }
-            None => self.read_file_range(name, offset, len),
-        }
-    }
-
-    fn write_range(&mut self, name: &str, offset: u64, data: &[u8]) -> Result<(), ClusterError> {
-        let op = telemetry::trace::TraceCtx::root().child("cluster.op.write_range_us");
-        let op_ctx = op.ctx();
-        match self.link.meta.extent(name) {
-            Some(ext) => {
-                if offset.saturating_add(data.len() as u64) > ext.len {
-                    return Err(ClusterError::Protocol {
-                        reason: format!(
-                            "range {offset}+{} past end of {name:?} ({} bytes)",
-                            data.len(),
-                            ext.len
-                        ),
-                    });
-                }
-                self.write_file_range(&ext.pack, ext.offset + offset, data, op_ctx)
-            }
-            None => self.write_file_range(name, offset, data, op_ctx),
-        }
-    }
-
-    fn append(&mut self, name: &str, data: &[u8]) -> Result<u64, ClusterError> {
-        if self.link.meta.extent(name).is_some() {
-            return Err(ClusterError::Protocol {
-                reason: format!("packed object {name:?} cannot grow; delete and re-put"),
-            });
-        }
-        self.append_file(name, data)
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, ClusterError> {
-        if self.link.meta.extent(name).is_some() {
-            // Packed: drop the extent only — the pack keeps the bytes.
-            let existed = self.link.meta.delete_extent(name)?;
-            if existed && telemetry::ENABLED {
-                DELETES.inc();
-            }
-            return Ok(existed);
-        }
+    /// The engine under [`ObjectBackend::remove`]: reclaim blocks
+    /// best-effort on the alive nodes, then the authoritative metadata
+    /// delete. A node that is unreachable keeps an orphan block — wasted
+    /// space, never served (the manifest is gone) and harmlessly
+    /// overwritten if the name is re-put onto it.
+    fn delete_file(&mut self, name: &str) -> Result<bool, ClusterError> {
         let Some(fp) = self.link.meta.file(name) else {
             return Ok(false);
         };
         let op = telemetry::trace::TraceCtx::root().child("cluster.op.delete_us");
         let op_ctx = op.ctx();
-        // Reclaim blocks best-effort on the alive nodes before the
-        // authoritative metadata delete. A node that is unreachable keeps
-        // an orphan block — wasted space, never served (the manifest is
-        // gone) and harmlessly overwritten if the name is re-put onto it.
         let mut tally = Tally::default();
         {
             let link = &self.link;
@@ -1668,12 +1475,67 @@ impl ObjectStore for ClusterClient {
         }
         Ok(existed)
     }
+}
 
-    fn object_len(&mut self, name: &str) -> Result<u64, ClusterError> {
-        if let Some(ext) = self.link.meta.extent(name) {
-            return Ok(ext.len);
+/// The client as the object layer's backend: files are placed cluster
+/// files, extents live with the metadata service (on the shard owning the
+/// *object* name), and packs — ordinary cluster files encoded with the
+/// client's default code — inherit the whole read/degraded-read/repair
+/// machinery for free.
+impl ObjectBackend for ClusterClient {
+    type Error = ClusterError;
+
+    fn create(&mut self, file: &str, data: &[u8], opts: &PutOptions) -> Result<(), ClusterError> {
+        let spec = match opts.code_spec() {
+            Some(s) => CodeSpec::parse(s)?,
+            None => self.default_spec,
+        };
+        let block_bytes = opts.block_bytes_hint().unwrap_or(self.default_block_bytes);
+        self.put_file(file, data, spec, block_bytes).map(|_| ())
+    }
+
+    fn len(&mut self, file: &str) -> Option<u64> {
+        self.link.meta.file(file).map(|fp| fp.file_len)
+    }
+
+    fn read(&mut self, file: &str, range: Option<(u64, u64)>) -> Result<Vec<u8>, ClusterError> {
+        self.read_file(file, range)
+    }
+
+    fn overwrite(&mut self, file: &str, offset: u64, data: &[u8]) -> Result<(), ClusterError> {
+        self.write_file_range(file, offset, data)
+    }
+
+    fn extend(&mut self, file: &str, data: &[u8]) -> Result<u64, ClusterError> {
+        self.append_file(file, data)
+    }
+
+    fn remove(&mut self, file: &str) -> Result<bool, ClusterError> {
+        self.delete_file(file)
+    }
+
+    fn extent(&mut self, object: &str) -> Option<Extent> {
+        self.link.meta.extent(object)
+    }
+
+    fn set_extent(&mut self, object: &str, extent: Extent) -> Result<(), ClusterError> {
+        self.link.meta.put_extent(object, extent)?;
+        if telemetry::ENABLED {
+            UPDATE_PACKED.inc();
         }
-        Ok(self.file_manifest(name)?.file_len)
+        Ok(())
+    }
+
+    fn drop_extent(&mut self, object: &str) -> Result<bool, ClusterError> {
+        let existed = self.link.meta.delete_extent(object)?;
+        if existed && telemetry::ENABLED {
+            DELETES.inc();
+        }
+        Ok(existed)
+    }
+
+    fn pack_cursor(&mut self) -> &mut PackCursor {
+        &mut self.packs
     }
 }
 
@@ -1758,8 +1620,6 @@ fn repair_error(name: &str, stripe: usize, d: usize, e: ExecError<ClusterError>)
 mod tests {
     use super::*;
     use crate::testing::LocalCluster;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// `StripeSource::fetch_batch` (fanned out over workers) must produce
     /// exactly the Fetch sequence of the scalar calls it replaces, against
@@ -1775,10 +1635,7 @@ mod tests {
             p: 6,
         };
         let data: Vec<u8> = (0..720).map(|i| (i * 13 + 5) as u8).collect();
-        let mut rng = StdRng::seed_from_u64(7);
-        let fp = client
-            .put_file("batchfile", &data, spec, 120, Placement::Random, &mut rng)
-            .unwrap();
+        let fp = client.put_file("batchfile", &data, spec, 120).unwrap();
         cluster.fail(fp.nodes[0][2]);
 
         let code = spec.build().unwrap();

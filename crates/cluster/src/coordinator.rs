@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
+use access::Extent;
 use dfs::Placement;
 use filestore::format::CodeSpec;
 use rand::Rng;
@@ -92,22 +93,11 @@ pub struct FilePlacement {
     pub nodes: Vec<Vec<usize>>,
 }
 
-/// A packed object's location: which pack file holds its bytes, where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObjectExtent {
-    /// The pack file (a regular placed file) holding the bytes.
-    pub pack: String,
-    /// Byte offset of the object within the pack.
-    pub offset: u64,
-    /// Object length in bytes.
-    pub len: u64,
-}
-
 #[derive(Debug, Default)]
 struct State {
     nodes: BTreeMap<usize, NodeEntry>,
     files: BTreeMap<String, FilePlacement>,
-    extents: BTreeMap<String, ObjectExtent>,
+    extents: BTreeMap<String, Extent>,
     log: Option<MetaLog>,
 }
 
@@ -278,8 +268,7 @@ impl Coordinator {
                         len,
                     } => {
                         mutations += 1;
-                        st.extents
-                            .insert(object, ObjectExtent { pack, offset, len });
+                        st.extents.insert(object, Extent { pack, offset, len });
                     }
                     MetaRecord::ObjectDeleted { object } => {
                         mutations += 1;
@@ -730,7 +719,7 @@ impl Coordinator {
     /// Returns [`ClusterError::Protocol`] when the name is already a
     /// file or a packed object, and [`ClusterError::Io`] when the log
     /// append fails.
-    pub fn put_extent(&self, object: &str, extent: ObjectExtent) -> Result<(), ClusterError> {
+    pub fn put_extent(&self, object: &str, extent: Extent) -> Result<(), ClusterError> {
         let mut st = self.state.lock().expect("coordinator lock");
         if st.files.contains_key(object) || st.extents.contains_key(object) {
             return Err(ClusterError::Protocol {
@@ -753,7 +742,7 @@ impl Coordinator {
     }
 
     /// Looks up a packed object's extent.
-    pub fn extent(&self, object: &str) -> Option<ObjectExtent> {
+    pub fn extent(&self, object: &str) -> Option<Extent> {
         let st = self.state.lock().expect("coordinator lock");
         st.extents.get(object).cloned()
     }
@@ -1135,7 +1124,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-            let ext = |offset, len| ObjectExtent {
+            let ext = |offset, len| Extent {
                 pack: ".pack-0000".to_string(),
                 offset,
                 len,

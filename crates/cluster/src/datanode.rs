@@ -294,7 +294,7 @@ fn serve_connection(
         }
         // Adopt the client's trace (or open a local root for untraced
         // peers): this request span and its queue/service children carry
-        // the client's TraceId, which is what lets a slow get_file be
+        // the client's TraceId, which is what lets a slow get be
         // attributed to a specific node's queue or service time.
         let ctx = telemetry::trace::TraceCtx::adopt(wire_trace.map(|t| (t.trace, t.span)));
         let req_span = ctx.child("cluster.node.request_us");

@@ -3,6 +3,7 @@
 use std::fmt;
 use std::io;
 
+use access::ObjectError;
 use erasure::CodeError;
 use filestore::FileError;
 
@@ -95,6 +96,19 @@ impl From<io::Error> for ClusterError {
 impl From<CodeError> for ClusterError {
     fn from(e: CodeError) -> Self {
         ClusterError::Code(e)
+    }
+}
+
+/// Object-policy refusals: an unknown name is [`ClusterError::UnknownFile`],
+/// everything else a request the protocol does not allow.
+impl From<ObjectError> for ClusterError {
+    fn from(e: ObjectError) -> Self {
+        match e {
+            ObjectError::Unknown { name } => ClusterError::UnknownFile { name },
+            refused => ClusterError::Protocol {
+                reason: refused.to_string(),
+            },
+        }
     }
 }
 

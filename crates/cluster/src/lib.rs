@@ -74,7 +74,7 @@ mod store;
 pub mod testing;
 
 pub use client::{ClusterClient, NodeStats, RepairReport};
-pub use coordinator::{Coordinator, FilePlacement, LivenessEvent, NodeInfo, ObjectExtent};
+pub use coordinator::{Coordinator, FilePlacement, LivenessEvent, NodeInfo};
 pub use datanode::{serve_forever, DataNode, DataNodeConfig};
 pub use error::ClusterError;
 pub use metalog::{MetaLog, MetaRecord};

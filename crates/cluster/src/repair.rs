@@ -51,7 +51,7 @@ use std::sync::{Arc, Condvar, LazyLock, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use workloads::parallel::ParallelCtx;
+use access::parallel::ParallelCtx;
 
 use crate::client::{ClusterClient, RepairReport};
 use crate::coordinator::{Coordinator, LivenessEvent};

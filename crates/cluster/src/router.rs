@@ -22,11 +22,12 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+use access::Extent;
 use dfs::Placement;
 use filestore::format::CodeSpec;
 use rand::Rng;
 
-use crate::coordinator::{Coordinator, FilePlacement, NodeInfo, ObjectExtent};
+use crate::coordinator::{Coordinator, FilePlacement, NodeInfo};
 use crate::error::ClusterError;
 
 /// Ring points contributed by each shard.
@@ -287,12 +288,12 @@ impl MetaRouter {
     /// # Errors
     ///
     /// Propagates the shard's duplicate-name and log-append failures.
-    pub fn put_extent(&self, object: &str, extent: ObjectExtent) -> Result<(), ClusterError> {
+    pub fn put_extent(&self, object: &str, extent: Extent) -> Result<(), ClusterError> {
         self.shard(object).put_extent(object, extent)
     }
 
     /// Looks up a packed object's extent on its owning shard.
-    pub fn extent(&self, object: &str) -> Option<ObjectExtent> {
+    pub fn extent(&self, object: &str) -> Option<Extent> {
         self.shard(object).extent(object)
     }
 

@@ -13,6 +13,10 @@
 //!   `hadoop fs -get` replica reader, and the parallel striped reader with
 //!   its degraded (one-failure) variant that fetches parity and decodes.
 //!
+//! The crate models *time* — flows over disks, NICs and CPUs — not bytes:
+//! it plans through `access` like the two byte-moving stacks (`filestore`,
+//! `cluster`) but stores no blocks and is not an `access::ObjectStore`.
+//!
 //! Coding CPU costs are parameters (see `workloads::calibration`) measured
 //! from the real kernels in this repository, so the simulated decode
 //! penalty in the one-failure case tracks the actual implementation.
@@ -28,11 +32,9 @@ mod topology;
 pub mod durability;
 pub mod reader;
 pub mod repairer;
-pub mod simstore;
 pub mod writer;
 
 pub use namenode::{MapSplit, Namenode, PlacedBlock, StoredFile, Stripe};
 pub use placement::Placement;
 pub use policy::{CodingRates, Policy, SplitSpec};
-pub use simstore::{SimExtent, SimNodes, SimObjects, SimStore};
 pub use topology::{ClusterSpec, Topology};

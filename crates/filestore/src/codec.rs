@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use access::{AccessCode, ExecError, MemorySource, PlanCache, PlanExecutor};
+use access::{check_range, AccessCode, ExecError, MemorySource, PlanCache, PlanExecutor};
 use erasure::{CodeError, ColumnUpdater, ErasureCode, SparseEncoder};
 
 use crate::error::FileError;
@@ -333,7 +333,7 @@ impl<C: ErasureCode> EncodedFile<C> {
 impl<C: AccessCode> EncodedFile<C> {
     /// Decodes one stripe by index, labeling failures with that stripe —
     /// the unit of work for per-stripe parallel decode
-    /// (`workloads::parallel`).
+    /// (`workloads::parallel::decode_file`).
     ///
     /// # Errors
     ///
@@ -380,13 +380,7 @@ impl<C: AccessCode> EncodedFile<C> {
     /// [`FileError::StripeUnrecoverable`] when a needed stripe cannot be
     /// decoded.
     pub fn read_range(&self, offset: u64, len: u64) -> Result<Vec<u8>, FileError> {
-        if offset + len > self.meta.file_len {
-            return Err(FileError::RangeOutOfBounds {
-                offset,
-                len,
-                file_len: self.meta.file_len,
-            });
-        }
+        check_range(offset, len, self.meta.file_len)?;
         let sdb = self.meta.stripe_data_bytes as u64;
         let mut out = Vec::with_capacity(len as usize);
         let mut off = offset;
@@ -439,13 +433,7 @@ impl<C: AccessCode> EncodedFile<C> {
     /// [`FileError::StripeUnrecoverable`] if a touched stripe has missing
     /// blocks.
     pub fn write_range(&mut self, offset: u64, bytes: &[u8]) -> Result<(), FileError> {
-        if offset + bytes.len() as u64 > self.meta.file_len {
-            return Err(FileError::RangeOutOfBounds {
-                offset,
-                len: bytes.len() as u64,
-                file_len: self.meta.file_len,
-            });
-        }
+        check_range(offset, bytes.len() as u64, self.meta.file_len)?;
         if bytes.is_empty() {
             return Ok(());
         }
@@ -705,6 +693,12 @@ mod tests {
             );
         }
         assert!(enc.read_range(2400, 200).is_err());
+        // The offset arrives from the CLI: an overflowing sum is a range
+        // error, not a wrapped-around pass.
+        assert!(matches!(
+            enc.read_range(u64::MAX, 2),
+            Err(FileError::RangeOutOfBounds { .. })
+        ));
     }
 
     #[test]
@@ -758,6 +752,10 @@ mod tests {
         let file = data(200);
         let mut enc = codec.encode(&file).unwrap();
         assert!(enc.write_range(150, &[0u8; 100]).is_err(), "past EOF");
+        assert!(matches!(
+            enc.write_range(u64::MAX, &[1, 2]),
+            Err(FileError::RangeOutOfBounds { .. })
+        ));
         enc.write_range(10, &[]).unwrap();
         enc.drop_block(0, 1);
         assert!(matches!(

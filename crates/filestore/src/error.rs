@@ -2,6 +2,7 @@
 
 use core::fmt;
 
+use access::ObjectError;
 use erasure::CodeError;
 
 /// Errors from the file-level storage layer.
@@ -63,7 +64,7 @@ impl fmt::Display for FileError {
             } => write!(
                 f,
                 "range {offset}..{} exceeds file length {file_len}",
-                offset + len
+                offset.saturating_add(*len)
             ),
             FileError::BadGeometry { reason } => write!(f, "bad geometry: {reason}"),
             FileError::StripeUnrecoverable {
@@ -98,6 +99,30 @@ impl From<CodeError> for FileError {
     }
 }
 
+/// Object-policy refusals land on the matching file-layer variants.
+impl From<ObjectError> for FileError {
+    fn from(e: ObjectError) -> Self {
+        match e {
+            ObjectError::Exists { name } => FileError::ObjectExists { name },
+            ObjectError::Unknown { name } => FileError::UnknownObject { name },
+            ObjectError::RangeOutOfBounds {
+                offset,
+                len,
+                object_len,
+            } => FileError::RangeOutOfBounds {
+                offset,
+                len,
+                file_len: object_len,
+            },
+            refused @ (ObjectError::ReservedName { .. }
+            | ObjectError::PackedAppend { .. }
+            | ObjectError::EmptyObject) => FileError::BadGeometry {
+                reason: refused.to_string(),
+            },
+        }
+    }
+}
+
 impl From<std::io::Error> for FileError {
     fn from(e: std::io::Error) -> Self {
         FileError::Io(e)
@@ -116,6 +141,13 @@ mod tests {
             file_len: 12,
         };
         assert!(e.to_string().contains("10..15"));
+        // An overflowing range still formats (it arrives from the CLI).
+        let e = FileError::RangeOutOfBounds {
+            offset: u64::MAX,
+            len: 2,
+            file_len: 12,
+        };
+        assert!(e.to_string().contains("exceeds file length 12"));
         let e = FileError::StripeUnrecoverable {
             stripe: 3,
             live: 2,

@@ -9,9 +9,10 @@
 //!   arbitrary per-block availability, and **byte-range reads** that touch
 //!   only the stripes/blocks they need (reading straight from data regions
 //!   when possible, falling back to decoding only the affected stripes);
-//! * [`LocalObjects`] — the in-memory [`access::ObjectStore`]: named
-//!   mutable objects (put/get/get_range/write_range/append/delete) with
-//!   delta parity updates and small-object packing via per-object extents;
+//! * [`LocalObjects`] — the in-memory [`access::ObjectBackend`]: named
+//!   [`EncodedFile`]s plus an extent table, which the one object layer in
+//!   `access` turns into an [`access::ObjectStore`] (put/get/get_range/
+//!   write_range/append/delete, small-object packing);
 //! * [`stream`] — incremental encoding/decoding over `std::io` readers and
 //!   writers, one stripe of memory at a time;
 //! * [`mod@format`] — a simple on-disk block format (`meta` + one file per
@@ -51,4 +52,4 @@ pub mod stream;
 pub use codec::{EncodedFile, FileCodec, FileMeta};
 pub use erasure::consistency::StripeHealth;
 pub use error::FileError;
-pub use objects::{Extent, LocalObjects, DEFAULT_PACK_LIMIT, PACK_PREFIX};
+pub use objects::LocalObjects;

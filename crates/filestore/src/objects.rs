@@ -1,43 +1,21 @@
-//! [`LocalObjects`] — the in-memory [`ObjectStore`] over [`FileCodec`]:
-//! named erasure-coded objects with in-place delta writes, appends, and
-//! small-object packing.
+//! [`LocalObjects`] — the in-memory [`access::ObjectBackend`] over
+//! [`FileCodec`]: named striped files held as [`EncodedFile`]s, an extent
+//! table and a pack cursor.
 //!
-//! Packing addresses the small-object problem of erasure-coded stores:
-//! a 4 KiB object striped over `k` blocks wastes most of every block and
-//! costs `n` block writes. A *packed* put instead appends the object's
-//! bytes to a shared **pack** (an ordinary encoded file) and records
-//! only a per-object extent `(pack, offset, len)`. Reads resolve the
-//! extent to a range read on the pack; deletes drop the extent and leave
-//! a hole (packs are append-only; reclaiming holes is a compaction
-//! concern, deliberately out of scope here). The same extent scheme runs
-//! cluster-side behind the sharded metadata layer — this is its
-//! single-process reference implementation, held equivalent by the
-//! tri-stack tests.
+//! That is all this module holds. What an *object* means on top of those
+//! files — reserved names, duplicate puts, small-object packing and its
+//! rollover rule, extent bounds, "packed objects cannot grow" — is the
+//! one blanket [`access::ObjectStore`] impl in `access::object`, shared
+//! with the TCP cluster client; `tests/object_store_contract.rs`
+//! runs both through the same contract and checks that the same put
+//! sequence lands at the same extents on each.
 
 use std::collections::HashMap;
 
-use access::{AccessCode, ObjectStore, PutOptions};
+use access::{AccessCode, Extent, ObjectBackend, PackCursor, PutOptions, PACK_PREFIX};
 
 use crate::codec::{EncodedFile, FileCodec};
 use crate::error::FileError;
-
-/// Reserved name prefix for pack files.
-pub const PACK_PREFIX: &str = ".pack-";
-
-/// Default pack capacity: packs roll over once they reach this many
-/// bytes of object data.
-pub const DEFAULT_PACK_LIMIT: u64 = 1 << 20;
-
-/// A packed object's location inside a pack file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Extent {
-    /// The pack file holding the bytes.
-    pub pack: String,
-    /// Byte offset of the object within the pack.
-    pub offset: u64,
-    /// Object length in bytes.
-    pub len: u64,
-}
 
 /// An in-memory store of named encoded objects sharing one codec.
 ///
@@ -64,9 +42,7 @@ pub struct LocalObjects<C> {
     codec: FileCodec<C>,
     files: HashMap<String, EncodedFile<C>>,
     extents: HashMap<String, Extent>,
-    open_pack: Option<String>,
-    pack_seq: usize,
-    pack_limit: u64,
+    packs: PackCursor,
 }
 
 impl<C: AccessCode + Clone> LocalObjects<C> {
@@ -76,16 +52,14 @@ impl<C: AccessCode + Clone> LocalObjects<C> {
             codec,
             files: HashMap::new(),
             extents: HashMap::new(),
-            open_pack: None,
-            pack_seq: 0,
-            pack_limit: DEFAULT_PACK_LIMIT,
+            packs: PackCursor::default(),
         }
     }
 
     /// Sets the pack rollover size (bytes of object data per pack).
     #[must_use]
     pub fn with_pack_limit(mut self, bytes: u64) -> LocalObjects<C> {
-        self.pack_limit = bytes.max(1);
+        self.packs.limit = bytes;
         self
     }
 
@@ -99,15 +73,10 @@ impl<C: AccessCode + Clone> LocalObjects<C> {
     /// degraded reads and repair under packing.
     pub fn encoded_mut(&mut self, name: &str) -> Option<&mut EncodedFile<C>> {
         let backing = match self.extents.get(name) {
-            Some(ext) => ext.pack.clone(),
-            None => name.to_string(),
+            Some(ext) => &ext.pack,
+            None => name,
         };
-        self.files.get_mut(&backing)
-    }
-
-    /// The extent of a packed object, if `name` is packed.
-    pub fn extent(&self, name: &str) -> Option<&Extent> {
-        self.extents.get(name)
+        self.files.get_mut(backing)
     }
 
     /// Names of all live objects (packed and unpacked), unordered.
@@ -120,238 +89,73 @@ impl<C: AccessCode + Clone> LocalObjects<C> {
             .collect()
     }
 
-    fn exists(&self, name: &str) -> bool {
-        self.files.contains_key(name) || self.extents.contains_key(name)
-    }
-
-    /// Appends `data` to the open pack (rolling over or creating one as
-    /// needed) and returns its extent.
-    fn pack_put(&mut self, data: &[u8]) -> Result<Extent, FileError> {
-        let rollover = match &self.open_pack {
-            Some(pack) => {
-                let len = self.files[pack].meta().file_len;
-                len >= self.pack_limit || len + data.len() as u64 > self.pack_limit.max(len)
-            }
-            None => true,
-        };
-        if rollover {
-            let pack = format!("{PACK_PREFIX}{:04}", self.pack_seq);
-            self.pack_seq += 1;
-            self.files.insert(pack.clone(), self.codec.encode(data)?);
-            self.open_pack = Some(pack.clone());
-            return Ok(Extent {
-                pack,
-                offset: 0,
-                len: data.len() as u64,
-            });
-        }
-        let pack = self.open_pack.clone().expect("checked above");
-        let file = self.files.get_mut(&pack).expect("open pack exists");
-        let offset = file.meta().file_len;
-        file.append(data)?;
-        Ok(Extent {
-            pack,
-            offset,
-            len: data.len() as u64,
-        })
-    }
-
-    fn extent_of(&self, name: &str) -> Result<Extent, FileError> {
-        self.extents
-            .get(name)
-            .cloned()
-            .ok_or_else(|| FileError::UnknownObject {
-                name: name.to_string(),
-            })
+    fn file(&mut self, name: &str) -> Result<&mut EncodedFile<C>, FileError> {
+        self.files
+            .get_mut(name)
+            .ok_or_else(|| FileError::UnknownObject { name: name.into() })
     }
 }
 
-impl<C: AccessCode + Clone> ObjectStore for LocalObjects<C> {
+/// The codec (and with it the code and block size) is fixed at
+/// construction, so `create` ignores per-put code/block hints.
+impl<C: AccessCode + Clone> ObjectBackend for LocalObjects<C> {
     type Error = FileError;
 
-    fn put_opts(&mut self, name: &str, data: &[u8], opts: &PutOptions) -> Result<(), FileError> {
-        if name.starts_with(PACK_PREFIX) {
-            return Err(FileError::BadGeometry {
-                reason: format!("object names starting with {PACK_PREFIX:?} are reserved"),
-            });
-        }
-        if self.exists(name) {
-            return Err(FileError::ObjectExists {
-                name: name.to_string(),
-            });
-        }
-        // The codec (and with it the code and block size) is fixed at
-        // construction; per-put code/block overrides are a transport
-        // concern and ignored here.
-        if opts.packed() {
-            let extent = self.pack_put(data)?;
-            self.extents.insert(name.to_string(), extent);
-        } else {
-            self.files
-                .insert(name.to_string(), self.codec.encode(data)?);
-        }
+    fn create(&mut self, file: &str, data: &[u8], _opts: &PutOptions) -> Result<(), FileError> {
+        self.files.insert(file.into(), self.codec.encode(data)?);
         Ok(())
     }
 
-    fn get(&mut self, name: &str) -> Result<Vec<u8>, FileError> {
-        if let Some(file) = self.files.get(name) {
-            return file.decode();
-        }
-        let ext = self.extent_of(name)?;
-        self.files[&ext.pack].read_range(ext.offset, ext.len)
+    fn len(&mut self, file: &str) -> Option<u64> {
+        self.files.get(file).map(|f| f.meta().file_len)
     }
 
-    fn get_range(&mut self, name: &str, offset: u64, len: u64) -> Result<Vec<u8>, FileError> {
-        if let Some(file) = self.files.get(name) {
-            return file.read_range(offset, len);
-        }
-        let ext = self.extent_of(name)?;
-        if offset + len > ext.len {
-            return Err(FileError::RangeOutOfBounds {
-                offset,
-                len,
-                file_len: ext.len,
-            });
-        }
-        self.files[&ext.pack].read_range(ext.offset + offset, len)
+    fn read(&mut self, file: &str, range: Option<(u64, u64)>) -> Result<Vec<u8>, FileError> {
+        let file = self.file(file)?;
+        let (offset, len) = range.unwrap_or((0, file.meta().file_len));
+        file.read_range(offset, len)
     }
 
-    fn write_range(&mut self, name: &str, offset: u64, data: &[u8]) -> Result<(), FileError> {
-        if let Some(file) = self.files.get_mut(name) {
-            return file.write_range(offset, data);
-        }
-        let ext = self.extent_of(name)?;
-        if offset + data.len() as u64 > ext.len {
-            return Err(FileError::RangeOutOfBounds {
-                offset,
-                len: data.len() as u64,
-                file_len: ext.len,
-            });
-        }
-        self.files
-            .get_mut(&ext.pack)
-            .expect("extent points at a live pack")
-            .write_range(ext.offset + offset, data)
+    fn overwrite(&mut self, file: &str, offset: u64, data: &[u8]) -> Result<(), FileError> {
+        self.file(file)?.write_range(offset, data)
     }
 
-    fn append(&mut self, name: &str, data: &[u8]) -> Result<u64, FileError> {
-        if let Some(file) = self.files.get_mut(name) {
-            return file.append(data);
-        }
-        if self.extents.contains_key(name) {
-            return Err(FileError::BadGeometry {
-                reason: format!("packed object {name:?} cannot grow; delete and re-put"),
-            });
-        }
-        Err(FileError::UnknownObject {
-            name: name.to_string(),
-        })
+    fn extend(&mut self, file: &str, data: &[u8]) -> Result<u64, FileError> {
+        self.file(file)?.append(data)
     }
 
-    fn delete(&mut self, name: &str) -> Result<bool, FileError> {
-        if self.files.remove(name).is_some() {
-            return Ok(true);
-        }
-        // A packed delete drops only the extent; the pack keeps the
-        // (now unreachable) bytes until a future compaction.
-        Ok(self.extents.remove(name).is_some())
+    fn remove(&mut self, file: &str) -> Result<bool, FileError> {
+        Ok(self.files.remove(file).is_some())
     }
 
-    fn object_len(&mut self, name: &str) -> Result<u64, FileError> {
-        if let Some(file) = self.files.get(name) {
-            return Ok(file.meta().file_len);
-        }
-        Ok(self.extent_of(name)?.len)
+    fn extent(&mut self, object: &str) -> Option<Extent> {
+        self.extents.get(object).cloned()
+    }
+
+    fn set_extent(&mut self, object: &str, extent: Extent) -> Result<(), FileError> {
+        self.extents.insert(object.into(), extent);
+        Ok(())
+    }
+
+    fn drop_extent(&mut self, object: &str) -> Result<bool, FileError> {
+        Ok(self.extents.remove(object).is_some())
+    }
+
+    fn pack_cursor(&mut self) -> &mut PackCursor {
+        &mut self.packs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use access::ObjectStore;
     use carousel::Carousel;
-    use rs_code::ReedSolomon;
-
-    fn store() -> LocalObjects<ReedSolomon> {
-        LocalObjects::new(FileCodec::new(ReedSolomon::new(6, 4).unwrap(), 64).unwrap())
-    }
 
     fn bytes(len: usize, seed: usize) -> Vec<u8> {
         (0..len)
             .map(|i| ((i * 31 + seed * 17) % 251) as u8)
             .collect()
-    }
-
-    #[test]
-    fn put_get_write_append_delete_lifecycle() {
-        let mut s = store();
-        let data = bytes(700, 1);
-        s.put("obj", &data).unwrap();
-        assert_eq!(s.get("obj").unwrap(), data);
-        assert_eq!(s.object_len("obj").unwrap(), 700);
-        assert_eq!(s.get_range("obj", 100, 50).unwrap(), &data[100..150]);
-        // Duplicate put is rejected; delete makes the name reusable.
-        assert!(matches!(
-            s.put("obj", b"x"),
-            Err(FileError::ObjectExists { .. })
-        ));
-        let patch = bytes(120, 9);
-        s.write_range("obj", 300, &patch).unwrap();
-        let mut expect = data.clone();
-        expect[300..420].copy_from_slice(&patch);
-        assert_eq!(s.get("obj").unwrap(), expect);
-        let tail = bytes(333, 3);
-        assert_eq!(s.append("obj", &tail).unwrap(), 1033);
-        expect.extend_from_slice(&tail);
-        assert_eq!(s.get("obj").unwrap(), expect);
-        assert!(s.delete("obj").unwrap());
-        assert!(!s.delete("obj").unwrap());
-        assert!(matches!(s.get("obj"), Err(FileError::UnknownObject { .. })));
-        s.put("obj", b"fresh").unwrap();
-        assert_eq!(s.get("obj").unwrap(), b"fresh");
-    }
-
-    #[test]
-    fn packed_objects_share_stripes() {
-        let mut s = store().with_pack_limit(600);
-        let opts = PutOptions::new().pack(true);
-        let objs: Vec<Vec<u8>> = (0..10).map(|i| bytes(40 + i * 13, i)).collect();
-        for (i, data) in objs.iter().enumerate() {
-            s.put_opts(&format!("small-{i}"), data, &opts).unwrap();
-        }
-        // Far fewer packs than objects: packing worked.
-        let packs: std::collections::HashSet<String> = (0..10)
-            .map(|i| s.extent(&format!("small-{i}")).unwrap().pack.clone())
-            .collect();
-        assert!(packs.len() <= 2, "10 objects in {} packs", packs.len());
-        for (i, data) in objs.iter().enumerate() {
-            let name = format!("small-{i}");
-            assert_eq!(&s.get(&name).unwrap(), data);
-            assert_eq!(s.object_len(&name).unwrap(), data.len() as u64);
-            let mid = data.len() as u64 / 2;
-            assert_eq!(
-                s.get_range(&name, 1, mid).unwrap(),
-                &data[1..1 + mid as usize]
-            );
-        }
-        // In-place updates of a packed object stay within its extent.
-        s.write_range("small-3", 5, b"PATCH").unwrap();
-        let mut expect = objs[3].clone();
-        expect[5..10].copy_from_slice(b"PATCH");
-        assert_eq!(s.get("small-3").unwrap(), expect);
-        // Its neighbors are untouched.
-        assert_eq!(s.get("small-2").unwrap(), objs[2]);
-        assert_eq!(s.get("small-4").unwrap(), objs[4]);
-        // Out-of-extent writes and reads are rejected even though the
-        // pack continues past the object.
-        assert!(s
-            .write_range("small-3", expect.len() as u64 - 2, b"xxx")
-            .is_err());
-        assert!(s.get_range("small-3", 0, expect.len() as u64 + 1).is_err());
-        // Packed objects cannot grow.
-        assert!(s.append("small-3", b"y").is_err());
-        // Deleting one object leaves the others readable.
-        assert!(s.delete("small-3").unwrap());
-        assert_eq!(s.get("small-4").unwrap(), objs[4]);
     }
 
     #[test]
@@ -383,11 +187,5 @@ mod tests {
         for (i, data) in objs.iter().enumerate() {
             assert_eq!(&s.get(&format!("o{i}")).unwrap(), data, "after repair");
         }
-    }
-
-    #[test]
-    fn reserved_names_rejected() {
-        let mut s = store();
-        assert!(s.put(".pack-0001", b"nope").is_err());
     }
 }

@@ -6,7 +6,7 @@
 //! stack), trace spans carry numeric ids that survive a trip over the
 //! wire: a client threads its `TraceCtx` into each request frame, the
 //! serving node adopts it, and the node's spans land in the same trace so
-//! a whole `get_file` can be reassembled from the JSON-lines stream.
+//! a whole `get` can be reassembled from the JSON-lines stream.
 //!
 //! Ids are `(pid << 32) | seq` from a process-local counter — unique
 //! across the processes of a loopback cluster without any global

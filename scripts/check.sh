@@ -27,20 +27,20 @@ if [ -n "$guard_hits" ]; then
   exit 1
 fi
 
-step "concurrency guard: client-side fan-out goes through workloads::parallel"
+step "concurrency guard: client-side fan-out goes through access::parallel"
 # Wire concurrency on the client/transport side must use the shared
 # ParallelCtx pool (and its pipeline helper), not hand-rolled threads —
 # that is what keeps fan-out width a single knob and tallies race-free.
-# crates/cluster/src/datanode.rs and crates/cluster/src/repair.rs are the
-# two exclusions: a datanode is a *server* and legitimately owns its
-# accept/connection/heartbeat threads, and the background repair
-# scheduler owns its long-lived worker/monitor threads (its *clients*
-# still fan out through ParallelCtx).
+# crates/access/src/parallel.rs is the pool itself. In the cluster crate
+# datanode.rs and repair.rs are excluded: a datanode is a *server* and
+# legitimately owns its accept/connection/heartbeat threads, and the
+# background repair scheduler owns its long-lived worker/monitor threads
+# (its *clients* still fan out through ParallelCtx).
 guard_hits=$(grep -rnE "thread::(spawn|scope|Builder)" \
   crates/cluster/src crates/dfs/src crates/filestore/src crates/access/src \
-  | grep -vE 'crates/cluster/src/(datanode|repair)\.rs' || true)
+  | grep -vE 'crates/access/src/parallel\.rs|crates/cluster/src/(datanode|repair)\.rs' || true)
 if [ -n "$guard_hits" ]; then
-  printf 'use workloads::parallel (ParallelCtx / pipeline) instead of raw threads:\n%s\n' "$guard_hits" >&2
+  printf 'use access::parallel (ParallelCtx / pipeline) instead of raw threads:\n%s\n' "$guard_hits" >&2
   exit 1
 fi
 
@@ -71,22 +71,6 @@ guard_hits=$(grep -rnE '\bunsafe\b' --include='*.rs' src tests examples \
   | grep -vE 'unsafe_code|:[0-9]+:\s*//' || true)
 if [ -n "$guard_hits" ]; then
   printf 'unsafe code is confined to crates/gf256/src/kernel/simd.rs:\n%s\n' "$guard_hits" >&2
-  exit 1
-fi
-
-step "object-store guard: everything goes through the ObjectStore trait"
-# The free-standing put_file/get_file signatures are pub(crate) plumbing
-# inside the cluster client now; every consumer — tool, tests, benches,
-# transports — uses the ObjectStore trait (put_opts/get/write_range/
-# append/delete) instead.
-guard_hits=$(grep -rnE "\.(put_file|get_file)\(" \
-  --include='*.rs' src tests examples \
-  crates/access crates/bench crates/cluster crates/core crates/dfs crates/erasure \
-  crates/filestore crates/gf256 crates/lrc crates/mapreduce crates/msr crates/rs \
-  crates/simcore crates/telemetry crates/workloads \
-  | grep -v 'crates/cluster/src/client\.rs' || true)
-if [ -n "$guard_hits" ]; then
-  printf 'use the ObjectStore trait (put_opts/get) instead of put_file/get_file:\n%s\n' "$guard_hits" >&2
   exit 1
 fi
 

@@ -1,15 +1,14 @@
-//! Cross-transport consistency: the three stacks that plan through the
-//! `access` layer — the in-memory filestore, the simulated DFS block
-//! store, and the loopback TCP cluster — must return byte-identical data
-//! for the same code, the same file and the same failure pattern, and a
-//! cached decode plan must never change the decoded bytes.
+//! Cross-transport consistency: the two byte-moving stacks that plan
+//! through the `access` layer — the in-memory filestore and the loopback
+//! TCP cluster — must return byte-identical data for the same code, the
+//! same file and the same failure pattern, and a cached decode plan must
+//! never change the decoded bytes.
 
 use std::sync::Arc;
 
 use access::{ObjectStore, PlanCache, PutOptions};
 use carousel::Carousel;
 use cluster::testing::LocalCluster;
-use dfs::SimStore;
 use erasure::ErasureCode;
 use filestore::format::CodeSpec;
 use filestore::FileCodec;
@@ -26,14 +25,14 @@ fn failure_roles(n: usize, fails: usize, offset: usize) -> Vec<usize> {
 }
 
 proptest! {
-    // Each case boots a real TCP cluster, so keep the count low; the two
-    // cheaper stacks get a broader sweep in the test below.
+    // Each case boots a real TCP cluster, so keep the count low; the
+    // filestore gets a broader sweep in the test below.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Same code, same bytes, same number of losses: the filestore, the
-    /// simulated DFS and the TCP cluster all return the original file.
+    /// Same code, same bytes, same number of losses: the filestore and
+    /// the TCP cluster both return the original file.
     #[test]
-    fn tri_stack_reads_are_byte_identical(
+    fn both_stacks_reads_are_byte_identical(
         geometry in proptest::sample::select(GEOMETRIES.to_vec()),
         data in proptest::collection::vec(any::<u8>(), 1..600),
         fails_seed in 0usize..100,
@@ -48,7 +47,7 @@ proptest! {
         let block_bytes = code.linear().sub() * 8;
 
         // Stack 1: in-memory filestore.
-        let codec = FileCodec::new(code.clone(), block_bytes).unwrap();
+        let codec = FileCodec::new(code, block_bytes).unwrap();
         let mut file = codec.encode(&data).unwrap();
         for s in 0..file.stripes() {
             for &r in &roles {
@@ -58,15 +57,7 @@ proptest! {
         let from_filestore = file.decode().unwrap();
         prop_assert_eq!(&from_filestore, &data);
 
-        // Stack 2: simulated DFS datanodes.
-        let mut store = SimStore::encode(Box::new(code), block_bytes, &data).unwrap();
-        for &r in &roles {
-            store.fail_role(r);
-        }
-        let from_dfs = store.download(&PlanCache::new(8)).unwrap();
-        prop_assert_eq!(&from_dfs, &data);
-
-        // Stack 3: loopback TCP cluster. One node per stripe role, so a
+        // Stack 2: loopback TCP cluster. One node per stripe role, so a
         // failed node loses exactly one block of every stripe.
         let mut cluster = LocalCluster::start(n).unwrap();
         let mut client = cluster
@@ -166,13 +157,13 @@ fn fixed_pattern_degraded_read_hits_cache_ninety_percent() {
     assert_eq!(uncached.plan_cache().hits(), 0);
 }
 
-/// The fixed tri-stack scenario run by
-/// [`tri_stack_bytes_identical_for_every_kernel`] in a child process with
+/// The fixed two-stack scenario run by
+/// [`both_stacks_bytes_identical_for_every_kernel`] in a child process with
 /// `CAROUSEL_KERNEL` pinned to one registered kernel. Marked `#[ignore]`
 /// so it only ever runs with that variable set by the parent test.
 #[test]
-#[ignore = "spawned per kernel by tri_stack_bytes_identical_for_every_kernel"]
-fn tri_stack_scenario_for_pinned_kernel() {
+#[ignore = "spawned per kernel by both_stacks_bytes_identical_for_every_kernel"]
+fn stack_scenario_for_pinned_kernel() {
     let kernel = std::env::var("CAROUSEL_KERNEL").expect("parent pins CAROUSEL_KERNEL");
     assert_eq!(
         gf256::kernel().name(),
@@ -186,7 +177,7 @@ fn tri_stack_scenario_for_pinned_kernel() {
     let data: Vec<u8> = (0..4096usize).map(|i| (i * 137 + 11) as u8).collect();
     let roles = failure_roles(n, n - k, 1);
 
-    let codec = FileCodec::new(code.clone(), block_bytes).unwrap();
+    let codec = FileCodec::new(code, block_bytes).unwrap();
     let mut file = codec.encode(&data).unwrap();
     for s in 0..file.stripes() {
         for &r in &roles {
@@ -197,16 +188,6 @@ fn tri_stack_scenario_for_pinned_kernel() {
         file.decode().unwrap(),
         data,
         "filestore under kernel {kernel}"
-    );
-
-    let mut store = SimStore::encode(Box::new(code), block_bytes, &data).unwrap();
-    for &r in &roles {
-        store.fail_role(r);
-    }
-    assert_eq!(
-        store.download(&PlanCache::new(8)).unwrap(),
-        data,
-        "sim DFS under kernel {kernel}"
     );
 
     let mut cluster = LocalCluster::start(n).unwrap();
@@ -229,19 +210,19 @@ fn tri_stack_scenario_for_pinned_kernel() {
     );
 }
 
-/// One tri-stack byte-identity case per registered kernel: re-runs
-/// [`tri_stack_scenario_for_pinned_kernel`] in a child process with
+/// One two-stack byte-identity case per registered kernel: re-runs
+/// [`stack_scenario_for_pinned_kernel`] in a child process with
 /// `CAROUSEL_KERNEL` set, so every kernel — not just the process default —
-/// drives the filestore, simulated-DFS and TCP-cluster read paths
-/// end to end, including the env-override dispatch itself.
+/// drives the filestore and TCP-cluster read paths end to end, including
+/// the env-override dispatch itself.
 #[test]
-fn tri_stack_bytes_identical_for_every_kernel() {
+fn both_stacks_bytes_identical_for_every_kernel() {
     let exe = std::env::current_exe().expect("test binary path");
     for kernel in gf256::kernels() {
         let output = std::process::Command::new(&exe)
             .args([
                 "--exact",
-                "tri_stack_scenario_for_pinned_kernel",
+                "stack_scenario_for_pinned_kernel",
                 "--ignored",
                 "--test-threads=1",
             ])
@@ -250,7 +231,7 @@ fn tri_stack_bytes_identical_for_every_kernel() {
             .expect("spawn child test process");
         assert!(
             output.status.success(),
-            "tri-stack identity failed under kernel {}:\n{}\n{}",
+            "two-stack identity failed under kernel {}:\n{}\n{}",
             kernel.name(),
             String::from_utf8_lossy(&output.stdout),
             String::from_utf8_lossy(&output.stderr),

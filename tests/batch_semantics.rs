@@ -3,15 +3,14 @@
 //! of the scalar `fetch_units`/`repair_read` calls it replaces — including
 //! the `Unavailable` slots of dead nodes, at their request indices.
 //!
-//! The native overrides (`MemorySource`, the DFS `SimNodes`) are compared
-//! against the trait's default sequential loop via a wrapper that forwards
-//! only the scalar methods, so the default is always the reference. The
-//! TCP `StripeSource` gets the same treatment in an in-crate test in
+//! The native override (`MemorySource`) is compared against the trait's
+//! default sequential loop via a wrapper that forwards only the scalar
+//! methods, so the default is always the reference. The TCP
+//! `StripeSource` gets the same treatment in an in-crate test in
 //! `cluster::client` (it is not constructible from here).
 
 use access::{BatchRequest, BlockSource, Fetch, MemorySource, PlanCache};
 use carousel::Carousel;
-use dfs::SimStore;
 use erasure::{ErasureCode, HelperTask};
 use proptest::prelude::*;
 
@@ -63,7 +62,7 @@ fn unit_requests(n: usize, sub: usize, seed: usize) -> Vec<BatchRequest<'static>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Unit batches on both in-memory sources match the sequential loop,
+    /// Unit batches on the in-memory source match the sequential loop,
     /// for random data, random dead sets and random unit selections.
     #[test]
     fn unit_batches_match_sequential(
@@ -75,7 +74,6 @@ proptest! {
         let (n, k, d, p) = geometry;
         let code = Carousel::new(n, k, d, p).unwrap();
         let sub = code.linear().sub();
-        let block_bytes = sub * 8;
         let requests = unit_requests(n, sub, seed);
 
         // MemorySource over one encoded stripe.
@@ -98,17 +96,6 @@ proptest! {
         prop_assert_eq!(&native, &reference);
         prop_assert_eq!(native.len(), requests.len());
 
-        // SimNodes over a simulated DFS store with the same dead set.
-        let mut store = SimStore::encode(Box::new(code), block_bytes, &data).unwrap();
-        for node in 0..n {
-            if dead_mask >> node & 1 == 1 {
-                store.fail_role(node);
-            }
-        }
-        let native = store.stripe_source(0).fetch_batch(&requests).unwrap();
-        let reference = Seq(store.stripe_source(0)).fetch_batch(&requests).unwrap();
-        prop_assert_eq!(&native, &reference);
-
         // Dead nodes answer Unavailable exactly at their slots.
         for (i, request) in requests.iter().enumerate() {
             if dead_mask >> request.node() & 1 == 1 {
@@ -118,7 +105,7 @@ proptest! {
     }
 
     /// Repair batches (helper tasks from a real repair plan) match the
-    /// sequential `repair_read` loop on both in-memory sources.
+    /// sequential `repair_read` loop on the in-memory source.
     #[test]
     fn repair_batches_match_sequential(
         geometry in proptest::sample::select(GEOMETRIES.to_vec()),
@@ -128,7 +115,6 @@ proptest! {
         let (n, k, d, p) = geometry;
         let code = Carousel::new(n, k, d, p).unwrap();
         let sub = code.linear().sub();
-        let block_bytes = sub * 8;
         let failed = failed_seed % n;
         let helpers: Vec<usize> = (0..n).filter(|&i| i != failed).take(d).collect();
         let plan = code.repair_plan(failed, &helpers).unwrap();
@@ -158,12 +144,6 @@ proptest! {
         for fetch in &native {
             prop_assert!(matches!(fetch, Fetch::Data(b) if !b.is_empty()));
         }
-
-        let mut store = SimStore::encode(Box::new(code), block_bytes, &data).unwrap();
-        store.fail_role(failed);
-        let native = store.stripe_source(0).fetch_batch(&requests).unwrap();
-        let reference = Seq(store.stripe_source(0)).fetch_batch(&requests).unwrap();
-        prop_assert_eq!(&native, &reference);
     }
 }
 

@@ -143,6 +143,17 @@ fn range_reads_bytes_to_stdout() {
     assert!(output.status.success());
     let expect = &std::fs::read(&input).unwrap()[1200..1264];
     assert_eq!(output.stdout, expect);
+    // An offset whose end overflows u64 is a range error, not a panic
+    // (or a wrapped-around read).
+    let output = tool()
+        .args(["range", enc.to_str().unwrap(), "18446744073709551615", "2"])
+        .output()
+        .unwrap();
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("exceeds file length 5000"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(output.stdout.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
