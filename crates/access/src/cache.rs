@@ -11,10 +11,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 
-use erasure::CodeError;
-
-use crate::plan::{DegradedPlan, ReadPlan, RepairPlan};
-use crate::AccessCode;
+use erasure::{CodeError, DegradedPlan, ErasureCode, ReadPlan, RepairPlan};
 
 static CACHE_HITS: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("access.plan.cache.hit"));
@@ -144,15 +141,15 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// Propagates [`ReadPlan::plan`] failures (never cached).
+    /// Propagates [`ErasureCode::plan_read`] failures (never cached).
     pub fn read_plan(
         &self,
-        code: &dyn AccessCode,
+        code: &dyn ErasureCode,
         available: &[usize],
     ) -> Result<Arc<ReadPlan>, CodeError> {
         let key = self.key(code, Kind::Read, available, 0);
         let entry = self.lookup_or(key, || {
-            Ok(Entry::Read(Arc::new(ReadPlan::plan(code, available)?)))
+            Ok(Entry::Read(Arc::new(code.plan_read(available)?)))
         })?;
         match entry {
             Entry::Read(plan) => Ok(plan),
@@ -165,18 +162,18 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// Propagates [`DegradedPlan::plan`] failures (never cached).
+    /// Propagates [`ErasureCode::plan_block_read`] failures (never cached).
     pub fn degraded_plan(
         &self,
-        code: &dyn AccessCode,
+        code: &dyn ErasureCode,
         target: usize,
         available: &[usize],
     ) -> Result<Arc<DegradedPlan>, CodeError> {
         let key = self.key(code, Kind::Degraded, available, target);
         let entry = self.lookup_or(key, || {
-            Ok(Entry::Degraded(Arc::new(DegradedPlan::plan(
-                code, target, available,
-            )?)))
+            Ok(Entry::Degraded(Arc::new(
+                code.plan_block_read(target, available)?,
+            )))
         })?;
         match entry {
             Entry::Degraded(plan) => Ok(plan),
@@ -190,10 +187,10 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// Propagates [`RepairPlan::plan`] failures (never cached).
+    /// Propagates [`ErasureCode::repair_plan`] failures (never cached).
     pub fn repair_plan(
         &self,
-        code: &dyn AccessCode,
+        code: &dyn ErasureCode,
         failed: usize,
         helpers: &[usize],
     ) -> Result<Arc<RepairPlan>, CodeError> {
@@ -201,9 +198,7 @@ impl PlanCache {
         sorted.sort_unstable();
         let key = self.key(code, Kind::Repair, &sorted, failed);
         let entry = self.lookup_or(key, || {
-            Ok(Entry::Repair(Arc::new(RepairPlan::plan(
-                code, failed, &sorted,
-            )?)))
+            Ok(Entry::Repair(Arc::new(code.repair_plan(failed, &sorted)?)))
         })?;
         match entry {
             Entry::Repair(plan) => Ok(plan),
@@ -211,7 +206,7 @@ impl PlanCache {
         }
     }
 
-    fn key(&self, code: &dyn AccessCode, kind: Kind, nodes: &[usize], extra: usize) -> Key {
+    fn key(&self, code: &dyn ErasureCode, kind: Kind, nodes: &[usize], extra: usize) -> Key {
         let mut sorted = nodes.to_vec();
         sorted.sort_unstable();
         Key {
@@ -313,8 +308,8 @@ mod tests {
         let a = cache.repair_plan(&code, 0, &[6, 2, 4, 1, 5, 3]).unwrap();
         let b = cache.repair_plan(&code, 0, &[1, 2, 3, 4, 5, 6]).unwrap();
         assert_eq!(cache.hits(), 1);
-        let nodes_a: Vec<usize> = a.helpers().iter().map(|t| t.node).collect();
-        let nodes_b: Vec<usize> = b.helpers().iter().map(|t| t.node).collect();
+        let nodes_a: Vec<usize> = a.helpers.iter().map(|t| t.node).collect();
+        let nodes_b: Vec<usize> = b.helpers.iter().map(|t| t.node).collect();
         assert_eq!(nodes_a, nodes_b);
     }
 

@@ -16,12 +16,10 @@
 
 use std::sync::{Arc, LazyLock};
 
-use erasure::CodeError;
+use erasure::{CodeError, DegradedPlan, ErasureCode, ReadMode, ReadPlan};
 
 use crate::cache::PlanCache;
-use crate::plan::ReadPlan;
 use crate::source::{BatchRequest, BlockSource, Fetch};
-use crate::{AccessCode, ReadMode};
 
 static FETCH_FANOUT: LazyLock<&'static telemetry::Histogram> =
     LazyLock::new(|| telemetry::histogram("access.fetch.fanout"));
@@ -179,32 +177,22 @@ impl<'a> PlanExecutor<'a> {
     /// runs out.
     pub fn fetch_stripe<S: BlockSource>(
         &self,
-        code: &dyn AccessCode,
+        code: &dyn ErasureCode,
         source: &mut S,
     ) -> Result<FetchedStripe, ExecError<S::Error>> {
         let mut available = source.available();
         available.sort_unstable();
-        let w = source.unit_bytes();
-        let mut replans = 0;
-        loop {
-            let plan = self.cache.read_plan(code, &available)?;
-            match batch_units(plan.sources(), w, source).map_err(ExecError::Source)? {
-                Ok(units) => {
-                    return Ok(FetchedStripe {
-                        plan,
-                        units,
-                        replans,
-                    })
-                }
-                Err(dead) => {
-                    available.retain(|n| !dead.contains(n));
-                    replans += 1;
-                    if replans > self.max_replans {
-                        return Err(ExecError::ReplansExhausted { attempts: replans });
-                    }
-                }
-            }
-        }
+        let (plan, units, replans) = self.fetch_replanning(
+            available,
+            source,
+            |live| self.cache.read_plan(code, live),
+            ReadPlan::sources,
+        )?;
+        Ok(FetchedStripe {
+            plan,
+            units,
+            replans,
+        })
     }
 
     /// Reads one stripe's original data, degrading and replanning as nodes
@@ -215,7 +203,7 @@ impl<'a> PlanExecutor<'a> {
     /// As for [`PlanExecutor::fetch_stripe`].
     pub fn read_stripe<S: BlockSource>(
         &self,
-        code: &dyn AccessCode,
+        code: &dyn ErasureCode,
         source: &mut S,
     ) -> Result<StripeRead, ExecError<S::Error>> {
         let fetched = self.fetch_stripe(code, source)?;
@@ -234,23 +222,43 @@ impl<'a> PlanExecutor<'a> {
     /// As for [`PlanExecutor::fetch_stripe`].
     pub fn read_block_region<S: BlockSource>(
         &self,
-        code: &dyn AccessCode,
+        code: &dyn ErasureCode,
         target: usize,
         source: &mut S,
     ) -> Result<RegionRead, ExecError<S::Error>> {
         let mut available = source.available();
         available.sort_unstable();
         available.retain(|&n| n != target);
+        let (plan, units, replans) = self.fetch_replanning(
+            available,
+            source,
+            |live| self.cache.degraded_plan(code, target, live),
+            DegradedPlan::sources,
+        )?;
+        let slices: Vec<&[u8]> = units.iter().map(Vec::as_slice).collect();
+        let data = plan.decode_units(&slices)?;
+        Ok(RegionRead { data, replans })
+    }
+
+    /// The replanning loop of both unit-level reads: plan against
+    /// `available`, fetch the plan's sources as one batch, and on failures
+    /// drop every dead node and plan again, within the replan budget.
+    /// Returns the plan that worked, its payloads in source order, and the
+    /// replans it took.
+    #[allow(clippy::type_complexity)]
+    fn fetch_replanning<S: BlockSource, P>(
+        &self,
+        mut available: Vec<usize>,
+        source: &mut S,
+        plan: impl Fn(&[usize]) -> Result<Arc<P>, CodeError>,
+        sources: impl Fn(&P) -> &[(usize, usize)],
+    ) -> Result<(Arc<P>, Vec<Vec<u8>>, usize), ExecError<S::Error>> {
         let w = source.unit_bytes();
         let mut replans = 0;
         loop {
-            let plan = self.cache.degraded_plan(code, target, &available)?;
-            match batch_units(&plan.sources(), w, source).map_err(ExecError::Source)? {
-                Ok(units) => {
-                    let slices: Vec<&[u8]> = units.iter().map(Vec::as_slice).collect();
-                    let data = plan.decode_units(&slices)?;
-                    return Ok(RegionRead { data, replans });
-                }
+            let planned = plan(&available)?;
+            match batch_units(sources(&planned), w, source).map_err(ExecError::Source)? {
+                Ok(units) => return Ok((planned, units, replans)),
                 Err(dead) => {
                     available.retain(|n| !dead.contains(n));
                     replans += 1;
@@ -271,7 +279,7 @@ impl<'a> PlanExecutor<'a> {
     /// As for [`PlanExecutor::fetch_stripe`].
     pub fn repair_block<S: BlockSource>(
         &self,
-        code: &dyn AccessCode,
+        code: &dyn ErasureCode,
         failed: usize,
         source: &mut S,
     ) -> Result<RepairOutcome, ExecError<S::Error>> {
@@ -291,7 +299,7 @@ impl<'a> PlanExecutor<'a> {
             let helpers: Vec<usize> = available.iter().copied().take(d).collect();
             let plan = self.cache.repair_plan(code, failed, &helpers)?;
             let requests: Vec<BatchRequest<'_>> = plan
-                .helpers()
+                .helpers
                 .iter()
                 .map(|task| BatchRequest::Repair {
                     node: task.node,
@@ -302,13 +310,13 @@ impl<'a> PlanExecutor<'a> {
             let fetches = source.fetch_batch(&requests).map_err(ExecError::Source)?;
             let mut payloads = Vec::with_capacity(d);
             let mut dead = Vec::new();
-            for (task, fetch) in plan.helpers().iter().zip(fetches) {
+            for (task, fetch) in plan.helpers.iter().zip(fetches) {
                 match fetch {
                     Fetch::Data(bytes) if bytes.len() == task.beta() * w => payloads.push(bytes),
                     _ => dead.push(task.node),
                 }
             }
-            if dead.is_empty() && payloads.len() == plan.helpers().len() {
+            if dead.is_empty() && payloads.len() == plan.helpers.len() {
                 let payload_bytes = payloads.iter().map(Vec::len).sum();
                 let combined_at = telemetry::ENABLED.then(std::time::Instant::now);
                 let block = plan.combine_payloads(&payloads)?;
@@ -401,7 +409,6 @@ mod tests {
     use super::*;
     use crate::source::MemorySource;
     use carousel::Carousel;
-    use erasure::ErasureCode as _;
 
     fn encoded(code: &Carousel, stripes_of: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
         let b = code.linear().message_units();

@@ -8,8 +8,11 @@
 //! simulator, or across TCP — so the planning and replanning logic lives
 //! here, once, and every transport implements a single small trait:
 //!
-//! * [`ReadPlan`] / [`DegradedPlan`] / [`RepairPlan`] — pure-data plans
-//!   wrapping the algebraic kernels in `carousel` and `erasure`;
+//! * [`ReadPlan`] / [`DegradedPlan`] / [`RepairPlan`] — the pure-data
+//!   plans of `erasure`, re-exported: a code plans its own reads
+//!   (`ErasureCode::plan_read` / `plan_block_read`, which `carousel`
+//!   overrides with the paper's ladder), this layer caches and executes
+//!   them and never asks which family it serves;
 //! * [`BlockSource`] — what a transport must provide: availability, unit
 //!   fetches, and (optionally pushed-down) helper-side repair reads;
 //! * [`PlanExecutor`] — the one replanning loop: plan against believed
@@ -24,7 +27,10 @@
 //!   once over the small [`ObjectBackend`] trait of per-file primitives,
 //!   so a transport supplies ~10 short methods and never re-types policy;
 //! * [`parallel`] — the shared worker pool ([`parallel::ParallelCtx`])
-//!   and two-stage [`parallel::pipeline`] the transports fan out on.
+//!   and two-stage [`parallel::pipeline`] the transports fan out on;
+//! * [`CodeSpec`] / [`AnyCode`] — the code registry: the serializable
+//!   name of a code and the trait object it builds, in the one file that
+//!   names every family, below both transports.
 //!
 //! The two in-tree byte-moving stacks are `filestore` (in-memory blocks,
 //! via [`MemorySource`]) and `cluster` (real TCP datanodes); `dfs`
@@ -37,11 +43,11 @@ mod cache;
 mod executor;
 mod object;
 pub mod parallel;
-mod plan;
 mod source;
+mod spec;
 
 pub use cache::PlanCache;
-pub use carousel::ReadMode;
+pub use erasure::{DegradedPlan, ReadMode, ReadPlan, RepairPlan};
 pub use executor::{
     ExecError, FetchedStripe, PlanExecutor, RegionRead, RepairOutcome, StripeRead,
     DEFAULT_MAX_REPLANS,
@@ -50,36 +56,5 @@ pub use object::{
     check_range, Extent, ObjectBackend, ObjectError, ObjectStore, PackCursor, PutOptions,
     DEFAULT_PACK_LIMIT, PACK_PREFIX,
 };
-pub use plan::{DegradedPlan, ReadPlan, RepairPlan};
 pub use source::{BatchRequest, BlockSource, Fetch, MemorySource};
-
-use carousel::Carousel;
-use erasure::ErasureCode;
-
-/// An erasure code the access layer can plan for.
-///
-/// Planning is generic over [`ErasureCode`] — any `k` available blocks
-/// decode, any valid helper set repairs — but Carousel codes additionally
-/// carry the carousel-specific degraded machinery (parity stand-ins at the
-/// chosen rows, per-copy block-region solves). `as_carousel` is the hook
-/// that lets the shared planner use those cheaper plans when they exist
-/// without the transports knowing which code they serve.
-pub trait AccessCode: ErasureCode {
-    /// The concrete Carousel code, if this is one. The default (`None`)
-    /// routes planning through the generic any-`k` paths.
-    fn as_carousel(&self) -> Option<&Carousel> {
-        None
-    }
-}
-
-impl AccessCode for Carousel {
-    fn as_carousel(&self) -> Option<&Carousel> {
-        Some(self)
-    }
-}
-
-impl AccessCode for rs_code::ReedSolomon {}
-
-impl AccessCode for msr::ProductMatrixMsr {}
-
-impl AccessCode for msr::ProductMatrixMbr {}
+pub use spec::{AnyCode, CodeSpec};

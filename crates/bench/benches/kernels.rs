@@ -1,11 +1,9 @@
-//! Microbenchmarks of the GF arithmetic kernels and the non-GF(2⁸)
-//! additions: wide Reed-Solomon over GF(2¹⁶) and MBR repair.
+//! Microbenchmarks of the GF arithmetic kernels and MBR repair.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasure::ErasureCode;
 use gf256::Gf256;
 use msr::ProductMatrixMbr;
-use rs_code::wide::WideReedSolomon;
 
 fn bench_slice_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("gf256-kernels");
@@ -30,24 +28,6 @@ fn bench_slice_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_wide_rs(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wide-rs");
-    g.sample_size(10);
-    let code = WideReedSolomon::new(64, 48).expect("valid parameters");
-    let data: Vec<u8> = (0..1 << 20).map(|i| (i * 31) as u8).collect();
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("encode 64/48 over GF(2^16)", |b| {
-        b.iter(|| code.encode(&data).expect("encode"))
-    });
-    let blocks = code.encode(&data).expect("encode");
-    let nodes: Vec<usize> = (16..64).collect();
-    let refs: Vec<&[u8]> = nodes.iter().map(|&i| &blocks[i][..]).collect();
-    g.bench_function("decode 64/48 over GF(2^16)", |b| {
-        b.iter(|| code.decode_nodes(&nodes, &refs).expect("decode"))
-    });
-    g.finish();
-}
-
 fn bench_mbr_repair(c: &mut Criterion) {
     let mut g = c.benchmark_group("mbr");
     g.sample_size(10);
@@ -65,10 +45,5 @@ fn bench_mbr_repair(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_slice_kernels,
-    bench_wide_rs,
-    bench_mbr_repair
-);
+criterion_group!(benches, bench_slice_kernels, bench_mbr_repair);
 criterion_main!(benches);

@@ -21,12 +21,12 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use access::CodeSpec;
 use access::{ObjectStore, PutOptions};
 use bench_support::{env_knob, render_table};
 use cluster::protocol::FRAME_OVERHEAD;
 use cluster::testing::LocalCluster;
 use cluster::ClusterClient;
-use filestore::format::CodeSpec;
 use workloads::parallel::ParallelCtx;
 
 fn payload(len: usize) -> Vec<u8> {

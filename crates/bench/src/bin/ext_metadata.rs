@@ -29,10 +29,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+use access::CodeSpec;
 use bench_support::env_knob;
 use cluster::{ClusterClient, Coordinator, MetaRouter};
 use dfs::Placement;
-use filestore::format::CodeSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -28,11 +28,11 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use access::CodeSpec;
 use access::{ObjectStore, PutOptions};
 use bench_support::env_knob;
 use cluster::testing::LocalCluster;
 use cluster::ClusterClient;
-use filestore::format::CodeSpec;
 use workloads::parallel::ParallelCtx;
 
 /// One phase histogram of one traffic mix: count and tail quantiles.

@@ -22,10 +22,10 @@
 
 use std::time::{Duration, Instant};
 
+use access::CodeSpec;
 use access::{ObjectStore, PutOptions};
 use bench_support::env_knob;
 use cluster::testing::LocalCluster;
-use filestore::format::CodeSpec;
 use workloads::parallel::ParallelCtx;
 
 /// One measured latency point.

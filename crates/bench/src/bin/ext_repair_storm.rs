@@ -30,11 +30,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use access::CodeSpec;
 use access::{ObjectStore, PutOptions};
 use bench_support::env_knob;
 use cluster::testing::LocalCluster;
 use cluster::{ClusterClient, Coordinator, RepairConfig, RepairScheduler};
-use filestore::format::CodeSpec;
 use workloads::parallel::ParallelCtx;
 
 /// Everything measured for one code under the storm.

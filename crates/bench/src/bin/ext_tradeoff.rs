@@ -21,7 +21,7 @@ fn code_row_with(code: &dyn ErasureCode, helpers: &[usize], mds: bool) -> Vec<St
     let traffic = code
         .repair_plan(0, helpers)
         .expect("valid helper set")
-        .traffic_blocks(code.linear().sub());
+        .traffic_blocks();
     vec![
         code.name(),
         format!("{:.2}x", code.n() as f64 / code.k() as f64),

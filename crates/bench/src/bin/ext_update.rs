@@ -212,7 +212,7 @@ fn main() -> ExitCode {
     let mut packed_client = cluster
         .client()
         .with_seed(101)
-        .with_default_code(filestore::format::CodeSpec::Rs { n: 4, k: 2 })
+        .with_default_code(access::CodeSpec::Rs { n: 4, k: 2 })
         .with_default_block_bytes(pack_block)
         .with_pack_limit(pack_limit);
     let pack_opts = PutOptions::new().pack(true);

@@ -54,12 +54,11 @@ use std::time::{Duration, Instant};
 
 use access::parallel::{self, ParallelCtx};
 use access::{
-    check_range, BatchRequest, BlockSource, ExecError, Extent, Fetch, FetchedStripe, ObjectBackend,
-    PackCursor, PlanCache, PlanExecutor, PutOptions, ReadMode,
+    check_range, BatchRequest, BlockSource, CodeSpec, ExecError, Extent, Fetch, FetchedStripe,
+    ObjectBackend, PackCursor, PlanCache, PlanExecutor, PutOptions, ReadMode,
 };
 use dfs::Placement;
 use erasure::{CodeError, ColumnUpdater, ErasureCode as _, HelperTask};
-use filestore::format::CodeSpec;
 use filestore::{FileCodec, FileError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -27,9 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
-use access::Extent;
+use access::{CodeSpec, Extent};
 use dfs::Placement;
-use filestore::format::CodeSpec;
 use rand::Rng;
 
 use crate::error::ClusterError;
@@ -511,12 +510,7 @@ impl Coordinator {
         placement: Placement,
         rng: &mut impl Rng,
     ) -> Result<FilePlacement, ClusterError> {
-        let n = match spec {
-            CodeSpec::Rs { n, .. }
-            | CodeSpec::Carousel { n, .. }
-            | CodeSpec::Msr { n, .. }
-            | CodeSpec::Mbr { n, .. } => n,
-        };
+        let n = spec.n();
         let alive = self.alive_nodes();
         if alive.len() < n {
             return Err(ClusterError::Unavailable {

@@ -39,8 +39,8 @@ use std::path::{Path, PathBuf};
 use std::sync::LazyLock;
 use std::time::Instant;
 
-use filestore::checksum::crc32;
-use filestore::format::CodeSpec;
+use access::CodeSpec;
+use gf256::crc32;
 
 use crate::coordinator::FilePlacement;
 use crate::error::ClusterError;

@@ -42,7 +42,7 @@
 use std::io::{Read, Write};
 use std::time::Instant;
 
-use filestore::checksum::crc32;
+use gf256::crc32;
 
 use crate::error::ClusterError;
 
@@ -1218,10 +1218,9 @@ pub fn decode_manifest(
     let name = r.str()?;
     validate_file_name(&name)?;
     let spec_text = r.str()?;
-    let spec =
-        filestore::format::CodeSpec::parse(&spec_text).map_err(|e| ClusterError::Protocol {
-            reason: format!("manifest code spec {spec_text:?}: {e}"),
-        })?;
+    let spec = access::CodeSpec::parse(&spec_text).map_err(|e| ClusterError::Protocol {
+        reason: format!("manifest code spec {spec_text:?}: {e}"),
+    })?;
     let file_len = r.u64()?;
     let block_bytes = r.u64()? as usize;
     let stripes = r.u32()? as usize;
@@ -1323,7 +1322,7 @@ mod tests {
     fn manifest_payload_roundtrip_and_validation() {
         let fp = crate::coordinator::FilePlacement {
             name: "data.bin".into(),
-            spec: filestore::format::CodeSpec::Msr { n: 6, k: 3, d: 5 },
+            spec: access::CodeSpec::Msr { n: 6, k: 3, d: 5 },
             file_len: 123_456,
             block_bytes: 4096,
             stripes: 3,

@@ -22,9 +22,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use access::Extent;
+use access::{CodeSpec, Extent};
 use dfs::Placement;
-use filestore::format::CodeSpec;
 use rand::Rng;
 
 use crate::coordinator::{Coordinator, FilePlacement, NodeInfo};

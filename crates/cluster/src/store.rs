@@ -2,16 +2,16 @@
 //!
 //! One directory per datanode; one file per stored block, named
 //! `<file>.s<stripe>.b<block>.blk`, holding the block bytes followed by a
-//! 4-byte CRC-32 trailer (the same IEEE CRC as `filestore::checksum`).
+//! 4-byte CRC-32 trailer (`gf256::crc32`, the same IEEE CRC the filestore format records).
 //! Reads verify the trailer and *quarantine* corrupt files — they are
 //! reported as missing so the erasure code repairs them, mirroring the
-//! `filestore::format` loader's behavior.
+//! filestore on-disk loader's behavior.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use filestore::checksum::crc32;
+use gf256::crc32;
 
 use crate::error::ClusterError;
 use crate::protocol::BlockId;

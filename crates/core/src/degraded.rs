@@ -12,7 +12,7 @@
 
 use std::sync::LazyLock;
 
-use erasure::{CodeError, ErasureCode as _};
+use erasure::{check_indices, CodeError, DegradedPlan, ErasureCode as _, RegionSolve};
 
 use crate::Carousel;
 
@@ -21,161 +21,9 @@ static BLOCK_READS: LazyLock<&'static telemetry::Counter> =
 static DEGRADED_TRAFFIC: LazyLock<&'static telemetry::Histogram> =
     LazyLock::new(|| telemetry::histogram("carousel.degraded.traffic_units"));
 
-/// A plan to reconstruct the data region of one (typically dead) block.
-#[derive(Debug, Clone)]
-pub struct BlockReadPlan {
-    /// The block whose data region is being produced.
-    target: usize,
-    /// Per affected copy: the stored-unit sources and the solve matrix.
-    copies: Vec<CopyPlan>,
-    /// Data units per block (`α·K₀`) — the output is this many units.
-    data_units: usize,
-    sub: usize,
-}
-
-#[derive(Debug, Clone)]
-struct CopyPlan {
-    /// `(node, stored unit)` sources, `k·α` of them.
-    sources: Vec<(usize, usize)>,
-    /// For each output unit this copy contributes: `(position in the
-    /// output data region, row of coefficients over the sources)`.
-    outputs: Vec<(usize, Vec<gf256::Gf256>)>,
-}
-
-impl BlockReadPlan {
-    /// Sources grouped per node: `(node, units fetched)`.
-    pub fn units_per_node(&self) -> Vec<(usize, usize)> {
-        let mut per: Vec<(usize, usize)> = Vec::new();
-        for copy in &self.copies {
-            for &(node, _) in &copy.sources {
-                match per.iter_mut().find(|(nd, _)| *nd == node) {
-                    Some((_, c)) => *c += 1,
-                    None => per.push((node, 1)),
-                }
-            }
-        }
-        per
-    }
-
-    /// Total units fetched.
-    pub fn traffic_units(&self) -> usize {
-        self.copies.iter().map(|c| c.sources.len()).sum()
-    }
-
-    /// Traffic in block-sizes: `k·(k/p)` for a Carousel code.
-    pub fn traffic_blocks(&self) -> f64 {
-        self.traffic_units() as f64 / self.sub as f64
-    }
-
-    /// The block whose region this plan rebuilds.
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
-    /// Every `(node, stored unit)` source, flattened across copies in the
-    /// order [`BlockReadPlan::decode_units`] expects.
-    pub fn sources(&self) -> Vec<(usize, usize)> {
-        self.copies
-            .iter()
-            .flat_map(|c| c.sources.iter().copied())
-            .collect()
-    }
-
-    /// Unit-level execution: `units[i]` is the payload of `sources()[i]`,
-    /// all of equal width `w`. Returns the `data_units · w` bytes of the
-    /// target's data region.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::InsufficientData`] on a count mismatch and
-    /// [`CodeError::BlockSizeMismatch`] for ragged unit widths.
-    pub fn decode_units(&self, units: &[&[u8]]) -> Result<Vec<u8>, CodeError> {
-        let total: usize = self.copies.iter().map(|c| c.sources.len()).sum();
-        if units.len() != total {
-            return Err(CodeError::InsufficientData {
-                needed: total,
-                got: units.len(),
-            });
-        }
-        let w = units[0].len();
-        if let Some(bad) = units.iter().find(|u| u.len() != w) {
-            return Err(CodeError::BlockSizeMismatch {
-                expected: w,
-                actual: bad.len(),
-            });
-        }
-        let kernel = gf256::kernel();
-        let mut out = vec![0u8; self.data_units * w];
-        let mut terms = Vec::new();
-        let mut off = 0;
-        for copy in &self.copies {
-            let slices = &units[off..off + copy.sources.len()];
-            for (pos, row) in &copy.outputs {
-                let dst = &mut out[pos * w..(pos + 1) * w];
-                terms.clear();
-                terms.extend(row.iter().zip(slices).map(|(&c, &src)| (c, src)));
-                kernel.mul_acc_rows(&terms, dst);
-            }
-            off += copy.sources.len();
-        }
-        Ok(out)
-    }
-
-    /// Executes the plan: returns the `data_units · w` bytes of the
-    /// target's data region (its contiguous file chunk).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::InsufficientData`] if a source block is `None`
-    /// and size-mismatch errors for ragged blocks.
-    pub fn execute(&self, blocks: &[Option<&[u8]>]) -> Result<Vec<u8>, CodeError> {
-        // Determine w from any available source block.
-        let (first_node, _) = self.copies[0].sources[0];
-        let sample = blocks
-            .get(first_node)
-            .copied()
-            .flatten()
-            .ok_or(CodeError::InsufficientData { needed: 1, got: 0 })?;
-        if sample.len() % self.sub != 0 {
-            return Err(CodeError::BlockSizeMismatch {
-                expected: sample.len().next_multiple_of(self.sub),
-                actual: sample.len(),
-            });
-        }
-        let w = sample.len() / self.sub;
-        let kernel = gf256::kernel();
-        let mut out = vec![0u8; self.data_units * w];
-        let mut terms = Vec::new();
-        for copy in &self.copies {
-            let mut slices = Vec::with_capacity(copy.sources.len());
-            for &(node, unit) in &copy.sources {
-                let block = blocks
-                    .get(node)
-                    .copied()
-                    .flatten()
-                    .ok_or(CodeError::InsufficientData { needed: 1, got: 0 })?;
-                if block.len() != sample.len() {
-                    return Err(CodeError::BlockSizeMismatch {
-                        expected: sample.len(),
-                        actual: block.len(),
-                    });
-                }
-                slices.push(&block[unit * w..(unit + 1) * w]);
-            }
-            for (pos, row) in &copy.outputs {
-                let dst = &mut out[pos * w..(pos + 1) * w];
-                terms.clear();
-                terms.extend(row.iter().zip(&slices).map(|(&c, &src)| (c, src)));
-                kernel.mul_acc_rows(&terms, dst);
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Builds a [`BlockReadPlan`] for `target`'s data region using only the
-/// `available` blocks (which must not include `target` — if it is
-/// available, read the region directly).
+/// Builds a [`DegradedPlan`] for `target`'s data region using only the
+/// `available` blocks (`target` itself is ignored if listed): one solve per
+/// affected carousel copy.
 ///
 /// # Errors
 ///
@@ -188,22 +36,15 @@ pub(crate) fn plan_block_read(
     code: &Carousel,
     target: usize,
     available: &[usize],
-) -> Result<BlockReadPlan, CodeError> {
+) -> Result<DegradedPlan, CodeError> {
     let params = code.params();
-    let (n, k, p) = (params.n, params.k, params.p);
+    let (k, p) = (params.k, params.p);
     if target >= p {
         return Err(CodeError::InvalidParameters {
             reason: format!("block {target} carries no original data (p = {p})"),
         });
     }
-    for (i, &a) in available.iter().enumerate() {
-        if a >= n {
-            return Err(CodeError::NodeOutOfRange { node: a, n });
-        }
-        if available[i + 1..].contains(&a) {
-            return Err(CodeError::DuplicateNode { node: a });
-        }
-    }
+    check_indices(params.n, available)?;
     let sources_pool: Vec<usize> = available.iter().copied().filter(|&a| a != target).collect();
     if sources_pool.len() < k {
         return Err(CodeError::InsufficientData {
@@ -266,14 +107,9 @@ pub(crate) fn plan_block_read(
                 .expect("message unit belongs to copy t");
             outputs.push((u, inverse.row(col_idx).to_vec()));
         }
-        copies.push(CopyPlan { sources, outputs });
+        copies.push(RegionSolve { sources, outputs });
     }
-    let plan = BlockReadPlan {
-        target,
-        copies,
-        data_units: alpha * k0,
-        sub,
-    };
+    let plan = DegradedPlan::new(target, sub, alpha * k0, copies);
     if telemetry::ENABLED {
         BLOCK_READS.inc();
         DEGRADED_TRAFFIC.record(plan.traffic_units() as u64);
@@ -356,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_units_matches_execute() {
+    fn unit_and_block_execution_agree() {
         let code = Carousel::new(6, 3, 3, 6).unwrap();
         let file: Vec<u8> = (0..code.linear().message_units() * 8)
             .map(|i| (i * 13 + 3) as u8)
@@ -384,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_detects_missing_sources() {
+    fn missing_sources_are_detected() {
         let code = Carousel::new(6, 3, 3, 6).unwrap();
         let file: Vec<u8> = (0..code.linear().message_units() * 4)
             .map(|i| i as u8)
@@ -398,5 +234,28 @@ mod tests {
         let (victim, _) = plan.units_per_node()[0];
         blocks[victim] = None;
         assert!(plan.execute(&blocks).is_err());
+    }
+
+    /// A listed target is ignored, and the region comes back in the unit
+    /// order the block itself stores.
+    #[test]
+    fn listed_target_is_ignored() {
+        let code = Carousel::new(6, 3, 3, 6).unwrap();
+        let b = code.linear().message_units();
+        let data: Vec<u8> = (0..b * 4).map(|i| (i * 3 + 7) as u8).collect();
+        let stripe = code.linear().encode(&data).unwrap();
+        let w = stripe.unit_bytes;
+        let layout = code.data_layout();
+        let plan = code
+            .plan_block_read(2, &(0..6).collect::<Vec<_>>())
+            .unwrap();
+        assert!(plan.sources().iter().all(|&(nd, _)| nd != 2));
+        let units: Vec<&[u8]> = plan
+            .sources()
+            .iter()
+            .map(|&(nd, u)| &stripe.blocks[nd][u * w..(u + 1) * w])
+            .collect();
+        let region = plan.decode_units(&units).unwrap();
+        assert_eq!(region, stripe.blocks[2][layout.data_byte_range(2, w)]);
     }
 }

@@ -34,6 +34,15 @@
 //!    on top in file order; repair coefficients are permuted to match, so
 //!    repair traffic is unchanged.
 //!
+//! # Reads
+//!
+//! [`Carousel`] overrides the two read planners of
+//! [`erasure::ErasureCode`] — `plan_read` with the direct / degraded /
+//! fallback ladder of §VII, `plan_block_read` with per-copy solves of one
+//! block's data region — and returns the same `erasure::ReadPlan` /
+//! `erasure::DegradedPlan` every other family does, so the layers above
+//! cache and execute them without knowing a Carousel code is underneath.
+//!
 //! # Examples
 //!
 //! ```
@@ -62,10 +71,11 @@ mod degraded;
 mod read;
 
 pub use construction::CarouselParams;
-pub use degraded::BlockReadPlan;
-pub use read::{ReadMode, ReadPlan};
 
-use erasure::{CodeError, DataLayout, ErasureCode, HelperTask, LinearCode, RepairPlan};
+use erasure::{
+    check_indices, CodeError, DataLayout, DegradedPlan, ErasureCode, HelperTask, LinearCode,
+    ReadPlan, RepairPlan,
+};
 use gf256::Matrix;
 use msr::shorten::ShortenedMsr;
 use rs_code::ReedSolomon;
@@ -162,56 +172,12 @@ impl Carousel {
         }
     }
 
-    /// Plans a whole-file read from the given available blocks, preferring
-    /// the `p`-way parallel path (paper §VII) and falling back to a generic
-    /// `k`-block decode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::InsufficientData`] if fewer than `k` blocks are
-    /// available.
-    pub fn plan_read(&self, available: &[usize]) -> Result<ReadPlan, CodeError> {
-        read::plan(self, available)
-    }
-
-    /// Plans the reconstruction of one dead block's *data region* (its
-    /// contiguous file chunk) from the available blocks — the degraded-read
-    /// path a map task uses when its block is gone. Traffic is
-    /// `k·(k/p)` block-sizes, cheaper than a full `k`-block decode whenever
-    /// `p > k`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use carousel::Carousel;
-    /// use erasure::ErasureCode;
-    ///
-    /// let code = Carousel::new(12, 6, 10, 12)?;
-    /// let available: Vec<usize> = (1..12).collect(); // block 0 is dead
-    /// let plan = code.plan_block_read(0, &available)?;
-    /// // 6 * (6/12) = 3 blocks of traffic instead of a 6-block decode.
-    /// assert!((plan.traffic_blocks() - 3.0).abs() < 1e-9);
-    /// # Ok::<(), erasure::CodeError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::InvalidParameters`] for parity-only targets and
-    /// [`CodeError::InsufficientData`] with fewer than `k` sources.
-    pub fn plan_block_read(
-        &self,
-        target: usize,
-        available: &[usize],
-    ) -> Result<BlockReadPlan, CodeError> {
-        degraded::plan_block_read(self, target, available)
-    }
-
     /// Convenience: reads the whole file given per-node block availability
     /// (`blocks[i] = None` for unavailable blocks).
     ///
     /// # Errors
     ///
-    /// Propagates [`Carousel::plan_read`] failures and size mismatches.
+    /// Propagates [`ErasureCode::plan_read`] failures and size mismatches.
     pub fn read(&self, blocks: &[Option<&[u8]>]) -> Result<Vec<u8>, CodeError> {
         let available: Vec<usize> = blocks
             .iter()
@@ -339,17 +305,56 @@ impl ErasureCode for Carousel {
                 ),
             });
         }
-        for (idx, &h) in helpers.iter().enumerate() {
-            if h >= n {
-                return Err(CodeError::NodeOutOfRange { node: h, n });
-            }
-            if helpers[idx + 1..].contains(&h) {
-                return Err(CodeError::DuplicateNode { node: h });
-            }
-        }
+        check_indices(n, helpers)?;
         match &self.base {
             Base::Rs => self.rs_repair(failed, helpers),
             Base::Msr(msr) => self.msr_repair(msr, failed, helpers),
         }
+    }
+
+    /// The paper's read ladder (§VII): direct `p`-way parallel read,
+    /// degraded read with parity stand-ins at the chosen rows, generic
+    /// `k`-block fallback.
+    fn plan_read(&self, available: &[usize]) -> Result<ReadPlan, CodeError> {
+        read::plan(self, available)
+    }
+
+    /// Decodes only the carousel copies that hold `target`'s data units:
+    /// `k·(k/p)` block-sizes of traffic, cheaper than a full `k`-block
+    /// decode whenever `p > k`.
+    ///
+    /// ```
+    /// use carousel::Carousel;
+    /// use erasure::ErasureCode;
+    ///
+    /// let code = Carousel::new(12, 6, 10, 12)?;
+    /// let available: Vec<usize> = (1..12).collect(); // block 0 is dead
+    /// let plan = code.plan_block_read(0, &available)?;
+    /// // 6 * (6/12) = 3 blocks of traffic instead of a 6-block decode.
+    /// assert!((plan.traffic_blocks() - 3.0).abs() < 1e-9);
+    /// # Ok::<(), erasure::CodeError>(())
+    /// ```
+    fn plan_block_read(
+        &self,
+        target: usize,
+        available: &[usize],
+    ) -> Result<DegradedPlan, CodeError> {
+        degraded::plan_block_read(self, target, available)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repair_plan_quotes_traffic_in_blocks() {
+        let code = Carousel::new(8, 4, 6, 8).unwrap();
+        let helpers: Vec<usize> = (1..7).collect();
+        let plan = code.repair_plan(0, &helpers).unwrap();
+        assert_eq!(plan.failed, 0);
+        assert_eq!(plan.d(), 6);
+        // MSR regime: d/(d−k+1) = 6/3 = 2 block-sizes.
+        assert!((plan.traffic_blocks() - 2.0).abs() < 1e-9);
     }
 }

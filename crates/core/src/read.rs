@@ -11,7 +11,7 @@
 
 use std::sync::LazyLock;
 
-use erasure::{CodeError, DecodePlan, ErasureCode as _};
+use erasure::{check_indices, CodeError, DecodePlan, ErasureCode as _, ReadMode, ReadPlan};
 
 use crate::Carousel;
 
@@ -24,121 +24,12 @@ static READS_FALLBACK: LazyLock<&'static telemetry::Counter> =
 static READ_TRAFFIC: LazyLock<&'static telemetry::Histogram> =
     LazyLock::new(|| telemetry::histogram("carousel.read.traffic_units"));
 
-/// How a [`ReadPlan`] will obtain the file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadMode {
-    /// All `p` data-bearing blocks available: pure parallel read, no GF
-    /// arithmetic beyond copying.
-    Direct,
-    /// Some data-bearing blocks replaced by parity blocks; decoding needed.
-    Degraded,
-    /// Generic any-`k`-blocks MDS decode (fallback).
-    Fallback,
-}
-
-/// A planned whole-file read: which units to fetch from which blocks, and
-/// the linear combination that turns them into the file.
-#[derive(Debug, Clone)]
-pub struct ReadPlan {
-    plan: DecodePlan,
-    mode: ReadMode,
-    units_per_node: Vec<(usize, usize)>,
-    sub: usize,
-}
-
-impl ReadPlan {
-    /// The read mode this plan uses.
-    pub fn mode(&self) -> ReadMode {
-        self.mode
-    }
-
-    /// `(node, units fetched)` pairs — the per-server download volume. With
-    /// unit width `w`, node `i` serves `units · w` bytes.
-    pub fn units_per_node(&self) -> &[(usize, usize)] {
-        &self.units_per_node
-    }
-
-    /// Number of distinct servers read from — the achieved parallelism.
-    pub fn parallelism(&self) -> usize {
-        self.units_per_node.len()
-    }
-
-    /// Total units transferred.
-    pub fn traffic_units(&self) -> usize {
-        self.units_per_node.iter().map(|&(_, u)| u).sum()
-    }
-
-    /// Traffic in block-sizes.
-    pub fn traffic_blocks(&self) -> f64 {
-        self.traffic_units() as f64 / self.sub as f64
-    }
-
-    /// The exact `(node, stored unit)` pairs this plan reads, in the order
-    /// [`ReadPlan::decode_units`] expects their payloads. A networked
-    /// reader uses this to fetch *only* the needed units from each server
-    /// instead of whole blocks.
-    pub fn sources(&self) -> &[(usize, usize)] {
-        self.plan.sources()
-    }
-
-    /// Decodes from pre-fetched unit payloads, one `w`-byte slice per
-    /// [`ReadPlan::sources`] entry in the same order — the remote
-    /// counterpart of [`ReadPlan::execute`], for callers that fetched units
-    /// over the network rather than holding whole blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::InsufficientData`] on a count mismatch and
-    /// size-mismatch errors for ragged slices.
-    pub fn decode_units(&self, units: &[&[u8]]) -> Result<Vec<u8>, CodeError> {
-        self.plan.decode_units(units)
-    }
-
-    /// Executes the plan against per-node blocks (`None` = unavailable).
-    ///
-    /// Returns the full (padded) file bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::InsufficientData`] if a planned source block is
-    /// `None`, and size-mismatch errors for ragged blocks.
-    pub fn execute(&self, blocks: &[Option<&[u8]>]) -> Result<Vec<u8>, CodeError> {
-        let mut slices = Vec::with_capacity(self.plan.sources().len());
-        for &(node, unit) in self.plan.sources() {
-            let block = blocks
-                .get(node)
-                .copied()
-                .flatten()
-                .ok_or(CodeError::InsufficientData {
-                    needed: self.plan.sources().len(),
-                    got: 0,
-                })?;
-            if block.len() % self.sub != 0 {
-                return Err(CodeError::BlockSizeMismatch {
-                    expected: block.len().next_multiple_of(self.sub),
-                    actual: block.len(),
-                });
-            }
-            let w = block.len() / self.sub;
-            slices.push(&block[unit * w..(unit + 1) * w]);
-        }
-        self.plan.decode_units(&slices)
-    }
-}
-
 /// Builds a [`ReadPlan`] for the available blocks. See the module docs for
 /// the three paths.
 pub(crate) fn plan(code: &Carousel, available: &[usize]) -> Result<ReadPlan, CodeError> {
     let params = code.params();
-    let (n, k, p) = (params.n, params.k, params.p);
-    for (i, &a) in available.iter().enumerate() {
-        if a >= n {
-            return Err(CodeError::NodeOutOfRange { node: a, n });
-        }
-        if available[i + 1..].contains(&a) {
-            return Err(CodeError::DuplicateNode { node: a });
-        }
-    }
+    let (k, p) = (params.k, params.p);
+    check_indices(params.n, available)?;
     if available.len() < k {
         return Err(CodeError::InsufficientData {
             needed: k,
@@ -153,7 +44,7 @@ pub(crate) fn plan(code: &Carousel, available: &[usize]) -> Result<ReadPlan, Cod
         let units: Vec<(usize, usize)> =
             (0..p).flat_map(|i| (0..dpb).map(move |u| (i, u))).collect();
         let plan = DecodePlan::for_units(code.linear(), &units)?;
-        return Ok(finish(code, plan, ReadMode::Direct));
+        return Ok(finish(ReadMode::Direct, plan));
     }
 
     // Degraded parallel read: replace each missing data-bearing block with a
@@ -172,7 +63,7 @@ pub(crate) fn plan(code: &Carousel, available: &[usize]) -> Result<ReadPlan, Cod
             units.extend(params.chosen_rows(*i).into_iter().map(|u| (r, u)));
         }
         match DecodePlan::for_units(code.linear(), &units) {
-            Ok(plan) => return Ok(finish(code, plan, ReadMode::Degraded)),
+            Ok(plan) => return Ok(finish(ReadMode::Degraded, plan)),
             Err(CodeError::SingularSelection) => { /* fall through to generic */ }
             Err(e) => return Err(e),
         }
@@ -181,23 +72,11 @@ pub(crate) fn plan(code: &Carousel, available: &[usize]) -> Result<ReadPlan, Cod
     // Fallback: plain MDS decode from any k available blocks.
     let nodes: Vec<usize> = available.iter().copied().take(k).collect();
     let plan = DecodePlan::for_nodes(code.linear(), &nodes)?;
-    Ok(finish(code, plan, ReadMode::Fallback))
+    Ok(finish(ReadMode::Fallback, plan))
 }
 
-fn finish(code: &Carousel, plan: DecodePlan, mode: ReadMode) -> ReadPlan {
-    let mut per_node: Vec<(usize, usize)> = Vec::new();
-    for &(node, _) in plan.sources() {
-        match per_node.iter_mut().find(|(nd, _)| *nd == node) {
-            Some((_, c)) => *c += 1,
-            None => per_node.push((node, 1)),
-        }
-    }
-    let plan = ReadPlan {
-        plan,
-        mode,
-        units_per_node: per_node,
-        sub: code.sub(),
-    };
+fn finish(mode: ReadMode, decode: DecodePlan) -> ReadPlan {
+    let plan = ReadPlan::new(mode, decode);
     if telemetry::ENABLED {
         match mode {
             ReadMode::Direct => READS_DIRECT.inc(),
@@ -287,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_rejects_missing_planned_block() {
+    fn missing_planned_block_is_rejected() {
         let code = Carousel::new(6, 3, 3, 6).unwrap();
         let (_, stripe) = stripe_for(&code, 60);
         let plan = code.plan_read(&[0, 1, 2, 3, 4, 5]).unwrap();
@@ -295,5 +174,26 @@ mod tests {
         let blocks = opts(&stripe, &[0, 1, 2, 4, 5], 6);
         let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| b.as_deref()).collect();
         assert!(plan.execute(&refs).is_err());
+    }
+
+    /// Planning through `&dyn ErasureCode` — how the access layer, the file
+    /// codec and the transports plan — reaches this ladder, also behind the
+    /// `Arc` a runtime-selected code lives in.
+    #[test]
+    fn trait_object_planning_reaches_the_ladder() {
+        use std::sync::Arc;
+        let code = Carousel::new(6, 3, 3, 6).unwrap();
+        let (data, stripe) = stripe_for(&code, code.linear().message_units() * 4);
+        let w = stripe.unit_bytes;
+        let shared: Arc<dyn ErasureCode + Send + Sync> = Arc::new(code);
+        let plan = ReadPlan::plan(&shared, &(0..6).collect::<Vec<_>>()).unwrap();
+        assert_eq!(plan.mode(), ReadMode::Direct);
+        assert_eq!(plan.parallelism(), 6);
+        let units: Vec<&[u8]> = plan
+            .sources()
+            .iter()
+            .map(|&(nd, u)| &stripe.blocks[nd][u * w..(u + 1) * w])
+            .collect();
+        assert_eq!(&plan.decode_units(&units).unwrap()[..data.len()], &data[..]);
     }
 }

@@ -20,9 +20,9 @@
 
 use std::sync::LazyLock;
 
-use access::{AccessCode, PlanCache, ReadMode};
+use access::{PlanCache, ReadMode};
 use carousel::Carousel;
-use erasure::CodeError;
+use erasure::{CodeError, ErasureCode};
 use rs_code::ReedSolomon;
 use simcore::Engine;
 
@@ -130,7 +130,7 @@ pub fn download_striped(
 ) -> Result<DownloadResult, CodeError> {
     // One code and one plan cache per file: every stripe shares the
     // geometry, so stripes with the same liveness pattern replan for free.
-    let (code, code_rate): (Box<dyn AccessCode>, f64) = match file.policy {
+    let (code, code_rate): (Box<dyn ErasureCode>, f64) = match file.policy {
         Policy::Replication { .. } => {
             return Err(CodeError::InvalidParameters {
                 reason: "download_striped requires a coded file".into(),

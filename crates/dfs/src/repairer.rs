@@ -11,9 +11,8 @@
 
 use std::sync::LazyLock;
 
-use access::AccessCode;
 use carousel::Carousel;
-use erasure::CodeError;
+use erasure::{CodeError, ErasureCode};
 use rs_code::ReedSolomon;
 use simcore::Engine;
 
@@ -65,7 +64,7 @@ pub fn repair_file(
 ) -> Result<RepairReport, CodeError> {
     // Per-lost-block repair shape: helper payload fraction and d, taken
     // from the real repair plan the access layer would execute.
-    let (code, d, decode_rate): (Box<dyn AccessCode>, usize, f64) = match file.policy {
+    let (code, d, decode_rate): (Box<dyn ErasureCode>, usize, f64) = match file.policy {
         Policy::Replication { .. } => {
             return Err(CodeError::InvalidParameters {
                 reason: "replicated blocks are re-copied, not code-repaired".into(),
@@ -79,7 +78,7 @@ pub fn repair_file(
         ),
     };
     let helpers: Vec<usize> = (1..=d).collect();
-    let plan = access::RepairPlan::plan(code.as_ref(), 0, &helpers)?;
+    let plan = code.repair_plan(0, &helpers)?;
     let payload_fraction = plan.traffic_blocks() / d as f64;
 
     let mut engine: Engine<Ev> = Engine::new();

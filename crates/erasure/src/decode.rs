@@ -126,6 +126,17 @@ impl DecodePlan {
         &self.sources
     }
 
+    /// Units per block of the code this plan was built for.
+    pub fn sub(&self) -> usize {
+        self.sub
+    }
+
+    /// The coefficients over [`DecodePlan::sources`] that produce message
+    /// unit `unit`.
+    pub(crate) fn message_row(&self, unit: usize) -> &[gf256::Gf256] {
+        self.inverse.row(unit)
+    }
+
     /// Decodes from full blocks laid out in the same node order the plan was
     /// built with (only valid for plans from [`DecodePlan::for_nodes`]).
     ///
@@ -140,31 +151,11 @@ impl DecodePlan {
                 got: blocks.len(),
             });
         }
-        let block_len = blocks[0].len();
-        if !block_len.is_multiple_of(self.sub) {
-            return Err(CodeError::BlockSizeMismatch {
-                expected: block_len.next_multiple_of(self.sub),
-                actual: block_len,
-            });
+        let mut by_node = vec![None; self.nodes.iter().max().map_or(0, |&m| m + 1)];
+        for (&node, &block) in self.nodes.iter().zip(blocks) {
+            by_node[node] = Some(block);
         }
-        let w = block_len / self.sub;
-        let mut unit_slices = Vec::with_capacity(self.sources.len());
-        for &(node, unit) in &self.sources {
-            let pos = self
-                .nodes
-                .iter()
-                .position(|&nd| nd == node)
-                .expect("source node is in the plan's node list");
-            let block = blocks[pos];
-            if block.len() != block_len {
-                return Err(CodeError::BlockSizeMismatch {
-                    expected: block_len,
-                    actual: block.len(),
-                });
-            }
-            unit_slices.push(&block[unit * w..(unit + 1) * w]);
-        }
-        Ok(self.combine(&unit_slices, w))
+        self.decode_units(&gather_units(&self.sources, self.sub, &by_node)?)
     }
 
     /// Decodes from individual unit slices, one per planned source, each of
@@ -212,6 +203,35 @@ impl DecodePlan {
         }
         out
     }
+}
+
+/// Slices the planned `(node, unit)` sources out of whole per-node blocks
+/// of `sub` units each.
+pub(crate) fn gather_units<'a>(
+    sources: &[(usize, usize)],
+    sub: usize,
+    blocks: &[Option<&'a [u8]>],
+) -> Result<Vec<&'a [u8]>, CodeError> {
+    let mut units = Vec::with_capacity(sources.len());
+    for &(node, unit) in sources {
+        let block = blocks
+            .get(node)
+            .copied()
+            .flatten()
+            .ok_or(CodeError::InsufficientData {
+                needed: sources.len(),
+                got: units.len(),
+            })?;
+        if !block.len().is_multiple_of(sub) {
+            return Err(CodeError::BlockSizeMismatch {
+                expected: block.len().next_multiple_of(sub),
+                actual: block.len(),
+            });
+        }
+        let w = block.len() / sub;
+        units.push(&block[unit * w..(unit + 1) * w]);
+    }
+    Ok(units)
 }
 
 #[cfg(test)]

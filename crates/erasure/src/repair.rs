@@ -108,17 +108,23 @@ impl RepairPlan {
         self.helpers.iter().map(HelperTask::beta).sum()
     }
 
+    /// Units per block (`sub`): the rebuilt block has one unit per row of
+    /// `combine`.
+    pub fn sub(&self) -> usize {
+        self.combine.rows()
+    }
+
     /// Network traffic in multiples of one block size (`sub` units), the
     /// quantity plotted in the paper's Fig. 7. Optimal MSR repair gives
     /// `d / (d − k + 1)`; RS repair-by-decode gives `k`.
-    pub fn traffic_blocks(&self, sub: usize) -> f64 {
-        self.traffic_units() as f64 / sub as f64
+    pub fn traffic_blocks(&self) -> f64 {
+        self.traffic_units() as f64 / self.sub() as f64
     }
 
     /// Bytes transferred when blocks are `block_bytes` long.
-    pub fn traffic_bytes(&self, sub: usize, block_bytes: usize) -> usize {
-        debug_assert_eq!(block_bytes % sub, 0);
-        self.traffic_units() * (block_bytes / sub)
+    pub fn traffic_bytes(&self, block_bytes: usize) -> usize {
+        debug_assert_eq!(block_bytes % self.sub(), 0);
+        self.traffic_units() * (block_bytes / self.sub())
     }
 
     /// Newcomer-side computation: combines helper payloads (in helper order)
@@ -157,7 +163,7 @@ impl RepairPlan {
             }
         }
         debug_assert_eq!(unit_slices.len(), self.combine.cols());
-        let sub = self.combine.rows();
+        let sub = self.sub();
         let kernel = gf256::kernel();
         let mut out = vec![0u8; sub * w];
         let mut terms = Vec::with_capacity(unit_slices.len());
@@ -246,7 +252,7 @@ mod tests {
         assert_eq!(out, vec![0b1100u8; 8]);
         assert_eq!(traffic, 16);
         assert_eq!(plan.traffic_units(), 2);
-        assert!((plan.traffic_blocks(1) - 2.0).abs() < 1e-12);
+        assert!((plan.traffic_blocks() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -291,6 +297,6 @@ mod tests {
     #[test]
     fn traffic_bytes_scales_with_block_size() {
         let plan = xor_plan();
-        assert_eq!(plan.traffic_bytes(1, 512), 1024);
+        assert_eq!(plan.traffic_bytes(512), 1024);
     }
 }

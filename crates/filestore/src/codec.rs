@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use access::{check_range, AccessCode, ExecError, MemorySource, PlanCache, PlanExecutor};
+use access::{check_range, ExecError, MemorySource, PlanCache, PlanExecutor};
 use erasure::{CodeError, ColumnUpdater, ErasureCode, SparseEncoder};
 
 use crate::error::FileError;
@@ -235,12 +235,11 @@ impl<C: ErasureCode> FileCodec<C> {
             stripes,
         })
     }
-}
 
-impl<C: AccessCode> FileCodec<C> {
     /// Decodes one stripe from its (partially available) blocks, planning
-    /// through the shared access layer (Carousel codes get their direct /
-    /// degraded / fallback ladder; other codes any-`k` decode).
+    /// through the shared access layer with the code's own read planner
+    /// (a Carousel code's direct / degraded / fallback ladder, any-`k`
+    /// decode by default).
     ///
     /// # Errors
     ///
@@ -328,9 +327,7 @@ impl<C: ErasureCode> EncodedFile<C> {
         let refs: Vec<Option<&[u8]>> = self.stripes[stripe].iter().map(|b| b.as_deref()).collect();
         MemorySource::new(refs, self.codec.code.linear().sub())
     }
-}
 
-impl<C: AccessCode> EncodedFile<C> {
     /// Decodes one stripe by index, labeling failures with that stripe —
     /// the unit of work for per-stripe parallel decode
     /// (`workloads::parallel::decode_file`).

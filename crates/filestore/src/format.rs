@@ -9,195 +9,21 @@
 //! ```
 //!
 //! The metadata records the code as a [`CodeSpec`] so the directory is
-//! self-describing; [`AnyCode`] instantiates it.
+//! self-describing; [`AnyCode`] instantiates it. Both live in `access`
+//! (the one file naming every code family) and are re-exported here. The
+//! geometry the metadata records is *checked* against the code it names
+//! before anything is sized by it — a `meta` file is outside input.
 
-use std::fmt;
+use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
 
-use carousel::Carousel;
-use erasure::{CodeError, DataLayout, ErasureCode, LinearCode, RepairPlan};
-use msr::{ProductMatrixMbr, ProductMatrixMsr};
-use rs_code::ReedSolomon;
+pub use access::{AnyCode, CodeSpec};
+use erasure::ErasureCode;
+use gf256::crc32;
 
-use crate::checksum::crc32;
 use crate::codec::{EncodedFile, FileCodec, FileMeta};
 use crate::error::FileError;
-
-/// A serializable description of a code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodeSpec {
-    /// Systematic `(n, k)` Reed-Solomon.
-    Rs {
-        /// Blocks per stripe.
-        n: usize,
-        /// Data blocks per stripe.
-        k: usize,
-    },
-    /// `(n, k, d, p)` Carousel.
-    Carousel {
-        /// Blocks per stripe.
-        n: usize,
-        /// Data blocks per stripe.
-        k: usize,
-        /// Repair degree.
-        d: usize,
-        /// Data-parallelism degree.
-        p: usize,
-    },
-    /// `(n, k, d)` product-matrix MSR.
-    Msr {
-        /// Blocks per stripe.
-        n: usize,
-        /// Data blocks per stripe.
-        k: usize,
-        /// Repair degree.
-        d: usize,
-    },
-    /// `(n, k, d)` product-matrix MBR.
-    Mbr {
-        /// Blocks per stripe.
-        n: usize,
-        /// Data blocks per stripe.
-        k: usize,
-        /// Repair degree.
-        d: usize,
-    },
-}
-
-impl CodeSpec {
-    /// Instantiates the code.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction failures for invalid parameters.
-    pub fn build(self) -> Result<AnyCode, CodeError> {
-        Ok(match self {
-            CodeSpec::Rs { n, k } => AnyCode::Rs(ReedSolomon::new(n, k)?),
-            CodeSpec::Carousel { n, k, d, p } => AnyCode::Carousel(Carousel::new(n, k, d, p)?),
-            CodeSpec::Msr { n, k, d } => AnyCode::Msr(ProductMatrixMsr::new(n, k, d)?),
-            CodeSpec::Mbr { n, k, d } => AnyCode::Mbr(ProductMatrixMbr::new(n, k, d)?),
-        })
-    }
-
-    /// Parses the `code=` line format produced by [`fmt::Display`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FileError::BadMeta`] on malformed input.
-    pub fn parse(s: &str) -> Result<Self, FileError> {
-        let bad = || FileError::BadMeta {
-            reason: format!("unparseable code spec: {s:?}"),
-        };
-        let (kind, rest) = s.split_once('(').ok_or_else(bad)?;
-        let rest = rest.strip_suffix(')').ok_or_else(bad)?;
-        let nums: Vec<usize> = rest
-            .split(',')
-            .map(|v| v.trim().parse().map_err(|_| bad()))
-            .collect::<Result<_, _>>()?;
-        match (kind.trim(), nums.as_slice()) {
-            ("rs", [n, k]) => Ok(CodeSpec::Rs { n: *n, k: *k }),
-            ("carousel", [n, k, d, p]) => Ok(CodeSpec::Carousel {
-                n: *n,
-                k: *k,
-                d: *d,
-                p: *p,
-            }),
-            ("msr", [n, k, d]) => Ok(CodeSpec::Msr {
-                n: *n,
-                k: *k,
-                d: *d,
-            }),
-            ("mbr", [n, k, d]) => Ok(CodeSpec::Mbr {
-                n: *n,
-                k: *k,
-                d: *d,
-            }),
-            _ => Err(bad()),
-        }
-    }
-}
-
-impl fmt::Display for CodeSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodeSpec::Rs { n, k } => write!(f, "rs({n},{k})"),
-            CodeSpec::Carousel { n, k, d, p } => write!(f, "carousel({n},{k},{d},{p})"),
-            CodeSpec::Msr { n, k, d } => write!(f, "msr({n},{k},{d})"),
-            CodeSpec::Mbr { n, k, d } => write!(f, "mbr({n},{k},{d})"),
-        }
-    }
-}
-
-/// A runtime-selected code (RS or Carousel) implementing [`ErasureCode`]
-/// by delegation — what the self-describing on-disk format instantiates.
-#[derive(Debug, Clone)]
-pub enum AnyCode {
-    /// Systematic Reed-Solomon.
-    Rs(ReedSolomon),
-    /// Carousel.
-    Carousel(Carousel),
-    /// Product-matrix MSR.
-    Msr(ProductMatrixMsr),
-    /// Product-matrix MBR.
-    Mbr(ProductMatrixMbr),
-}
-
-impl ErasureCode for AnyCode {
-    fn name(&self) -> String {
-        match self {
-            AnyCode::Rs(c) => c.name(),
-            AnyCode::Carousel(c) => c.name(),
-            AnyCode::Msr(c) => c.name(),
-            AnyCode::Mbr(c) => c.name(),
-        }
-    }
-
-    fn linear(&self) -> &LinearCode {
-        match self {
-            AnyCode::Rs(c) => c.linear(),
-            AnyCode::Carousel(c) => c.linear(),
-            AnyCode::Msr(c) => c.linear(),
-            AnyCode::Mbr(c) => c.linear(),
-        }
-    }
-
-    fn d(&self) -> usize {
-        match self {
-            AnyCode::Rs(c) => c.d(),
-            AnyCode::Carousel(c) => c.d(),
-            AnyCode::Msr(c) => c.d(),
-            AnyCode::Mbr(c) => c.d(),
-        }
-    }
-
-    fn data_layout(&self) -> DataLayout {
-        match self {
-            AnyCode::Rs(c) => c.data_layout(),
-            AnyCode::Carousel(c) => c.data_layout(),
-            AnyCode::Msr(c) => c.data_layout(),
-            AnyCode::Mbr(c) => c.data_layout(),
-        }
-    }
-
-    fn repair_plan(&self, failed: usize, helpers: &[usize]) -> Result<RepairPlan, CodeError> {
-        match self {
-            AnyCode::Rs(c) => c.repair_plan(failed, helpers),
-            AnyCode::Carousel(c) => c.repair_plan(failed, helpers),
-            AnyCode::Msr(c) => c.repair_plan(failed, helpers),
-            AnyCode::Mbr(c) => c.repair_plan(failed, helpers),
-        }
-    }
-}
-
-impl access::AccessCode for AnyCode {
-    fn as_carousel(&self) -> Option<&Carousel> {
-        match self {
-            AnyCode::Carousel(c) => Some(c),
-            _ => None,
-        }
-    }
-}
 
 fn block_file_name(stripe: usize, block: usize) -> String {
     format!("s{stripe:05}_b{block:03}.blk")
@@ -231,54 +57,108 @@ pub fn save(dir: &Path, spec: CodeSpec, file: &EncodedFile<AnyCode>) -> Result<(
     Ok(())
 }
 
-/// Reads the metadata of an encoded directory.
-///
-/// # Errors
-///
-/// Returns [`FileError::BadMeta`] on malformed metadata and I/O errors on
-/// filesystem failures.
-pub fn read_meta(dir: &Path) -> Result<(CodeSpec, FileMeta), FileError> {
+/// What a `meta` file yields once checked: the spec, a codec built from it,
+/// the metadata, and the recorded per-block CRCs.
+type Opened = (
+    CodeSpec,
+    FileCodec<AnyCode>,
+    FileMeta,
+    HashMap<(usize, usize), u32>,
+);
+
+/// Parses `meta`, builds the code it names and checks the recorded
+/// geometry against that code, so nothing downstream divides by, indexes
+/// with or allocates from an unchecked number.
+fn open(dir: &Path) -> Result<Opened, FileError> {
     let text = fs::read_to_string(dir.join("meta"))?;
     let mut code = None;
-    let mut file_len = None;
+    let mut file_len: Option<u64> = None;
     let mut block_bytes = None;
-    let mut stripes = None;
-    let mut stripe_data_bytes = None;
+    let mut stripes: Option<usize> = None;
+    let mut stripe_data_bytes: Option<usize> = None;
+    let mut crcs = HashMap::new();
     for line in text.lines() {
         let Some((key, value)) = line.split_once('=') else {
             continue;
         };
-        match key.trim() {
-            "code" => code = Some(CodeSpec::parse(value.trim())?),
-            "file_len" => file_len = value.trim().parse().ok(),
-            "block_bytes" => block_bytes = value.trim().parse().ok(),
-            "stripes" => stripes = value.trim().parse().ok(),
-            "stripe_data_bytes" => stripe_data_bytes = value.trim().parse().ok(),
-            _ => {}
+        let (key, value) = (key.trim(), value.trim());
+        match key {
+            "code" => {
+                code = Some(CodeSpec::parse(value).map_err(|_| FileError::BadMeta {
+                    reason: format!("unparseable code spec: {value:?}"),
+                })?)
+            }
+            "file_len" => file_len = value.parse().ok(),
+            "block_bytes" => block_bytes = value.parse().ok(),
+            "stripes" => stripes = value.parse().ok(),
+            "stripe_data_bytes" => stripe_data_bytes = value.parse().ok(),
+            _ => {
+                if let Some(id) = parse_crc_key(key) {
+                    if let Ok(crc) = u32::from_str_radix(value, 16) {
+                        crcs.insert(id, crc);
+                    }
+                }
+            }
         }
     }
     let missing = |what: &str| FileError::BadMeta {
         reason: format!("missing or invalid {what}"),
     };
     let spec = code.ok_or_else(|| missing("code"))?;
-    let (n, k) = match spec {
-        CodeSpec::Rs { n, k }
-        | CodeSpec::Carousel { n, k, .. }
-        | CodeSpec::Msr { n, k, .. }
-        | CodeSpec::Mbr { n, k, .. } => (n, k),
-    };
-    let block_bytes: usize = block_bytes.ok_or_else(|| missing("block_bytes"))?;
+    let file_len = file_len
+        .filter(|&len| len > 0)
+        .ok_or_else(|| missing("file_len"))?;
+    let block_bytes = block_bytes.ok_or_else(|| missing("block_bytes"))?;
+    let stripes = stripes.ok_or_else(|| missing("stripes"))?;
+
+    let codec = FileCodec::new(spec.build()?, block_bytes)?;
+    let sdb = codec.stripe_data_bytes();
+    // Older directories predate this field; the codec's value is the only
+    // one that was ever correct.
+    if let Some(recorded) = stripe_data_bytes.filter(|&r| r != sdb) {
+        return Err(FileError::BadMeta {
+            reason: format!(
+                "stripe_data_bytes={recorded}, but {spec} with block_bytes={block_bytes} \
+                 carries {sdb} per stripe"
+            ),
+        });
+    }
+    let expected = file_len.div_ceil(sdb as u64);
+    if stripes as u64 != expected {
+        return Err(FileError::BadMeta {
+            reason: format!(
+                "stripes={stripes} disagrees with file_len={file_len}: \
+                 {expected} stripes of {sdb} data bytes expected"
+            ),
+        });
+    }
     let meta = FileMeta {
-        file_len: file_len.ok_or_else(|| missing("file_len"))?,
+        file_len,
         block_bytes,
-        n,
-        k,
-        stripes: stripes.ok_or_else(|| missing("stripes"))?,
-        // Older directories predate this field and only held MDS-shaped
-        // codes, for which k * block_bytes is the correct fallback.
-        stripe_data_bytes: stripe_data_bytes.unwrap_or(k * block_bytes),
+        n: codec.code().n(),
+        k: codec.code().k(),
+        stripes,
+        stripe_data_bytes: sdb,
         code_name: spec.to_string(),
     };
+    Ok((spec, codec, meta, crcs))
+}
+
+/// `crc_<stripe>_<block>` → `(stripe, block)`.
+fn parse_crc_key(key: &str) -> Option<(usize, usize)> {
+    let (s, b) = key.strip_prefix("crc_")?.split_once('_')?;
+    Some((s.parse().ok()?, b.parse().ok()?))
+}
+
+/// Reads the metadata of an encoded directory.
+///
+/// # Errors
+///
+/// Returns [`FileError::BadMeta`] on malformed metadata or a recorded
+/// geometry (`file_len`, `stripes`, `stripe_data_bytes`) that does not fit
+/// the recorded code, and I/O errors on filesystem failures.
+pub fn read_meta(dir: &Path) -> Result<(CodeSpec, FileMeta), FileError> {
+    let (spec, _, meta, _) = open(dir)?;
     Ok((spec, meta))
 }
 
@@ -292,10 +172,7 @@ pub fn read_meta(dir: &Path) -> Result<(CodeSpec, FileMeta), FileError> {
 /// corrupt block files are *not* errors (that is the point of erasure
 /// coding).
 pub fn load(dir: &Path) -> Result<EncodedFile<AnyCode>, FileError> {
-    let (spec, meta) = read_meta(dir)?;
-    let crcs = read_crcs(dir)?;
-    let code = spec.build()?;
-    let codec = FileCodec::new(code, meta.block_bytes)?;
+    let (_, codec, meta, crcs) = open(dir)?;
     let mut file = EncodedFile::empty(codec, meta.clone());
     for s in 0..meta.stripes {
         for b in 0..meta.n {
@@ -325,54 +202,9 @@ pub fn load(dir: &Path) -> Result<EncodedFile<AnyCode>, FileError> {
     Ok(file)
 }
 
-/// Reads the per-block CRCs recorded in the metadata.
-fn read_crcs(dir: &Path) -> Result<std::collections::HashMap<(usize, usize), u32>, FileError> {
-    let text = fs::read_to_string(dir.join("meta"))?;
-    let mut out = std::collections::HashMap::new();
-    for line in text.lines() {
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        let Some(rest) = key.trim().strip_prefix("crc_") else {
-            continue;
-        };
-        let Some((s, b)) = rest.split_once('_') else {
-            continue;
-        };
-        if let (Ok(s), Ok(b), Ok(crc)) = (
-            s.parse::<usize>(),
-            b.parse::<usize>(),
-            u32::from_str_radix(value.trim(), 16),
-        ) {
-            out.insert((s, b), crc);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn code_spec_round_trip() {
-        for spec in [
-            CodeSpec::Rs { n: 12, k: 6 },
-            CodeSpec::Carousel {
-                n: 12,
-                k: 6,
-                d: 10,
-                p: 12,
-            },
-            CodeSpec::Msr { n: 12, k: 6, d: 10 },
-            CodeSpec::Mbr { n: 12, k: 6, d: 10 },
-        ] {
-            assert_eq!(CodeSpec::parse(&spec.to_string()).unwrap(), spec);
-        }
-        assert!(CodeSpec::parse("nonsense").is_err());
-        assert!(CodeSpec::parse("rs(1,2,3)").is_err());
-        assert!(CodeSpec::parse("carousel(1,x,3,4)").is_err());
-    }
 
     #[test]
     fn save_load_round_trip() {
@@ -433,6 +265,59 @@ mod tests {
             Err(FileError::BadMeta { reason }) => assert!(reason.contains("file_len")),
             other => panic!("expected BadMeta, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A `meta` whose recorded geometry does not fit its own code is
+    /// refused by name, before anything divides by it or allocates from it.
+    #[test]
+    fn inconsistent_geometry_is_refused() {
+        let dir = std::env::temp_dir().join(format!("filestore-tamper-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let spec = CodeSpec::Rs { n: 6, k: 4 };
+        let codec = FileCodec::new(spec.build().unwrap(), 256).unwrap();
+        let data: Vec<u8> = (0..5000).map(|i| (i * 7 + 1) as u8).collect();
+        save(&dir, spec, &codec.encode(&data).unwrap()).unwrap();
+        let good = fs::read_to_string(dir.join("meta")).unwrap();
+        assert_eq!(
+            load(&dir).unwrap().read_range(4000, 10).unwrap(),
+            &data[4000..4010]
+        );
+
+        for (field, from, to) in [
+            (
+                "stripe_data_bytes",
+                "stripe_data_bytes=1024",
+                "stripe_data_bytes=0",
+            ),
+            (
+                "stripe_data_bytes",
+                "stripe_data_bytes=1024",
+                "stripe_data_bytes=7",
+            ),
+            ("file_len", "file_len=5000", "file_len=999999"),
+            ("file_len", "file_len=5000", "file_len=0"),
+            ("stripes", "stripes=5", "stripes=99999999999"),
+            ("code", "code=rs(6,4)", "code=rs(6;4)"),
+        ] {
+            assert!(good.contains(from), "fixture has {from}");
+            fs::write(dir.join("meta"), good.replace(from, to)).unwrap();
+            for result in [read_meta(&dir).map(drop), load(&dir).map(drop)] {
+                match result {
+                    Err(FileError::BadMeta { reason }) => {
+                        assert!(reason.contains(field), "{to}: {reason}")
+                    }
+                    other => panic!("{to}: expected BadMeta, got {other:?}"),
+                }
+            }
+        }
+        // Directories older than the stripe_data_bytes field still load.
+        fs::write(
+            dir.join("meta"),
+            good.replace("stripe_data_bytes=1024\n", ""),
+        )
+        .unwrap();
+        assert_eq!(load(&dir).unwrap().decode().unwrap(), data);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -12,7 +12,8 @@
 
 use std::collections::HashMap;
 
-use access::{AccessCode, Extent, ObjectBackend, PackCursor, PutOptions, PACK_PREFIX};
+use access::{Extent, ObjectBackend, PackCursor, PutOptions, PACK_PREFIX};
+use erasure::ErasureCode;
 
 use crate::codec::{EncodedFile, FileCodec};
 use crate::error::FileError;
@@ -45,7 +46,7 @@ pub struct LocalObjects<C> {
     packs: PackCursor,
 }
 
-impl<C: AccessCode + Clone> LocalObjects<C> {
+impl<C: ErasureCode + Clone> LocalObjects<C> {
     /// Creates an empty store encoding every object with `codec`.
     pub fn new(codec: FileCodec<C>) -> LocalObjects<C> {
         LocalObjects {
@@ -98,7 +99,7 @@ impl<C: AccessCode + Clone> LocalObjects<C> {
 
 /// The codec (and with it the code and block size) is fixed at
 /// construction, so `create` ignores per-put code/block hints.
-impl<C: AccessCode + Clone> ObjectBackend for LocalObjects<C> {
+impl<C: ErasureCode + Clone> ObjectBackend for LocalObjects<C> {
     type Error = FileError;
 
     fn create(&mut self, file: &str, data: &[u8], _opts: &PutOptions) -> Result<(), FileError> {

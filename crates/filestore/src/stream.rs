@@ -7,7 +7,6 @@
 
 use std::io::{Read, Write};
 
-use access::AccessCode;
 use erasure::ErasureCode;
 
 use crate::codec::{FileCodec, FileMeta};
@@ -78,7 +77,7 @@ pub fn encode_stream<C: ErasureCode, R: Read>(
 /// # Errors
 ///
 /// Propagates source failures, unrecoverable stripes and writer I/O errors.
-pub fn decode_stream<C: AccessCode, W: Write>(
+pub fn decode_stream<C: ErasureCode, W: Write>(
     codec: &FileCodec<C>,
     meta: &FileMeta,
     mut source: impl FnMut(usize) -> Result<Vec<Option<Vec<u8>>>, FileError>,

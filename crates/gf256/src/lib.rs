@@ -10,7 +10,8 @@
 //! runtime CPU-feature detection, all behind a `Copy` [`KernelHandle`] and
 //! selectable via `CAROUSEL_KERNEL`), and a dense [`Matrix`] type with
 //! Gauss-Jordan inversion plus the structured builders (Vandermonde,
-//! Cauchy, Kronecker) the code constructions need.
+//! Cauchy, Kronecker) the code constructions need. The [`crc32`] every
+//! stored block and wire frame is guarded with lives here too.
 //!
 //! `unsafe` is denied crate-wide with one carve-out: the intrinsics inside
 //! [`kernel::simd`], each behind a `#[target_feature]` function whose
@@ -32,19 +33,17 @@
 #![deny(unsafe_code)] // allowed back on only in kernel::simd (see check.sh)
 #![warn(missing_docs)]
 
+mod checksum;
 mod field;
-mod field_trait;
-mod gf65536;
 mod matrix;
 mod tables;
 
 pub mod builders;
 pub mod kernel;
 
+pub use checksum::crc32;
 pub use field::Gf256;
-pub use field_trait::Field;
-pub use gf65536::Gf65536;
 pub use kernel::{
     by_name, detected_best, detected_features, kernel, kernels, Kernel, KernelHandle,
 };
-pub use matrix::{Matrix, MatrixOf};
+pub use matrix::Matrix;

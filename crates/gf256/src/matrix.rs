@@ -5,7 +5,6 @@
 use core::fmt;
 use core::ops::Mul;
 
-use crate::field_trait::Field;
 use crate::Gf256;
 
 /// A dense row-major matrix over GF(2⁸).
@@ -21,48 +20,44 @@ use crate::Gf256;
 /// assert!((&top * &inv).is_identity());
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct MatrixOf<F = Gf256> {
+pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<F>,
+    data: Vec<Gf256>,
 }
 
-/// The GF(2⁸) matrix used throughout the coding crates.
-pub type Matrix = MatrixOf<Gf256>;
-
-impl<F: Field> MatrixOf<F> {
+impl Matrix {
     /// Creates a `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        MatrixOf {
+        Matrix {
             rows,
             cols,
-            data: vec![F::ZERO; rows * cols],
+            data: vec![Gf256::ZERO; rows * cols],
         }
     }
 
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
-        let mut m = MatrixOf::zeros(n, n);
+        let mut m = Matrix::zeros(n, n);
         for i in 0..n {
-            m.set(i, i, F::ONE);
+            m.set(i, i, Gf256::ONE);
         }
         m
     }
 
     /// Builds a matrix by evaluating `f(row, col)` at every position.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> F) -> Self {
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> Gf256) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
             }
         }
-        MatrixOf { rows, cols, data }
+        Matrix { rows, cols, data }
     }
 
     /// An `n × k` Vandermonde matrix with evaluation points `x_i = g^i`
-    /// for the field generator `g` (distinct while `n < ORDER − 1` …
-    /// `n ≤ 255` over GF(2⁸), `n ≤ 65535` over GF(2¹⁶)): entry
+    /// for the field generator `g` (distinct while `n ≤ 255`): entry
     /// `(i, j) = x_i^j`.
     ///
     /// Any `k` rows of it form a square Vandermonde matrix with distinct
@@ -70,14 +65,11 @@ impl<F: Field> MatrixOf<F> {
     ///
     /// # Panics
     ///
-    /// Panics if `n ≥ ORDER` (points would repeat) or `k > n`.
+    /// Panics if `n ≥ 256` (points would repeat) or `k > n`.
     pub fn vandermonde(n: usize, k: usize) -> Self {
-        assert!(
-            (n as u64) < F::ORDER,
-            "at most ORDER - 1 distinct evaluation points"
-        );
+        assert!(n < 256, "at most 255 distinct evaluation points");
         assert!(k <= n, "k must not exceed n");
-        MatrixOf::from_fn(n, k, |i, j| F::exp_gen(i as u64).pow_u64(j as u64))
+        Matrix::from_fn(n, k, |i, j| Gf256::exp(i as u32).pow(j as u32))
     }
 
     /// Number of rows.
@@ -96,7 +88,7 @@ impl<F: Field> MatrixOf<F> {
     ///
     /// Panics if out of bounds.
     #[inline]
-    pub fn get(&self, row: usize, col: usize) -> F {
+    pub fn get(&self, row: usize, col: usize) -> Gf256 {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
         self.data[row * self.cols + col]
     }
@@ -107,7 +99,7 @@ impl<F: Field> MatrixOf<F> {
     ///
     /// Panics if out of bounds.
     #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: F) {
+    pub fn set(&mut self, row: usize, col: usize, value: Gf256) {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
         self.data[row * self.cols + col] = value;
     }
@@ -117,13 +109,13 @@ impl<F: Field> MatrixOf<F> {
     /// # Panics
     ///
     /// Panics if `r` is out of bounds.
-    pub fn row(&self, r: usize) -> &[F] {
+    pub fn row(&self, r: usize) -> &[Gf256] {
         assert!(r < self.rows, "row out of bounds");
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Iterates over the rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[F]> {
+    pub fn iter_rows(&self) -> impl Iterator<Item = &[Gf256]> {
         self.data.chunks_exact(self.cols.max(1))
     }
 
@@ -133,12 +125,12 @@ impl<F: Field> MatrixOf<F> {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> MatrixOf<F> {
+    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut data = Vec::with_capacity(indices.len() * self.cols);
         for &r in indices {
             data.extend_from_slice(self.row(r));
         }
-        MatrixOf {
+        Matrix {
             rows: indices.len(),
             cols: self.cols,
             data,
@@ -151,11 +143,11 @@ impl<F: Field> MatrixOf<F> {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn select(&self, rows: &[usize], cols: &[usize]) -> MatrixOf<F> {
+    pub fn select(&self, rows: &[usize], cols: &[usize]) -> Matrix {
         for &c in cols {
             assert!(c < self.cols, "column out of bounds");
         }
-        MatrixOf::from_fn(rows.len(), cols.len(), |r, c| self.get(rows[r], cols[c]))
+        Matrix::from_fn(rows.len(), cols.len(), |r, c| self.get(rows[r], cols[c]))
     }
 
     /// Stacks `self` on top of `other`.
@@ -163,11 +155,11 @@ impl<F: Field> MatrixOf<F> {
     /// # Panics
     ///
     /// Panics if the column counts differ.
-    pub fn vstack(&self, other: &MatrixOf<F>) -> MatrixOf<F> {
+    pub fn vstack(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "column count mismatch");
         let mut data = self.data.clone();
         data.extend_from_slice(&other.data);
-        MatrixOf {
+        Matrix {
             rows: self.rows + other.rows,
             cols: self.cols,
             data,
@@ -179,9 +171,9 @@ impl<F: Field> MatrixOf<F> {
     /// # Panics
     ///
     /// Panics if the row counts differ.
-    pub fn hstack(&self, other: &MatrixOf<F>) -> MatrixOf<F> {
+    pub fn hstack(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "row count mismatch");
-        let mut m = MatrixOf::zeros(self.rows, self.cols + other.cols);
+        let mut m = Matrix::zeros(self.rows, self.cols + other.cols);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 m.set(r, c, self.get(r, c));
@@ -194,15 +186,15 @@ impl<F: Field> MatrixOf<F> {
     }
 
     /// The transpose.
-    pub fn transpose(&self) -> MatrixOf<F> {
-        MatrixOf::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+    pub fn transpose(&self) -> Matrix {
+        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
     /// Kronecker product `self ⊗ I_n` — the *expansion* step of the Carousel
     /// construction (paper §VI-A): every scalar entry is replaced by that
     /// scalar times an `n × n` identity block.
-    pub fn kron_identity(&self, n: usize) -> MatrixOf<F> {
-        let mut m = MatrixOf::zeros(self.rows * n, self.cols * n);
+    pub fn kron_identity(&self, n: usize) -> Matrix {
+        let mut m = Matrix::zeros(self.rows * n, self.cols * n);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 let v = self.get(r, c);
@@ -222,7 +214,7 @@ impl<F: Field> MatrixOf<F> {
     /// # Panics
     ///
     /// Panics if `perm` is not a permutation of `0..rows`.
-    pub fn permute_rows(&self, perm: &[usize]) -> MatrixOf<F> {
+    pub fn permute_rows(&self, perm: &[usize]) -> Matrix {
         assert_eq!(perm.len(), self.rows, "permutation length mismatch");
         let mut seen = vec![false; self.rows];
         for &p in perm {
@@ -237,8 +229,8 @@ impl<F: Field> MatrixOf<F> {
     /// # Panics
     ///
     /// Panics if `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[F]) -> Vec<F> {
-        let mut out = vec![F::ZERO; self.rows];
+    pub fn mul_vec(&self, v: &[Gf256]) -> Vec<Gf256> {
+        let mut out = vec![Gf256::ZERO; self.rows];
         self.mul_vec_into(v, &mut out);
         out
     }
@@ -250,13 +242,13 @@ impl<F: Field> MatrixOf<F> {
     /// # Panics
     ///
     /// Panics if `v.len() != cols` or `out.len() != rows`.
-    pub fn mul_vec_into(&self, v: &[F], out: &mut [F]) {
+    pub fn mul_vec_into(&self, v: &[Gf256], out: &mut [Gf256]) {
         assert_eq!(v.len(), self.cols, "dimension mismatch");
         assert_eq!(out.len(), self.rows, "output length mismatch");
         for (row, slot) in self.iter_rows().zip(out.iter_mut()) {
-            let mut acc = F::ZERO;
+            let mut acc = Gf256::ZERO;
             for (a, b) in row.iter().zip(v) {
-                acc = acc + *a * *b;
+                acc += *a * *b;
             }
             *slot = acc;
         }
@@ -268,11 +260,11 @@ impl<F: Field> MatrixOf<F> {
     /// # Panics
     ///
     /// Panics if the matrix is not square.
-    pub fn inverse(&self) -> Option<MatrixOf<F>> {
+    pub fn inverse(&self) -> Option<Matrix> {
         assert_eq!(self.rows, self.cols, "inverse of non-square matrix");
         let n = self.rows;
         let mut a = self.clone();
-        let mut inv = MatrixOf::identity(n);
+        let mut inv = Matrix::identity(n);
         for col in 0..n {
             // Find a pivot.
             let pivot = (col..n).find(|&r| !a.get(r, col).is_zero())?;
@@ -280,7 +272,7 @@ impl<F: Field> MatrixOf<F> {
                 a.swap_rows(pivot, col);
                 inv.swap_rows(pivot, col);
             }
-            let p = Field::inv(a.get(col, col)).expect("pivot is nonzero");
+            let p = a.get(col, col).inv().expect("pivot is nonzero");
             a.scale_row(col, p);
             inv.scale_row(col, p);
             for r in 0..n {
@@ -306,7 +298,7 @@ impl<F: Field> MatrixOf<F> {
             }
             if let Some(pivot) = (rank..a.rows).find(|&r| !a.get(r, col).is_zero()) {
                 a.swap_rows(pivot, rank);
-                let p = Field::inv(a.get(rank, col)).expect("pivot is nonzero");
+                let p = a.get(rank, col).inv().expect("pivot is nonzero");
                 a.scale_row(rank, p);
                 for r in 0..a.rows {
                     if r != rank {
@@ -330,7 +322,7 @@ impl<F: Field> MatrixOf<F> {
             return Some(Vec::new());
         }
         // Incremental Gaussian elimination over candidate rows.
-        let mut basis: Vec<Vec<F>> = Vec::with_capacity(count);
+        let mut basis: Vec<Vec<Gf256>> = Vec::with_capacity(count);
         let mut pivots: Vec<usize> = Vec::with_capacity(count);
         let mut chosen = Vec::with_capacity(count);
         for r in 0..self.rows {
@@ -340,14 +332,14 @@ impl<F: Field> MatrixOf<F> {
                 let f = row[p];
                 if !f.is_zero() {
                     for (x, y) in row.iter_mut().zip(b) {
-                        *x = *x - f * *y;
+                        *x -= f * *y;
                     }
                 }
             }
             if let Some(p) = row.iter().position(|v| !v.is_zero()) {
-                let inv = Field::inv(row[p]).expect("nonzero pivot");
+                let inv = row[p].inv().expect("nonzero pivot");
                 for x in row.iter_mut() {
-                    *x = *x * inv;
+                    *x *= inv;
                 }
                 basis.push(row);
                 pivots.push(p);
@@ -369,7 +361,8 @@ impl<F: Field> MatrixOf<F> {
     pub fn is_identity(&self) -> bool {
         self.rows == self.cols
             && (0..self.rows).all(|r| {
-                (0..self.cols).all(|c| self.get(r, c) == if r == c { F::ONE } else { F::ZERO })
+                (0..self.cols)
+                    .all(|c| self.get(r, c) == if r == c { Gf256::ONE } else { Gf256::ZERO })
             })
     }
 
@@ -396,7 +389,7 @@ impl<F: Field> MatrixOf<F> {
         }
     }
 
-    fn scale_row(&mut self, r: usize, f: F) {
+    fn scale_row(&mut self, r: usize, f: Gf256) {
         for c in 0..self.cols {
             let v = self.get(r, c) * f;
             self.set(r, c, v);
@@ -404,15 +397,13 @@ impl<F: Field> MatrixOf<F> {
     }
 
     /// `row[dst] += f * row[src]`.
-    fn add_scaled_row(&mut self, src: usize, dst: usize, f: F) {
+    fn add_scaled_row(&mut self, src: usize, dst: usize, f: Gf256) {
         for c in 0..self.cols {
             let v = self.get(dst, c) + self.get(src, c) * f;
             self.set(dst, c, v);
         }
     }
-}
 
-impl Matrix {
     /// Builds a matrix from rows of raw bytes.
     ///
     /// # Panics
@@ -425,7 +416,7 @@ impl Matrix {
             assert_eq!(row.len(), cols, "ragged rows");
             data.extend(row.iter().map(|&b| Gf256::new(b)));
         }
-        MatrixOf {
+        Matrix {
             rows: rows.len(),
             cols,
             data,
@@ -442,7 +433,7 @@ impl Matrix {
     /// Panics if `n + k > 256`.
     pub fn cauchy(n: usize, k: usize) -> Self {
         assert!(n + k <= 256, "need n + k distinct field elements");
-        MatrixOf::from_fn(n, k, |i, j| {
+        Matrix::from_fn(n, k, |i, j| {
             (Gf256::new(i as u8) + Gf256::new((n + j) as u8))
                 .inv()
                 .expect("x_i and y_j are disjoint")
@@ -450,17 +441,17 @@ impl Matrix {
     }
 }
 
-impl<F: Field> Mul for &MatrixOf<F> {
-    type Output = MatrixOf<F>;
+impl Mul for &Matrix {
+    type Output = Matrix;
 
     /// Matrix product.
     ///
     /// # Panics
     ///
     /// Panics if the inner dimensions do not match.
-    fn mul(self, rhs: &MatrixOf<F>) -> MatrixOf<F> {
+    fn mul(self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "dimension mismatch in matrix product");
-        let mut out = MatrixOf::zeros(self.rows, rhs.cols);
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
         for r in 0..self.rows {
             for i in 0..self.cols {
                 let a = self.get(r, i);
@@ -477,7 +468,7 @@ impl<F: Field> Mul for &MatrixOf<F> {
     }
 }
 
-impl<F: Field + fmt::Display> fmt::Debug for MatrixOf<F> {
+impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
         for r in 0..self.rows {
@@ -491,7 +482,7 @@ impl<F: Field + fmt::Display> fmt::Debug for MatrixOf<F> {
     }
 }
 
-impl<F: Field + fmt::Display> fmt::Display for MatrixOf<F> {
+impl fmt::Display for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -652,23 +643,9 @@ mod tests {
     }
 
     #[test]
-    fn generic_matrix_over_gf65536() {
-        use crate::Gf65536;
-        // The same machinery runs over the wide field: a 300-point
-        // Vandermonde (impossible over GF(2^8)) with invertible submatrices.
-        let v: MatrixOf<Gf65536> = MatrixOf::vandermonde(300, 4);
-        let sub = v.select_rows(&[0, 99, 199, 299]);
-        assert!(sub.is_invertible());
-        let inv = sub.inverse().expect("vandermonde subset invertible");
-        assert!((&sub * &inv).is_identity());
-        assert_eq!(v.rank(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "distinct evaluation points")]
-    fn wide_vandermonde_point_limit() {
-        use crate::Gf65536;
-        let _: MatrixOf<Gf65536> = MatrixOf::vandermonde(65536, 4);
+    fn vandermonde_point_limit() {
+        let _ = Matrix::vandermonde(256, 4);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! assert_eq!(code.alpha(), 4);
 //! let plan = code.repair_plan(0, &[1, 2, 3, 4, 5, 6, 7])?;
 //! // 7 helpers send one of 4 segments each: 7/4 blocks instead of 4.
-//! assert!((plan.traffic_blocks(code.alpha()) - 7.0 / 4.0).abs() < 1e-9);
+//! assert!((plan.traffic_blocks() - 7.0 / 4.0).abs() < 1e-9);
 //! # Ok::<(), erasure::CodeError>(())
 //! ```
 
@@ -220,7 +220,7 @@ mod tests {
                 // Optimal: d segments of block_bytes / alpha each.
                 assert_eq!(traffic, d * stripe.block_bytes() / alpha);
                 let expect = d as f64 / alpha as f64;
-                assert!((plan.traffic_blocks(alpha) - expect).abs() < 1e-9);
+                assert!((plan.traffic_blocks() - expect).abs() < 1e-9);
             }
         }
     }

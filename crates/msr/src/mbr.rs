@@ -17,7 +17,9 @@
 //! `d` helpers gives `Ψ_R(Mψ_f)`, and by symmetry `ψ_fᵀM = (Mψ_f)ᵀ` — the
 //! newcomer's combine matrix is just `Ψ_R⁻¹`.
 
-use erasure::{CodeError, DataLayout, ErasureCode, HelperTask, LinearCode, RepairPlan};
+use erasure::{
+    check_indices, CodeError, DataLayout, ErasureCode, HelperTask, LinearCode, RepairPlan,
+};
 use gf256::builders::upper_index;
 use gf256::{Gf256, Matrix};
 
@@ -32,7 +34,7 @@ use gf256::{Gf256, Matrix};
 /// let code = ProductMatrixMbr::new(12, 6, 10)?;
 /// let plan = code.repair_plan(0, &(1..=10).collect::<Vec<_>>())?;
 /// // Exactly one block of repair traffic — the minimum possible.
-/// assert!((plan.traffic_blocks(code.linear().sub()) - 1.0).abs() < 1e-9);
+/// assert!((plan.traffic_blocks() - 1.0).abs() < 1e-9);
 /// # Ok::<(), erasure::CodeError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -198,14 +200,7 @@ impl ErasureCode for ProductMatrixMbr {
                 ),
             });
         }
-        for (idx, &h) in helpers.iter().enumerate() {
-            if h >= self.n {
-                return Err(CodeError::NodeOutOfRange { node: h, n: self.n });
-            }
-            if helpers[idx + 1..].contains(&h) {
-                return Err(CodeError::DuplicateNode { node: h });
-            }
-        }
+        check_indices(self.n, helpers)?;
         let psi_f = Self::psi(&self.points, failed, self.d);
         // Helper h computes psi_f . (pre-reorder block) from its stored
         // (reordered) block.
@@ -348,10 +343,7 @@ mod tests {
         let mbr = ProductMatrixMbr::new(12, 6, 10).unwrap();
         assert!((msr.optimal_repair_blocks() - 2.0).abs() < 1e-12);
         let helpers: Vec<usize> = (1..=10).collect();
-        let t = mbr
-            .repair_plan(0, &helpers)
-            .unwrap()
-            .traffic_blocks(mbr.linear().sub());
+        let t = mbr.repair_plan(0, &helpers).unwrap().traffic_blocks();
         assert!((t - 1.0).abs() < 1e-12);
         assert!(mbr.storage_expansion() > 1.0);
     }

@@ -17,7 +17,7 @@
 //! stays at the optimal `d/(d−k+1)` blocks. When `i = 0` only the
 //! systematic remapping is applied.
 
-use erasure::{CodeError, LinearCode};
+use erasure::{check_indices, CodeError, LinearCode};
 use gf256::{Gf256, Matrix};
 
 use crate::product_matrix::RawMsr;
@@ -134,14 +134,7 @@ impl ShortenedMsr {
         failed: usize,
         helpers: &[usize],
     ) -> Result<(Vec<Vec<Gf256>>, Matrix), CodeError> {
-        for (idx, &h) in helpers.iter().enumerate() {
-            if h >= self.n {
-                return Err(CodeError::NodeOutOfRange { node: h, n: self.n });
-            }
-            if helpers[idx + 1..].contains(&h) {
-                return Err(CodeError::DuplicateNode { node: h });
-            }
-        }
+        check_indices(self.n, helpers)?;
         let aux_failed = failed + self.i;
         // Auxiliary helper set: the i dropped (all-zero) blocks, then the
         // real helpers shifted by i.

@@ -231,7 +231,7 @@ pub fn measure_parallel_read(
 pub fn repair_traffic_mb(code: &dyn ErasureCode, block_mb: f64) -> f64 {
     let helpers: Vec<usize> = (1..=code.d()).collect();
     let plan = code.repair_plan(0, &helpers).expect("repair plan");
-    plan.traffic_blocks(code.linear().sub()) * block_mb
+    plan.traffic_blocks() * block_mb
 }
 
 /// The generating matrices of Fig. 5: `(3,2)` RS vs `(3,2,2,3)` Carousel,

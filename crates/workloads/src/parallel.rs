@@ -5,7 +5,6 @@
 //! depending on this experiments crate; it is re-exported here so
 //! `workloads::parallel::ParallelCtx` keeps resolving.
 
-use access::AccessCode;
 use erasure::ErasureCode;
 use filestore::{EncodedFile, FileCodec, FileError, FileMeta};
 
@@ -61,7 +60,7 @@ where
 /// unrecoverable stripe, like the sequential path.
 pub fn decode_file<C>(file: &EncodedFile<C>, ctx: &ParallelCtx) -> Result<Vec<u8>, FileError>
 where
-    C: AccessCode + Sync,
+    C: ErasureCode + Sync,
 {
     let parts = ctx.run(file.stripes(), |s| file.decode_stripe_at(s));
     let mut out = Vec::with_capacity(file.meta().file_len as usize);

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example degraded_read`
 
-use carousel::{Carousel, ReadMode};
-use erasure::ErasureCode;
+use carousel::Carousel;
+use erasure::{ErasureCode, ReadMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let code = Carousel::new(12, 6, 10, 10)?;
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plan.parallelism(),
             plan.traffic_blocks()
         );
-        for &(node, units) in plan.units_per_node() {
+        for (node, units) in plan.units_per_node() {
             let bytes = units * stripe.unit_bytes;
             let tag = if dead.contains(&node) { " (!)" } else { "" };
             print!("  [{node}:{bytes}B{tag}]");

@@ -40,10 +40,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use access::{AnyCode, CodeSpec};
 use access::{ObjectStore, PutOptions};
 use cluster::{ClusterClient, Coordinator, DataNodeConfig};
 use erasure::ErasureCode;
-use filestore::format::{self, AnyCode, CodeSpec};
+use filestore::format;
 use filestore::{FileCodec, FileError};
 use workloads::parallel::ParallelCtx;
 

@@ -6,11 +6,11 @@
 
 use std::sync::Arc;
 
+use access::CodeSpec;
 use access::{ObjectStore, PlanCache, PutOptions};
 use carousel::Carousel;
 use cluster::testing::LocalCluster;
 use erasure::ErasureCode;
-use filestore::format::CodeSpec;
 use filestore::FileCodec;
 use proptest::prelude::*;
 use workloads::parallel::ParallelCtx;

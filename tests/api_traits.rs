@@ -8,23 +8,21 @@ fn assert_clone_debug<T: Clone + std::fmt::Debug>() {}
 #[test]
 fn coding_types_are_send_sync() {
     assert_send_sync::<gf256::Gf256>();
-    assert_send_sync::<gf256::Gf65536>();
     assert_send_sync::<gf256::Matrix>();
     assert_send_sync::<erasure::LinearCode>();
     assert_send_sync::<erasure::SparseEncoder>();
     assert_send_sync::<erasure::ColumnUpdater>();
     assert_send_sync::<erasure::DecodePlan>();
+    assert_send_sync::<erasure::ReadPlan>();
+    assert_send_sync::<erasure::DegradedPlan>();
     assert_send_sync::<erasure::RepairPlan>();
     assert_send_sync::<erasure::DataLayout>();
     assert_send_sync::<erasure::CodeError>();
     assert_send_sync::<rs_code::ReedSolomon>();
-    assert_send_sync::<rs_code::wide::WideReedSolomon>();
     assert_send_sync::<msr::ProductMatrixMsr>();
     assert_send_sync::<msr::ProductMatrixMbr>();
     assert_send_sync::<lrc::LocalRepairable>();
     assert_send_sync::<carousel::Carousel>();
-    assert_send_sync::<carousel::ReadPlan>();
-    assert_send_sync::<carousel::BlockReadPlan>();
 }
 
 #[test]
@@ -52,7 +50,7 @@ fn data_types_are_clone_debug() {
     assert_clone_debug::<dfs::StoredFile>();
     assert_clone_debug::<mapreduce::WorkloadProfile>();
     assert_clone_debug::<filestore::FileMeta>();
-    assert_clone_debug::<filestore::format::CodeSpec>();
+    assert_clone_debug::<access::CodeSpec>();
 }
 
 #[test]

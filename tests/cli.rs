@@ -157,6 +157,71 @@ fn range_reads_bytes_to_stdout() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `meta` file is outside input: geometry that does not fit the recorded
+/// code is refused by name, where it used to divide by zero, index out of
+/// bounds, exhaust memory, or silently read the wrong stripe.
+#[test]
+fn tampered_meta_is_refused_not_trusted() {
+    let dir = temp_dir("tamper");
+    let input = write_input(&dir, 5_000);
+    let enc = dir.join("data.enc");
+    let enc_arg = enc.to_str().unwrap();
+    let encode = ["encode", input.to_str().unwrap(), enc_arg];
+    let geometry = ["--code", "rs(6,4)", "--block-bytes", "256"];
+    assert!(tool()
+        .args(encode)
+        .args(geometry)
+        .status()
+        .unwrap()
+        .success());
+    let meta = std::fs::read_to_string(enc.join("meta")).unwrap();
+    for (command, field, from, to) in [
+        (
+            &["range", enc_arg, "0", "10"][..],
+            "stripe_data_bytes",
+            "stripe_data_bytes=1024",
+            "stripe_data_bytes=0",
+        ),
+        (
+            &["range", enc_arg, "0", "10"],
+            "stripe_data_bytes",
+            "stripe_data_bytes=1024",
+            "stripe_data_bytes=7",
+        ),
+        (
+            &["range", enc_arg, "6000", "10"],
+            "file_len",
+            "file_len=5000",
+            "file_len=999999",
+        ),
+        (
+            &["inspect", enc_arg],
+            "stripes",
+            "stripes=5",
+            "stripes=99999999999",
+        ),
+    ] {
+        assert!(meta.contains(from), "fixture records {from}");
+        std::fs::write(enc.join("meta"), meta.replace(from, to)).unwrap();
+        let output = tool().args(command).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{to}: {stderr}");
+        assert!(stderr.contains("bad metadata"), "{to}: {stderr}");
+        assert!(stderr.contains(field), "{to}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{to}: {stderr}");
+        assert!(output.stdout.is_empty(), "{to}");
+    }
+    // Untouched metadata still serves the range.
+    std::fs::write(enc.join("meta"), &meta).unwrap();
+    let output = tool()
+        .args(["range", enc_arg, "4090", "10"])
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+    assert_eq!(output.stdout, &std::fs::read(&input).unwrap()[4090..4100]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn write_updates_in_place() {
     let dir = temp_dir("write");

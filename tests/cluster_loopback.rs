@@ -175,7 +175,7 @@ fn packed_objects_share_cluster_stripes() {
     let mut client = cluster
         .client()
         .with_seed(13)
-        .with_default_code(filestore::format::CodeSpec::Rs { n: 5, k: 3 })
+        .with_default_code(access::CodeSpec::Rs { n: 5, k: 3 })
         .with_default_block_bytes(120)
         .with_pack_limit(1000);
     let objects: Vec<(String, Vec<u8>)> = (0..8)

@@ -15,14 +15,8 @@ fn carousel_repair_traffic_equals_msr_for_same_d() {
         let msr = ProductMatrixMsr::new(n, k, d).unwrap();
         let ca = Carousel::new(n, k, d, n).unwrap();
         let helpers: Vec<usize> = (1..=d).collect();
-        let t_msr = msr
-            .repair_plan(0, &helpers)
-            .unwrap()
-            .traffic_blocks(msr.linear().sub());
-        let t_ca = ca
-            .repair_plan(0, &helpers)
-            .unwrap()
-            .traffic_blocks(ca.linear().sub());
+        let t_msr = msr.repair_plan(0, &helpers).unwrap().traffic_blocks();
+        let t_ca = ca.repair_plan(0, &helpers).unwrap().traffic_blocks();
         assert!((t_msr - t_ca).abs() < 1e-12, "({n},{k},{d})");
         assert!((t_msr - d as f64 / (d - k + 1) as f64).abs() < 1e-12);
     }
@@ -43,7 +37,7 @@ fn rs_is_msr_special_case_in_traffic() {
     let rs = ReedSolomon::new(10, 4).unwrap();
     let helpers = [1usize, 3, 5, 7];
     let plan = rs.repair_plan(0, &helpers).unwrap();
-    assert!((plan.traffic_blocks(1) - 4.0).abs() < 1e-12);
+    assert!((plan.traffic_blocks() - 4.0).abs() < 1e-12);
 }
 
 #[test]

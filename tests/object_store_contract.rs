@@ -7,9 +7,9 @@
 //! sharp: the same seeded put sequence under the same pack limit must
 //! land at the same `(pack, offset, len)` extents on both stores.
 
+use access::CodeSpec;
 use access::{Extent, ObjectBackend, ObjectStore, PutOptions};
 use cluster::testing::LocalCluster;
-use filestore::format::CodeSpec;
 use filestore::{FileCodec, LocalObjects};
 use rs_code::ReedSolomon;
 

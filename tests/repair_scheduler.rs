@@ -10,10 +10,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use access::CodeSpec;
 use access::{ObjectStore, PutOptions};
 use cluster::testing::LocalCluster;
 use cluster::{ClusterClient, Coordinator, RepairConfig, RepairScheduler};
-use filestore::format::CodeSpec;
 use workloads::parallel::ParallelCtx;
 
 fn put_storm_file(
