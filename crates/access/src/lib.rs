@@ -30,7 +30,12 @@
 //!   and two-stage [`parallel::pipeline`] the transports fan out on;
 //! * [`CodeSpec`] / [`AnyCode`] — the code registry: the serializable
 //!   name of a code and the trait object it builds, in the one file that
-//!   names every family, below both transports.
+//!   names every family, below both transports;
+//! * [`StripeGeometry`] — how a file's bytes map onto stripes and message
+//!   units for one code at one block size: the only place a block size is
+//!   checked against a code, and the only owner of "data bytes per
+//!   stripe", so both transports stripe a file identically for every
+//!   family (MBR-shaped ones included).
 //!
 //! The two in-tree byte-moving stacks are `filestore` (in-memory blocks,
 //! via [`MemorySource`]) and `cluster` (real TCP datanodes); `dfs`
@@ -41,6 +46,7 @@
 
 mod cache;
 mod executor;
+mod geometry;
 mod object;
 pub mod parallel;
 mod source;
@@ -52,6 +58,7 @@ pub use executor::{
     ExecError, FetchedStripe, PlanExecutor, RegionRead, RepairOutcome, StripeRead,
     DEFAULT_MAX_REPLANS,
 };
+pub use geometry::{Span, StripeGeometry};
 pub use object::{
     check_range, Extent, ObjectBackend, ObjectError, ObjectStore, PackCursor, PutOptions,
     DEFAULT_PACK_LIMIT, PACK_PREFIX,

@@ -20,10 +20,9 @@
 //! Writes `results/BENCH_observe.json` (in smoke mode too — the file is
 //! this bench's deliverable). Knobs: `BENCH_REPS` (gets per phase,
 //! default 6), `BENCH_DELAY_US` (per-request service delay, default
-//! 1500; 800 in smoke), `BENCH_FANOUT` (default 8), `BENCH_PIPELINE_W`
-//! (default 2). `--smoke` shrinks the file and asserts every phase
-//! histogram populated and the span tree is complete — the CI gate in
-//! `scripts/check.sh`.
+//! 1500; 800 in smoke), `BENCH_FANOUT` (default 8). `--smoke` shrinks the
+//! file and asserts every phase histogram populated and the span tree is
+//! complete — the CI gate in `scripts/check.sh`.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -114,7 +113,6 @@ fn to_json(
     reps: usize,
     delay_us: usize,
     fanout: usize,
-    depth: usize,
     rows: &[PhaseRow],
     trace_lines: &[String],
 ) -> String {
@@ -136,7 +134,7 @@ fn to_json(
         .join(",\n");
     format!(
         "{{\n  \"bench\": \"observe\",\n  \"smoke\": {smoke},\n  \"reps\": {reps},\n  \
-         \"config\": {{\"kernel\": \"{}\", \"fanout\": {fanout}, \"pipeline_depth\": {depth}, \
+         \"config\": {{\"kernel\": \"{}\", \"fanout\": {fanout}, \
          \"request_delay_us\": {delay_us}, \"geometry\": \"carousel(8,4,6,8)\"}},\n  \
          \"phases\": [\n{phases}\n  ],\n  \"trace_sample\": [\n{sample}\n  ]\n}}\n",
         gf256::kernel().name(),
@@ -148,7 +146,6 @@ fn main() {
     let reps = env_knob("BENCH_REPS", if smoke { 3 } else { 6 });
     let delay_us = env_knob("BENCH_DELAY_US", if smoke { 800 } else { 1500 });
     let fanout = env_knob("BENCH_FANOUT", 8);
-    let depth = env_knob("BENCH_PIPELINE_W", 2);
     let spec = CodeSpec::Carousel {
         n: 8,
         k: 4,
@@ -164,12 +161,11 @@ fn main() {
         .collect();
 
     let delay = Duration::from_micros(delay_us as u64);
-    let mut cluster = LocalCluster::start_with_delay(9, delay).expect("start cluster");
+    let mut cluster = LocalCluster::start_with_service(9, delay, None).expect("start cluster");
     let client = |cluster: &LocalCluster| -> ClusterClient {
         cluster
             .client()
             .with_fanout(ParallelCtx::builder().threads(fanout).build())
-            .with_pipeline_depth(depth)
     };
     let opts = PutOptions::new()
         .code(&spec.to_string())
@@ -245,7 +241,7 @@ fn main() {
     // --- Report.
     println!(
         "== Tail-latency attribution (delay {delay_us}us, fan-out {fanout}, \
-         depth {depth}, {reps} gets/phase) =="
+         {reps} gets/phase) =="
     );
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -273,7 +269,7 @@ fn main() {
         merged.histograms.len()
     );
 
-    let json = to_json(smoke, reps, delay_us, fanout, depth, &rows, &trace_lines);
+    let json = to_json(smoke, reps, delay_us, fanout, &rows, &trace_lines);
     std::fs::create_dir_all("results").expect("create results/");
     let path = std::path::PathBuf::from("results/BENCH_observe.json");
     std::fs::write(&path, &json).expect("write bench json");

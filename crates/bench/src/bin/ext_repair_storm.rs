@@ -79,7 +79,6 @@ fn foreground_client(coord: &Arc<Coordinator>) -> ClusterClient {
     ClusterClient::new(Arc::clone(coord))
         .with_timeout(Duration::from_secs(10))
         .with_fanout(ParallelCtx::builder().threads(8).build())
-        .with_pipeline_depth(2)
 }
 
 /// Runs one code through the storm and measures it.

@@ -23,17 +23,22 @@
 //!   connection, so one stripe's `p` unit reads (or `d` helper reads) hit
 //!   all nodes concurrently instead of paying `p` sequential round trips;
 //! * **stripe pipelining** — every read touching more than one stripe
-//!   (`get`, a multi-stripe `get_range`) keeps up to `W`
-//!   ([`ClusterClient::with_pipeline_depth`]) stripes in flight, decoding
-//!   stripe `i` while stripe `i+1` is being fetched, and puts overlap
-//!   stripe encoding with block uploads, recycling `EncodedStripe`
-//!   buffers through the pipeline.
+//!   (`get`, a multi-stripe `get_range`) keeps up to two stripes in
+//!   flight, decoding stripe `i` while stripe `i+1` is being fetched, and
+//!   multi-stripe puts and appends overlap stripe encoding with block
+//!   uploads, recycling `EncodedStripe` buffers through the pipeline. An
+//!   operation on a single stripe has nothing to overlap and runs inline.
+//!
+//! Which stripe and unit an offset falls into, how many data bytes a
+//! stripe carries and whether a recorded placement fits its own code is
+//! decided once, by [`access::StripeGeometry`] inside [`open`]; nothing
+//! else in this file builds a code or does stripe arithmetic.
 //!
 //! The client is an [`access::ObjectBackend`]: it supplies per-file
 //! primitives (`put_file`, the one range read, delta `write_file_range`,
 //! `append_file`, block-reclaiming delete) and the [`MetaRouter`]'s
 //! extent table, and the object layer in `access` — shared with the
-//! in-memory filestore — makes it an [`access::ObjectStore`].
+//! in-memory store — makes it an [`access::ObjectStore`].
 //!
 //! Decode plans are memoized in an [`access::PlanCache`] keyed by the
 //! availability pattern, and mid-operation replanning is bounded: a cluster
@@ -54,12 +59,12 @@ use std::time::{Duration, Instant};
 
 use access::parallel::{self, ParallelCtx};
 use access::{
-    check_range, BatchRequest, BlockSource, CodeSpec, ExecError, Extent, Fetch, FetchedStripe,
-    ObjectBackend, PackCursor, PlanCache, PlanExecutor, PutOptions, ReadMode,
+    check_range, AnyCode, BatchRequest, BlockSource, CodeSpec, ExecError, Extent, Fetch,
+    FetchedStripe, ObjectBackend, ObjectError, PackCursor, PlanCache, PlanExecutor, PutOptions,
+    ReadMode, Span, StripeGeometry,
 };
 use dfs::Placement;
-use erasure::{CodeError, ColumnUpdater, ErasureCode as _, HelperTask};
-use filestore::{FileCodec, FileError};
+use erasure::{CodeError, ColumnUpdater, ErasureCode as _, HelperTask, SparseEncoder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -129,8 +134,9 @@ pub type NodeStats = telemetry::Snapshot;
 /// distinct failure patterns a session sees).
 const PLAN_CACHE_CAPACITY: usize = 64;
 
-/// Default bound on stripes in flight in the get/put pipelines.
-const DEFAULT_PIPELINE_DEPTH: usize = 2;
+/// Stripes in flight between the two stages of the get/put pipelines:
+/// enough to overlap one stripe's wire time with the next one's coding.
+const PIPELINE_DEPTH: usize = 2;
 
 /// Files whose manifests a client caches before evicting arbitrarily.
 const MANIFEST_CACHE_CAPACITY: usize = 4096;
@@ -308,6 +314,39 @@ impl Link {
         }
         unreachable!("loop returns on every path")
     }
+
+    /// The placement of `name`, straight from its shard (no cache).
+    fn placement(&self, name: &str) -> Result<FilePlacement, ClusterError> {
+        let unknown = || ClusterError::UnknownFile { name: name.into() };
+        self.meta.file(name).ok_or_else(unknown)
+    }
+
+    /// [`Link::call`] for the write ops, whose only success is `Done`.
+    fn call_done(
+        &self,
+        node: usize,
+        request: &Request,
+        op: &str,
+        trace: telemetry::trace::TraceCtx,
+    ) -> Result<Tally, ClusterError> {
+        let (response, tally) = self.call(node, request, trace)?;
+        expect_reply(op, response, false)?;
+        Ok(tally)
+    }
+}
+
+/// The one reply classifier: a request succeeds with `Done` or — when it
+/// asks for bytes (`want_data`) — with `Data`, whose payload is returned;
+/// `Error` is the remote side refusing, anything else a protocol violation.
+fn expect_reply(op: &str, response: Response, want_data: bool) -> Result<Vec<u8>, ClusterError> {
+    match (response, want_data) {
+        (Response::Done, false) => Ok(Vec::new()),
+        (Response::Data(bytes), true) => Ok(bytes),
+        (Response::Error(message), _) => Err(ClusterError::Remote { message }),
+        (other, _) => Err(ClusterError::Protocol {
+            reason: format!("unexpected {op} reply: {other:?}"),
+        }),
+    }
 }
 
 /// Performs one exchange and classifies the outcome for the executor:
@@ -341,8 +380,7 @@ struct StripeSource<'a> {
     stripe: usize,
     /// Role → datanode id for this stripe.
     row: &'a [usize],
-    sub: usize,
-    w: usize,
+    geometry: StripeGeometry,
     /// Roles known present (repair's Stat-probed list); `None` means trust
     /// the coordinator's node liveness.
     present: Option<&'a [usize]>,
@@ -356,27 +394,53 @@ struct StripeSource<'a> {
     tally: Tally,
 }
 
-impl StripeSource<'_> {
+impl<'a> StripeSource<'a> {
+    /// A foreground source over stripe `stripe` of `name`: liveness from
+    /// the coordinator, no fan-in gate. Repair overrides both fields.
+    fn new(
+        link: &'a Link,
+        ctx: &'a ParallelCtx,
+        name: &'a str,
+        stripe: usize,
+        row: &'a [usize],
+        geometry: StripeGeometry,
+        trace: telemetry::trace::TraceCtx,
+    ) -> Self {
+        StripeSource {
+            link,
+            ctx,
+            name,
+            stripe,
+            row,
+            geometry,
+            present: None,
+            trace,
+            gate: None,
+            tally: Tally::default(),
+        }
+    }
+
     /// The wire request realizing one batch request.
     fn wire_request(&self, request: &BatchRequest<'_>) -> Request {
+        let sub = self.geometry.sub();
         match request {
             BatchRequest::Units { node: role, units } => Request::GetUnits {
                 id: block_id(self.name, self.stripe, *role),
-                sub: self.sub as u32,
+                sub: sub as u32,
                 units: units.iter().map(|&u| u as u32).collect(),
             },
             BatchRequest::Repair { node: role, task } => {
                 let beta = task.beta();
-                let mut coeffs = Vec::with_capacity(beta * self.sub);
+                let mut coeffs = Vec::with_capacity(beta * sub);
                 for r in 0..beta {
-                    for c in 0..self.sub {
+                    for c in 0..sub {
                         coeffs.push(task.coeffs.get(r, c).value());
                     }
                 }
                 Request::RepairRead {
                     id: block_id(self.name, self.stripe, *role),
                     rows: beta as u32,
-                    cols: self.sub as u32,
+                    cols: sub as u32,
                     coeffs,
                 }
             }
@@ -398,7 +462,7 @@ impl BlockSource for StripeSource<'_> {
     }
 
     fn unit_bytes(&self) -> usize {
-        self.w
+        self.geometry.unit_bytes()
     }
 
     fn available(&mut self) -> Vec<usize> {
@@ -483,9 +547,6 @@ pub struct ClusterClient {
     plans: PlanCache,
     /// Worker pool for per-node request fan-out.
     ctx: ParallelCtx,
-    /// Stripes kept in flight by the get/put pipelines (`0` = no
-    /// pipelining, everything inline).
-    pipeline_depth: usize,
     /// Shared per-node fan-in cap applied to this client's helper repair
     /// reads; set by the repair scheduler on its worker clients.
     repair_gate: Option<Arc<FanInGate>>,
@@ -499,8 +560,6 @@ pub struct ClusterClient {
     default_spec: CodeSpec,
     /// Block size used by puts that name none (and by every pack).
     default_block_bytes: usize,
-    /// Placement policy for every put/append this client performs.
-    placement: Placement,
     /// Placement randomness, advanced across puts. Seeded so a client's
     /// placements are reproducible; override with
     /// [`ClusterClient::with_seed`].
@@ -510,8 +569,8 @@ pub struct ClusterClient {
 }
 
 impl ClusterClient {
-    /// Creates a client with a 10-second I/O timeout, a default-sized
-    /// fan-out pool and a pipeline depth of 2.
+    /// Creates a client with a 10-second I/O timeout and a default-sized
+    /// fan-out pool.
     pub fn new(coord: Arc<Coordinator>) -> Self {
         ClusterClient::routed(MetaRouter::single(coord))
     }
@@ -527,7 +586,6 @@ impl ClusterClient {
             },
             plans: PlanCache::new(PLAN_CACHE_CAPACITY),
             ctx: ParallelCtx::default(),
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             repair_gate: None,
             manifests: HashMap::new(),
             manifest_hits: 0,
@@ -536,7 +594,6 @@ impl ClusterClient {
             rx_bytes: 0,
             default_spec: CodeSpec::Rs { n: 6, k: 4 },
             default_block_bytes: 1 << 16,
-            placement: Placement::Random,
             rng: StdRng::seed_from_u64(0x5EED),
             packs: PackCursor::default(),
         }
@@ -555,13 +612,6 @@ impl ClusterClient {
     #[must_use]
     pub fn with_default_block_bytes(mut self, bytes: usize) -> Self {
         self.default_block_bytes = bytes;
-        self
-    }
-
-    /// Overrides the placement policy for this client's puts and appends.
-    #[must_use]
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -595,15 +645,6 @@ impl ClusterClient {
     #[must_use]
     pub fn with_fanout(mut self, ctx: ParallelCtx) -> Self {
         self.ctx = ctx;
-        self
-    }
-
-    /// Overrides the number of stripes the get/put pipelines keep in
-    /// flight (the `W` knob). `0` disables pipelining: every stripe is
-    /// fetched, decoded and stored strictly in sequence on the caller.
-    #[must_use]
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
         self
     }
 
@@ -653,11 +694,7 @@ impl ClusterClient {
         if telemetry::ENABLED {
             META_CACHE_MISS.inc();
         }
-        let fp = self
-            .link
-            .meta
-            .file(name)
-            .ok_or_else(|| ClusterError::UnknownFile { name: name.into() })?;
+        let fp = self.link.placement(name)?;
         let fp = Arc::new(fp);
         if self.manifests.len() >= MANIFEST_CACHE_CAPACITY && !self.manifests.contains_key(name) {
             // Evict an arbitrary entry; the cache is a working set, not
@@ -700,11 +737,7 @@ impl ClusterClient {
     }
 
     /// Encodes `data` with `spec`, places it across the alive nodes, and
-    /// uploads every block. With a nonzero pipeline depth the stripe
-    /// encoder runs ahead of the uploads, recycling a fixed ring of
-    /// `EncodedStripe` buffers; each stripe's `n` block uploads fan out
-    /// over the client's workers. The engine under
-    /// [`ObjectBackend::create`].
+    /// uploads every block. The engine under [`ObjectBackend::create`].
     ///
     /// # Errors
     ///
@@ -717,95 +750,82 @@ impl ClusterClient {
         spec: CodeSpec,
         block_bytes: usize,
     ) -> Result<FilePlacement, ClusterError> {
-        let ctx = &self.ctx.clone();
         if data.is_empty() {
-            return Err(FileError::BadGeometry {
-                reason: "cannot encode an empty file".into(),
-            }
-            .into());
+            return Err(ObjectError::EmptyObject.into());
         }
-        let code = spec.build()?;
-        let codec = FileCodec::new(code, block_bytes)?;
-        let sdb = codec.stripe_data_bytes();
-        let chunks: Vec<&[u8]> = data.chunks(sdb).collect();
+        let (code, geometry) = open(spec, block_bytes)?;
         let fp = self.link.meta.place_file(
             name,
             spec,
             data.len() as u64,
             block_bytes,
-            chunks.len(),
-            self.placement,
+            geometry.stripes_for(data.len() as u64),
+            Placement::Random,
             &mut self.rng,
         )?;
-
-        let link = &self.link;
-        let depth = self.pipeline_depth;
-        let mut tally = Tally::default();
-        let mut outcome: Result<(), ClusterError> = Ok(());
         let op = telemetry::trace::TraceCtx::root().child("cluster.op.put_us");
-        let op_ctx = op.ctx();
-
-        if depth == 0 || chunks.len() <= 1 {
-            let mut stripe = codec.empty_stripe();
-            for (s, chunk) in chunks.iter().enumerate() {
-                codec.encode_stripe_into(chunk, &mut stripe)?;
-                tally += send_stripe(link, ctx, name, s, &fp.nodes[s], &stripe.blocks, op_ctx)?;
-            }
-        } else {
-            // Encode on a worker, upload on the caller, with `depth`
-            // stripes buffered between them and `depth + 2` stripe
-            // buffers recycled through the loop (one being encoded, one
-            // being sent, `depth` in the channel).
-            let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<erasure::EncodedStripe>();
-            for _ in 0..depth + 2 {
-                recycle_tx
-                    .send(codec.empty_stripe())
-                    .expect("recycle channel open");
-            }
-            let rows = &fp.nodes;
-            let (encoded, sent) = parallel::pipeline(
-                depth,
-                move |pipe| -> Result<(), FileError> {
-                    for (s, chunk) in chunks.iter().enumerate() {
-                        let Ok(mut stripe) = recycle_rx.recv() else {
-                            return Ok(()); // consumer bailed; its error wins
-                        };
-                        codec.encode_stripe_into(chunk, &mut stripe)?;
-                        if telemetry::ENABLED {
-                            PIPELINE_INFLIGHT.add(1);
-                        }
-                        if pipe.send((s, stripe)).is_err() {
-                            return Ok(());
-                        }
-                    }
-                    Ok(())
-                },
-                |pipe| {
-                    let mut tally = Tally::default();
-                    loop {
-                        let wait = Instant::now();
-                        let Ok((s, stripe)) = pipe.recv() else { break };
-                        if telemetry::ENABLED {
-                            FETCH_STALL.record(wait.elapsed().as_micros() as u64);
-                            PIPELINE_INFLIGHT.add(-1);
-                        }
-                        match send_stripe(link, ctx, name, s, &rows[s], &stripe.blocks, op_ctx) {
-                            Ok(t) => tally += t,
-                            Err(e) => return (tally, Err(e)),
-                        }
-                        let _ = recycle_tx.send(stripe);
-                    }
-                    (tally, Ok(()))
-                },
-            );
-            let (sent_tally, sent) = sent;
-            tally += sent_tally;
-            encoded?;
-            outcome = sent;
-        }
-        self.fold(tally);
-        outcome?;
+        self.upload(name, &code, geometry, data, 0, &fp.nodes, op.ctx())?;
         Ok(fp)
+    }
+
+    /// Encodes `data` stripe by stripe and uploads stripe `first + i` of
+    /// `name` to `rows[i]`, each stripe's `n` PutBlocks fanned out over the
+    /// client's workers; with more than one stripe the encoder runs ahead
+    /// of the uploads ([`staged`]).
+    #[allow(clippy::too_many_arguments)]
+    fn upload(
+        &mut self,
+        name: &str,
+        code: &AnyCode,
+        geometry: StripeGeometry,
+        data: &[u8],
+        first: usize,
+        rows: &[Vec<usize>],
+        op_ctx: telemetry::trace::TraceCtx,
+    ) -> Result<(), ClusterError> {
+        let encoder = SparseEncoder::new(code.linear());
+        let chunks: Vec<(usize, &[u8])> = data
+            .chunks(geometry.stripe_data_bytes())
+            .enumerate()
+            .collect();
+        // Stripe buffers are recycled through the stages: one being
+        // encoded, one being sent, `PIPELINE_DEPTH` in between.
+        let (recycle_tx, recycle_rx) = std::sync::mpsc::channel();
+        for _ in 0..chunks.len().min(PIPELINE_DEPTH + 2) {
+            recycle_tx
+                .send(geometry.empty_stripe())
+                .expect("recycle channel open");
+        }
+        let link = &self.link;
+        let ctx = &self.ctx;
+        let mut tally = Tally::default();
+        let outcome = staged(
+            chunks,
+            move |(i, chunk)| {
+                let mut stripe = recycle_rx.recv().expect("the ring outlives the run");
+                encoder
+                    .encode_into(chunk, &mut stripe)
+                    .map(|()| (i, stripe))
+            },
+            |encoded| {
+                let (i, stripe) = encoded?;
+                let row = &rows[i];
+                let sent = ctx.run(row.len(), |role| {
+                    let request = Request::PutBlock {
+                        id: block_id(name, first + i, role),
+                        data: stripe.blocks[role].clone(),
+                    };
+                    link.call_done(row[role], &request, "PutBlock", op_ctx)
+                });
+                for result in sent {
+                    tally += result?;
+                }
+                let _ = recycle_tx.send(stripe);
+                Ok(())
+            },
+        );
+        self.fold(tally);
+        outcome
     }
 
     /// Reads `len` bytes at `offset` of a placed file (`range` `None`: the
@@ -856,10 +876,9 @@ impl ClusterClient {
     /// fanned-out batch, and — if any fetch fails mid-read — excludes
     /// *all* failed roles and replans, degrading from the direct parallel
     /// path to the degraded/fallback paths without surfacing the failure
-    /// to the caller. With a nonzero pipeline depth and more than one
-    /// stripe touched, stripe `i` decodes while stripe `i+1` is being
-    /// fetched; each decoded stripe's overlap with the range is copied
-    /// straight into the output.
+    /// to the caller. With more than one stripe touched, stripe `i`
+    /// decodes while stripe `i+1` is being fetched; each decoded stripe's
+    /// overlap with the range is copied straight into the output.
     ///
     /// # Errors
     ///
@@ -874,121 +893,52 @@ impl ClusterClient {
         len: u64,
         op_ctx: telemetry::trace::TraceCtx,
     ) -> Result<(Vec<u8>, bool), ClusterError> {
-        let end = check_range(offset, len, fp.file_len)?;
+        check_range(offset, len, fp.file_len)?;
         if len == 0 {
             return Ok((Vec::new(), false));
         }
+        let (code, geometry) = open_placed(fp)?;
+        let spans: Vec<Span> = geometry.spans(offset, len).collect();
         let name = fp.name.as_str();
-        let code = fp.spec.build()?;
-        let sub = code.linear().sub();
-        let w = fp.block_bytes / sub;
-        let sdb = (code.k() * fp.block_bytes) as u64;
-        let first = (offset / sdb) as usize;
-        let last = ((end - 1) / sdb) as usize;
         let executor = PlanExecutor::new(&self.plans);
         let link = &self.link;
         let ctx = &self.ctx;
         let code = &code;
 
         // Fetch one stripe's plan-worth of units (no decode yet).
-        let fetch_one = |s: usize| -> (Result<FetchedStripe, ClusterError>, Tally) {
-            let span = op_ctx.child("cluster.fetch.stripe_us");
-            let mut source = StripeSource {
-                link,
-                ctx,
-                name,
-                stripe: s,
-                row: &fp.nodes[s],
-                sub,
-                w,
-                present: None,
-                trace: span.ctx(),
-                gate: None,
-                tally: Tally::default(),
-            };
+        let mut tally = Tally::default();
+        let fetch = |span: Span| {
+            let s = span.index;
+            let trace = op_ctx.child("cluster.fetch.stripe_us");
+            let mut source =
+                StripeSource::new(link, ctx, name, s, &fp.nodes[s], geometry, trace.ctx());
             let fetched = executor
                 .fetch_stripe(code, &mut source)
                 .map_err(|e| read_error(name, s, e));
-            (fetched, source.tally)
+            tally += source.tally;
+            (span, fetched)
         };
 
         // Decode a fetched stripe and copy its overlap with the range
         // straight into the output.
         let mut out = vec![0u8; len as usize];
         let mut degraded = false;
-        let mut decode_into = |s: usize,
-                               fetched: Result<FetchedStripe, ClusterError>,
-                               out: &mut [u8]|
-         -> Result<(), ClusterError> {
+        let decode = |(span, fetched): (Span, Result<FetchedStripe, ClusterError>)| {
             let fetched = fetched?;
             if fetched.mode() != ReadMode::Direct || fetched.replans() > 0 {
                 degraded = true;
             }
             let _span = op_ctx.child("cluster.decode.stripe_us");
             let decoded_at = telemetry::ENABLED.then(Instant::now);
-            let data = fetched.decode().map_err(|_| unreadable(name, s))?;
+            let data = fetched.decode().map_err(|_| unreadable(name, span.index))?;
             if let Some(t) = decoded_at {
                 PHASE_DECODE.record(t.elapsed().as_micros() as u64);
             }
-            let stripe_start = s as u64 * sdb;
-            let lo = offset.max(stripe_start);
-            let hi = end.min(stripe_start + sdb);
-            out[(lo - offset) as usize..(hi - offset) as usize]
-                .copy_from_slice(&data[(lo - stripe_start) as usize..(hi - stripe_start) as usize]);
+            out[span.range()].copy_from_slice(&data[span.within..span.within + span.take]);
             Ok(())
         };
 
-        let mut tally = Tally::default();
-        let mut outcome: Result<(), ClusterError> = Ok(());
-        if self.pipeline_depth == 0 || first == last {
-            for s in first..=last {
-                let (fetched, t) = fetch_one(s);
-                tally += t;
-                outcome = decode_into(s, fetched, &mut out);
-                if outcome.is_err() {
-                    break;
-                }
-            }
-        } else {
-            // Fetch on a worker, decode on the caller, `depth` stripes in
-            // flight between them.
-            let out_ref = &mut out;
-            let (fetch_tally, decoded) = parallel::pipeline(
-                self.pipeline_depth,
-                move |pipe| -> Tally {
-                    let mut tally = Tally::default();
-                    for s in first..=last {
-                        let (fetched, t) = fetch_one(s);
-                        tally += t;
-                        let failed = fetched.is_err();
-                        if telemetry::ENABLED {
-                            PIPELINE_INFLIGHT.add(1);
-                        }
-                        if pipe.send((s, fetched)).is_err() || failed {
-                            break;
-                        }
-                    }
-                    tally
-                },
-                |pipe| -> Result<(), ClusterError> {
-                    loop {
-                        let wait = Instant::now();
-                        let Ok((s, fetched)) = pipe.recv() else {
-                            return Ok(());
-                        };
-                        if telemetry::ENABLED {
-                            FETCH_STALL.record(wait.elapsed().as_micros() as u64);
-                            PIPELINE_INFLIGHT.add(-1);
-                        }
-                        // An error drops the receiver on return, which
-                        // stops the producer at its next send.
-                        decode_into(s, fetched, out_ref)?;
-                    }
-                },
-            );
-            tally += fetch_tally;
-            outcome = decoded;
-        }
+        let outcome = staged(spans, fetch, decode);
         self.fold(tally);
         outcome?;
         Ok((out, degraded))
@@ -1012,11 +962,7 @@ impl ClusterClient {
     /// [`ClusterError::Unavailable`] when fewer than `d` helpers or no
     /// target node can be found for some block.
     pub fn repair_file(&mut self, name: &str) -> Result<RepairReport, ClusterError> {
-        let fp = self
-            .link
-            .meta
-            .file(name)
-            .ok_or_else(|| ClusterError::UnknownFile { name: name.into() })?;
+        let fp = self.link.placement(name)?;
         let op = telemetry::trace::TraceCtx::root().child("cluster.op.repair_us");
         let mut report = RepairReport::default();
         for s in 0..fp.stripes {
@@ -1055,19 +1001,13 @@ impl ClusterClient {
         // the freshest placement (an earlier repair may have re-homed a
         // helper this one needs), and repairs are rare enough that the
         // extra shard round trip is noise.
-        let fp = self
-            .link
-            .meta
-            .file(name)
-            .ok_or_else(|| ClusterError::UnknownFile { name: name.into() })?;
+        let fp = self.link.placement(name)?;
         let Some(row) = fp.nodes.get(s) else {
             return Err(ClusterError::Protocol {
                 reason: format!("file {name:?} has {} stripes, no stripe {s}", fp.stripes),
             });
         };
-        let code = fp.spec.build()?;
-        let sub = code.linear().sub();
-        let w = fp.block_bytes / sub;
+        let (code, geometry) = open_placed(&fp)?;
         let d = code.d();
         let executor = PlanExecutor::new(&self.plans);
         let mut report = RepairReport::default();
@@ -1105,17 +1045,9 @@ impl ClusterClient {
             }
             for failed in missing {
                 let mut source = StripeSource {
-                    link,
-                    ctx: &self.ctx,
-                    name,
-                    stripe: s,
-                    row: &row,
-                    sub,
-                    w,
                     present: Some(&present),
-                    trace: op_ctx,
                     gate: self.repair_gate.as_deref(),
-                    tally: Tally::default(),
+                    ..StripeSource::new(link, &self.ctx, name, s, &row, geometry, op_ctx)
                 };
                 let outcome = executor
                     .repair_block(&code, failed, &mut source)
@@ -1143,14 +1075,7 @@ impl ClusterClient {
                     id: block_id(name, s, failed),
                     data: outcome.block,
                 };
-                match link.call(target, &request, op_ctx)? {
-                    (Response::Done, t) => tally += t,
-                    (other, _) => {
-                        return Err(ClusterError::Protocol {
-                            reason: format!("unexpected PutBlock reply: {other:?}"),
-                        });
-                    }
-                }
+                tally += link.call_done(target, &request, "PutBlock", op_ctx)?;
                 // The commit flows through the shard's record log and
                 // bumps its epoch, invalidating every client's cached
                 // manifest of this file.
@@ -1170,6 +1095,19 @@ impl ClusterClient {
         Ok(report)
     }
 
+    /// One admin exchange with `node` whose reply must carry a payload.
+    fn scrape(
+        &mut self,
+        node: usize,
+        request: &Request,
+        span: &'static str,
+    ) -> Result<Vec<u8>, ClusterError> {
+        let root = telemetry::trace::TraceCtx::root().child(span);
+        let (response, tally) = self.link.call(node, request, root.ctx())?;
+        self.fold(tally);
+        expect_reply(span, response, true)
+    }
+
     /// Scrapes one datanode's full telemetry registry over the wire via
     /// [`Request::Stats`]. With the `telemetry` feature compiled out (on
     /// either end) the snapshot is empty.
@@ -1179,16 +1117,8 @@ impl ClusterClient {
     /// [`ClusterError::NodeDown`] for unreachable nodes, or a protocol
     /// error when the reply cannot be decoded.
     pub fn node_stats(&mut self, node: usize) -> Result<NodeStats, ClusterError> {
-        let op = telemetry::trace::TraceCtx::root().child("cluster.op.stats_us");
-        let (response, tally) = self.link.call(node, &Request::Stats, op.ctx())?;
-        self.fold(tally);
-        match response {
-            Response::Data(bytes) => protocol::decode_stats(&bytes),
-            Response::Error(message) => Err(ClusterError::Remote { message }),
-            other => Err(ClusterError::Protocol {
-                reason: format!("unexpected Stats reply: {other:?}"),
-            }),
-        }
+        let bytes = self.scrape(node, &Request::Stats, "cluster.op.stats_us")?;
+        protocol::decode_stats(&bytes)
     }
 
     /// Asks one datanode for its process's repair-scheduler status board
@@ -1200,16 +1130,8 @@ impl ClusterClient {
     /// [`ClusterError::NodeDown`] for unreachable nodes, or a protocol
     /// error when the reply cannot be decoded.
     pub fn repair_status(&mut self, node: usize) -> Result<RepairStatusReport, ClusterError> {
-        let op = telemetry::trace::TraceCtx::root().child("cluster.op.repair_status_us");
-        let (response, tally) = self.link.call(node, &Request::RepairStatus, op.ctx())?;
-        self.fold(tally);
-        match response {
-            Response::Data(bytes) => protocol::decode_repair_status(&bytes),
-            Response::Error(message) => Err(ClusterError::Remote { message }),
-            other => Err(ClusterError::Protocol {
-                reason: format!("unexpected RepairStatus reply: {other:?}"),
-            }),
-        }
+        let bytes = self.scrape(node, &Request::RepairStatus, "cluster.op.repair_status_us")?;
+        protocol::decode_repair_status(&bytes)
     }
 
     /// Fetches one file's manifest *over the wire* from a datanode via
@@ -1223,26 +1145,20 @@ impl ClusterClient {
     /// [`ClusterError::NodeDown`] for unreachable nodes,
     /// [`ClusterError::Remote`] when the node serves no metadata or the
     /// file is unknown there, or a protocol error for undecodable
-    /// replies.
+    /// replies and for a placement that does not fit its own code.
     pub fn manifest_from_node(
         &mut self,
         node: usize,
         name: &str,
     ) -> Result<(u64, FilePlacement), ClusterError> {
-        let op = telemetry::trace::TraceCtx::root().child("cluster.op.manifest_us");
         let request = Request::ManifestGet { name: name.into() };
-        let (response, tally) = self.link.call(node, &request, op.ctx())?;
-        self.fold(tally);
-        match response {
-            Response::Data(bytes) => protocol::decode_manifest(&bytes),
-            Response::Error(message) => Err(ClusterError::Remote { message }),
-            other => Err(ClusterError::Protocol {
-                reason: format!("unexpected ManifestGet reply: {other:?}"),
-            }),
-        }
+        let bytes = self.scrape(node, &request, "cluster.op.manifest_us")?;
+        let (epoch, fp) = protocol::decode_manifest(&bytes)?;
+        open_placed(&fp)?;
+        Ok((epoch, fp))
     }
 
-    /// Ships an in-place edit of `name`'s bytes as per-node
+    /// Ships an in-place edit of a placed file's bytes as per-node
     /// [`Request::WriteDelta`]s: for each touched stripe the edit's
     /// unit-aligned message deltas are computed once, and every affected
     /// alive node applies `Σ coeffᵢ · Δᵢ` to its block locally —
@@ -1259,7 +1175,6 @@ impl ClusterClient {
     /// just deltas.
     fn delta_write(
         &mut self,
-        name: &str,
         fp: &FilePlacement,
         offset: u64,
         old: &[u8],
@@ -1270,30 +1185,18 @@ impl ClusterClient {
         if new.is_empty() {
             return Ok(());
         }
-        let code = fp.spec.build()?;
+        let (code, geometry) = open_placed(fp)?;
         let updater = ColumnUpdater::new(code.linear());
-        let sub = code.linear().sub();
-        let w = fp.block_bytes / sub;
-        let sdb = (code.k() * fp.block_bytes) as u64;
-        let end = offset + new.len() as u64;
-        let first = (offset / sdb) as usize;
-        let last = ((end - 1) / sdb) as usize;
+        let w = geometry.unit_bytes();
         let mut tally = Tally::default();
         let mut requests = 0u64;
         let outcome = (|| -> Result<(), ClusterError> {
             let link = &self.link;
             let ctx = &self.ctx;
-            for s in first..=last {
-                let stripe_start = s as u64 * sdb;
-                let lo = offset.max(stripe_start);
-                let hi = end.min(stripe_start + sdb);
-                let span = (lo - offset) as usize..(hi - offset) as usize;
-                let delta = updater.stripe_delta(
-                    w,
-                    (lo - stripe_start) as usize,
-                    &old[span.clone()],
-                    &new[span],
-                )?;
+            for span in geometry.spans(offset, new.len() as u64) {
+                let s = span.index;
+                let delta =
+                    updater.stripe_delta(w, span.within, &old[span.range()], &new[span.range()])?;
                 let updates = updater.node_updates(&delta)?;
                 let row = &fp.nodes[s];
                 // Ship only to nodes the coordinator believes alive: a
@@ -1304,7 +1207,7 @@ impl ClusterClient {
                     .filter(|u| link.meta.is_alive(row[u.node]))
                     .map(|u| {
                         let request = Request::WriteDelta {
-                            id: block_id(name, s, u.node),
+                            id: block_id(&fp.name, s, u.node),
                             unit_bytes: w as u32,
                             deltas: delta.deltas.clone(),
                             rows: u
@@ -1319,18 +1222,12 @@ impl ClusterClient {
                     })
                     .collect();
                 requests += wire.len() as u64;
-                let results = ctx.run(wire.len(), |i| link.call(wire[i].0, &wire[i].1, op_ctx));
+                let results = ctx.run(wire.len(), |i| {
+                    link.call_done(wire[i].0, &wire[i].1, "WriteDelta", op_ctx)
+                });
                 for result in results {
                     match result {
-                        Ok((Response::Done, t)) => tally += t,
-                        Ok((Response::Error(message), _)) => {
-                            return Err(ClusterError::Remote { message });
-                        }
-                        Ok((other, _)) => {
-                            return Err(ClusterError::Protocol {
-                                reason: format!("unexpected WriteDelta reply: {other:?}"),
-                            });
-                        }
+                        Ok(t) => tally += t,
                         // Died mid-update: already marked dead, repair
                         // heals its block from the updated peers.
                         Err(ClusterError::NodeDown { .. }) => {}
@@ -1364,7 +1261,7 @@ impl ClusterClient {
             return Ok(());
         }
         let old = self.read_file(name, Some((offset, new.len() as u64)))?;
-        self.delta_write(name, &fp, offset, &old, new, op.ctx())?;
+        self.delta_write(&fp, offset, &old, new, op.ctx())?;
         if telemetry::ENABLED {
             UPDATE_WRITES.inc();
         }
@@ -1382,48 +1279,26 @@ impl ClusterClient {
         if tail.is_empty() {
             return Ok(fp.file_len);
         }
-        let code = fp.spec.build()?;
-        let sdb = code.k() * fp.block_bytes;
-        let capacity = fp.stripes as u64 * sdb as u64;
+        let (code, geometry) = open_placed(&fp)?;
         let old_len = fp.file_len;
-        let fill = ((capacity - old_len) as usize).min(tail.len());
+        let fill = (geometry.padding(old_len) as usize).min(tail.len());
         let overflow = &tail[fill..];
-        let added = overflow.len().div_ceil(sdb);
+        let added = geometry.stripes_for(overflow.len() as u64);
         let new_len = old_len + tail.len() as u64;
         // Metadata first, mirroring put: the new stripes' homes are
         // durable (one FileExtended record) before any block lands.
         let rows =
             self.link
                 .meta
-                .extend_file(name, new_len, added, self.placement, &mut self.rng)?;
+                .extend_file(name, new_len, added, Placement::Random, &mut self.rng)?;
         if fill > 0 {
             // Bytes past the old end are implicit zero padding of the
             // stripe message, so the fill is a delta with all-zero old.
             let zeros = vec![0u8; fill];
-            self.delta_write(name, &fp, old_len, &zeros, &tail[..fill], op_ctx)?;
+            self.delta_write(&fp, old_len, &zeros, &tail[..fill], op_ctx)?;
         }
         if !overflow.is_empty() {
-            let codec = FileCodec::new(code, fp.block_bytes)?;
-            let ctx = self.ctx.clone();
-            let mut stripe = codec.empty_stripe();
-            let mut tally = Tally::default();
-            let outcome = (|| -> Result<(), ClusterError> {
-                for (i, chunk) in overflow.chunks(sdb).enumerate() {
-                    codec.encode_stripe_into(chunk, &mut stripe)?;
-                    tally += send_stripe(
-                        &self.link,
-                        &ctx,
-                        name,
-                        fp.stripes + i,
-                        &rows[i],
-                        &stripe.blocks,
-                        op_ctx,
-                    )?;
-                }
-                Ok(())
-            })();
-            self.fold(tally);
-            outcome?;
+            self.upload(name, &code, geometry, overflow, fp.stripes, &rows, op_ctx)?;
         }
         if telemetry::ENABLED {
             UPDATE_APPENDS.inc();
@@ -1538,38 +1413,83 @@ impl ObjectBackend for ClusterClient {
     }
 }
 
-/// Uploads one encoded stripe: all `n` block PutBlocks fan out over
-/// `ctx`'s workers.
-#[allow(clippy::too_many_arguments)]
-fn send_stripe(
-    link: &Link,
-    ctx: &ParallelCtx,
-    name: &str,
-    stripe: usize,
-    row: &[usize],
-    blocks: &[Vec<u8>],
-    trace: telemetry::trace::TraceCtx,
-) -> Result<Tally, ClusterError> {
-    let results = ctx.run(row.len(), |role| {
-        let request = Request::PutBlock {
-            id: block_id(name, stripe, role),
-            data: blocks[role].clone(),
-        };
-        link.call(row[role], &request, trace)
-    });
-    let mut tally = Tally::default();
-    for result in results {
-        match result? {
-            (Response::Done, t) => tally += t,
-            (Response::Error(message), _) => return Err(ClusterError::Remote { message }),
-            (other, _) => {
-                return Err(ClusterError::Protocol {
-                    reason: format!("unexpected reply to PutBlock: {other:?}"),
-                });
-            }
-        }
+/// The client's one two-stage pipeline: `make` turns each item into a
+/// product and `take` consumes the products in order. A single item runs
+/// inline — there is nothing to overlap, and a small read or packed put
+/// should not pay for a thread; more run `make` on a worker, up to
+/// `PIPELINE_DEPTH` products ahead of `take` on the caller. An error from
+/// `take` ends the run: the worker finds the channel closed at its next
+/// product and stops.
+fn staged<I: Send, T: Send>(
+    items: Vec<I>,
+    mut make: impl FnMut(I) -> T + Send,
+    mut take: impl FnMut(T) -> Result<(), ClusterError>,
+) -> Result<(), ClusterError> {
+    if items.len() == 1 {
+        return items.into_iter().try_for_each(|item| take(make(item)));
     }
-    Ok(tally)
+    let ((), taken) = parallel::pipeline(
+        PIPELINE_DEPTH,
+        move |pipe| {
+            for item in items {
+                let made = make(item);
+                if telemetry::ENABLED {
+                    PIPELINE_INFLIGHT.add(1);
+                }
+                if pipe.send(made).is_err() {
+                    break;
+                }
+            }
+        },
+        |pipe| loop {
+            let wait = Instant::now();
+            let Ok(made) = pipe.recv() else {
+                return Ok(());
+            };
+            if telemetry::ENABLED {
+                FETCH_STALL.record(wait.elapsed().as_micros() as u64);
+                PIPELINE_INFLIGHT.add(-1);
+            }
+            take(made)?;
+        },
+    );
+    taken
+}
+
+/// The one place the client turns a recorded `(code, block size)` into a
+/// code it can plan with and the geometry it walks files by.
+fn open(spec: CodeSpec, block_bytes: usize) -> Result<(AnyCode, StripeGeometry), CodeError> {
+    let code = spec.build()?;
+    let geometry = StripeGeometry::new(&code, block_bytes)?;
+    Ok((code, geometry))
+}
+
+/// [`open`] for a placed file. A placement reaches the client from a log
+/// record or a manifest payload — outside input — so one that does not fit
+/// its own code is refused here, naming the field, before anything divides
+/// by, indexes with or allocates from it.
+fn open_placed(fp: &FilePlacement) -> Result<(AnyCode, StripeGeometry), ClusterError> {
+    let fit = || {
+        let (code, geometry) = open(fp.spec, fp.block_bytes)?;
+        geometry.check_file(fp.file_len, fp.stripes)?;
+        let rows = fp.nodes.len();
+        if rows != fp.stripes {
+            let reason = format!("nodes has {rows} rows for stripes = {}", fp.stripes);
+            return Err(CodeError::InvalidParameters { reason });
+        }
+        if let Some(s) = fp.nodes.iter().position(|row| row.len() != geometry.n()) {
+            let reason = format!(
+                "nodes[{s}] has {} entries, stripes are {} blocks wide",
+                fp.nodes[s].len(),
+                geometry.n()
+            );
+            return Err(CodeError::InvalidParameters { reason });
+        }
+        Ok((code, geometry))
+    };
+    fit().map_err(|e| ClusterError::Protocol {
+        reason: format!("placement of {:?} does not fit {}: {e}", fp.name, fp.spec),
+    })
 }
 
 fn block_id(name: &str, stripe: usize, role: usize) -> BlockId {
@@ -1637,29 +1557,21 @@ mod tests {
         let fp = client.put_file("batchfile", &data, spec, 120).unwrap();
         cluster.fail(fp.nodes[0][2]);
 
-        let code = spec.build().unwrap();
-        let sub = code.linear().sub();
+        let (_, geometry) = open_placed(&fp).unwrap();
+        let sub = geometry.sub();
         let fanout = ParallelCtx::builder().threads(6).build();
-        fn make<'a>(
-            link: &'a Link,
-            ctx: &'a ParallelCtx,
-            row: &'a [usize],
-            sub: usize,
-        ) -> StripeSource<'a> {
-            StripeSource {
-                link,
+        let root = telemetry::trace::TraceCtx::root();
+        let make = |ctx| {
+            StripeSource::new(
+                &client.link,
                 ctx,
-                name: "batchfile",
-                stripe: 0,
-                row,
-                sub,
-                w: 120 / sub,
-                present: None,
-                trace: telemetry::trace::TraceCtx::root(),
-                gate: None,
-                tally: Tally::default(),
-            }
-        }
+                "batchfile",
+                0,
+                &fp.nodes[0],
+                geometry,
+                root,
+            )
+        };
 
         let requests: Vec<BatchRequest<'_>> = (0..6)
             .map(|role| BatchRequest::Units {
@@ -1667,11 +1579,11 @@ mod tests {
                 units: vec![0, sub - 1],
             })
             .collect();
-        let mut batched = make(&client.link, &fanout, &fp.nodes[0], sub);
+        let mut batched = make(&fanout);
         let got = batched.fetch_batch(&requests).unwrap();
 
         let sequential = ParallelCtx::sequential();
-        let mut scalar = make(&client.link, &sequential, &fp.nodes[0], sub);
+        let mut scalar = make(&sequential);
         let want: Vec<Fetch> = (0..6)
             .map(|role| scalar.fetch_units(role, &[0, sub - 1]).unwrap())
             .collect();

@@ -5,7 +5,6 @@ use std::io;
 
 use access::ObjectError;
 use erasure::CodeError;
-use filestore::FileError;
 
 /// Anything that can go wrong between a client and the cluster.
 #[derive(Debug)]
@@ -24,8 +23,6 @@ pub enum ClusterError {
     },
     /// A coding-layer operation failed.
     Code(CodeError),
-    /// A file-layer operation failed.
-    File(FileError),
     /// A datanode could not be reached (marked dead for future planning).
     NodeDown {
         /// The unreachable node's id.
@@ -60,7 +57,6 @@ impl fmt::Display for ClusterError {
             ClusterError::Protocol { reason } => write!(f, "protocol violation: {reason}"),
             ClusterError::Remote { message } => write!(f, "remote error: {message}"),
             ClusterError::Code(e) => write!(f, "coding error: {e}"),
-            ClusterError::File(e) => write!(f, "file error: {e}"),
             ClusterError::NodeDown { node } => write!(f, "datanode {node} is unreachable"),
             ClusterError::UnknownFile { name } => write!(f, "unknown file {name:?}"),
             ClusterError::Unavailable { reason } => write!(f, "unavailable: {reason}"),
@@ -81,7 +77,6 @@ impl std::error::Error for ClusterError {
         match self {
             ClusterError::Io(e) => Some(e),
             ClusterError::Code(e) => Some(e),
-            ClusterError::File(e) => Some(e),
             _ => None,
         }
     }
@@ -109,11 +104,5 @@ impl From<ObjectError> for ClusterError {
                 reason: refused.to_string(),
             },
         }
-    }
-}
-
-impl From<FileError> for ClusterError {
-    fn from(e: FileError) -> Self {
-        ClusterError::File(e)
     }
 }

@@ -29,14 +29,18 @@
 //!
 //! The crate is std-only, like the rest of the workspace. The
 //! [`testing::LocalCluster`] harness spins up `n` real datanodes on
-//! loopback ports for integration tests and the `ext_cluster`
-//! experiment.
+//! loopback ports for integration tests, the `ext_*` cluster benches
+//! and the `benchmark/` package.
+//!
+//! The client encodes with `erasure::SparseEncoder`, plans through
+//! `access`, and takes every stripe/unit number from the one
+//! [`access::StripeGeometry`] both transports share.
 //!
 //! # Examples
 //!
 //! All data-path traffic flows through the unified
-//! [`access::ObjectStore`] trait — the same contract the in-memory
-//! filestore and the simulated DFS implement:
+//! [`access::ObjectStore`] trait — the same contract, and the same
+//! implementation of it, as the in-memory object store:
 //!
 //! ```
 //! use access::{ObjectStore, PutOptions};

@@ -33,11 +33,13 @@
 //!
 //! The tag byte lives *inside* the checksummed payload, so a flipped tag
 //! cannot silently turn one valid message into another. Integers are
-//! little-endian; strings are length-prefixed UTF-8. Encode and decode are
-//! pure functions over byte slices ([`Request::encode`] /
-//! [`Request::decode`]) with thin [`std::io`] adapters for sockets
-//! ([`write_request`] / [`read_request`]); the property tests exercise the
-//! pure layer without ever opening a socket.
+//! little-endian; strings are length-prefixed UTF-8. A frame header is
+//! parsed in one place, the stream reader behind [`read_request`] /
+//! [`read_response`]; the slice decoders ([`Request::decode`],
+//! [`Response::decode`]) run that reader over the slice and require it
+//! exhausted, so the two can never disagree on magic, version, flags,
+//! length or CRC. The property tests exercise both without ever opening a
+//! socket.
 
 use std::io::{Read, Write};
 use std::time::Instant;
@@ -422,68 +424,30 @@ fn frame(payload: &[u8], trace: Option<WireTrace>) -> Vec<u8> {
     out
 }
 
-/// Unwraps exactly one frame from `buf`, checking magic, version, flags,
-/// length, CRC, and that nothing trails the frame. Returns the trace
-/// extension (if any) and the payload slice.
-fn deframe(buf: &[u8]) -> Result<(Option<WireTrace>, &[u8]), ClusterError> {
-    let err = |reason: String| Err(ClusterError::Protocol { reason });
-    if buf.len() < FRAME_OVERHEAD + 1 {
-        return err(format!("frame of {} bytes is too short", buf.len()));
-    }
-    if buf[..4] != MAGIC {
-        return err("bad magic".into());
-    }
-    let (trace, len_at) = match buf[4] {
-        VERSION => (None, 5),
-        TRACED_VERSION => {
-            let flags = buf[5];
-            if flags & !FLAG_TRACE != 0 {
-                return err(format!("unknown header flags 0x{flags:02x}"));
-            }
-            if flags & FLAG_TRACE != 0 {
-                let ext_end = 6 + TRACE_EXT_BYTES;
-                if buf.len() < ext_end + 4 {
-                    return err(format!("frame of {} bytes is too short", buf.len()));
-                }
-                let ext: &[u8; TRACE_EXT_BYTES] = buf[6..ext_end].try_into().expect("sized slice");
-                (Some(WireTrace::from_bytes(ext)), ext_end)
-            } else {
-                (None, 6)
-            }
+/// Unwraps exactly one frame from `buf`: the stream parser
+/// ([`read_frame_into`], the only code that knows the header layout) run
+/// over the slice, which must then be exhausted. Returns the trace
+/// extension (if any) and the payload.
+fn deframe(buf: &[u8]) -> Result<(Option<WireTrace>, Vec<u8>), ClusterError> {
+    let mut rest = buf;
+    let mut payload = Vec::new();
+    let meta = match read_frame_into(&mut rest, &mut payload) {
+        Ok(Some(meta)) => meta,
+        // A slice has no peer to close the connection or fail the socket:
+        // running dry anywhere, even before the first byte, is truncation.
+        Ok(None) | Err(ClusterError::Io(_)) => {
+            return Err(ClusterError::Protocol {
+                reason: format!("frame of {} bytes is truncated", buf.len()),
+            })
         }
-        v => return err(format!("unsupported protocol version {v}")),
+        Err(e) => return Err(e),
     };
-    if buf.len() < len_at + 4 {
-        return err(format!("frame of {} bytes is too short", buf.len()));
+    if !rest.is_empty() {
+        return Err(ClusterError::Protocol {
+            reason: format!("{} bytes trail the {}-byte frame", rest.len(), meta.wire),
+        });
     }
-    let len = u32::from_le_bytes([
-        buf[len_at],
-        buf[len_at + 1],
-        buf[len_at + 2],
-        buf[len_at + 3],
-    ]) as usize;
-    if len == 0 || len > MAX_PAYLOAD {
-        return err(format!("bad payload length {len}"));
-    }
-    let expected = len_at + 4 + len + 4;
-    if buf.len() != expected {
-        return err(format!(
-            "frame length {} does not match header ({expected})",
-            buf.len(),
-        ));
-    }
-    let payload = &buf[len_at + 4..len_at + 4 + len];
-    let crc_at = len_at + 4 + len;
-    let crc = u32::from_le_bytes([
-        buf[crc_at],
-        buf[crc_at + 1],
-        buf[crc_at + 2],
-        buf[crc_at + 3],
-    ]);
-    if crc32(payload) != crc {
-        return err("payload CRC mismatch".into());
-    }
-    Ok((trace, payload))
+    Ok((meta.trace, payload))
 }
 
 /// Per-frame receive timings, split at the first byte: how long the
@@ -499,10 +463,8 @@ pub struct RecvTiming {
 }
 
 /// Everything `read_frame_into` learns about one frame besides the
-/// payload bytes it deposits in the scratch buffer.
+/// payload, which it leaves as the whole of the scratch buffer.
 struct FrameMeta {
-    /// Payload length within the scratch buffer.
-    len: usize,
     /// Total wire bytes consumed (header + extension + payload + CRC).
     wire: usize,
     /// Trace extension, if the frame carried one.
@@ -596,7 +558,6 @@ fn read_frame_into(
         _ => RecvTiming::default(),
     };
     Ok(Some(FrameMeta {
-        len,
         wire,
         trace,
         timing,
@@ -709,7 +670,7 @@ impl Request {
     /// As for [`Request::decode`].
     pub fn decode_traced(buf: &[u8]) -> Result<(Self, Option<WireTrace>), ClusterError> {
         let (trace, payload) = deframe(buf)?;
-        Ok((Self::from_payload(payload)?, trace))
+        Ok((Self::from_payload(&payload)?, trace))
     }
 
     fn from_payload(payload: &[u8]) -> Result<Self, ClusterError> {
@@ -866,7 +827,7 @@ pub fn read_request_traced(
     match read_frame_into(r, &mut payload)? {
         None => Ok(None),
         Some(meta) => Ok(Some((
-            Request::from_payload(&payload[..meta.len])?,
+            Request::from_payload(&payload)?,
             meta.wire,
             meta.trace,
         ))),
@@ -905,7 +866,7 @@ impl Response {
     /// Returns [`ClusterError::Protocol`] on any framing or payload
     /// violation.
     pub fn decode(buf: &[u8]) -> Result<Self, ClusterError> {
-        Self::from_payload(deframe(buf)?.1)
+        Self::from_payload(&deframe(buf)?.1)
     }
 
     fn from_payload(payload: &[u8]) -> Result<Self, ClusterError> {
@@ -980,7 +941,7 @@ pub fn read_response_timed(
     match read_frame_into(r, scratch)? {
         None => Ok(None),
         Some(meta) => Ok(Some((
-            Response::from_payload(&scratch[..meta.len])?,
+            Response::from_payload(scratch)?,
             meta.wire,
             meta.timing,
         ))),

@@ -915,7 +915,6 @@ fn worker_loop(inner: &Inner) {
                 .threads(inner.cfg.fanout_threads.max(1))
                 .build(),
         )
-        .with_pipeline_depth(0)
         .with_repair_gate(Arc::clone(&inner.gate));
     let board = StatusBoard::global();
     while let Some((key, task)) = inner.next_task() {

@@ -68,15 +68,11 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Fetches a block's bytes. Returns `None` when the block is absent
-    /// *or* fails its CRC trailer (quarantined: the caller treats it as
+    /// Reads a block and verifies its CRC trailer, returning the bytes
+    /// with the checksum that was just checked. `None` when the block is
+    /// absent *or* fails the trailer (quarantined: the caller treats it as
     /// lost and lets the code recover it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::Protocol`] for invalid ids and
-    /// [`ClusterError::Io`] for filesystem failures other than absence.
-    pub fn get(&self, id: &BlockId) -> Result<Option<Vec<u8>>, ClusterError> {
+    fn read_verified(&self, id: &BlockId) -> Result<Option<(Vec<u8>, u32)>, ClusterError> {
         let path = self.path_for(id)?;
         let mut bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -97,19 +93,31 @@ impl BlockStore {
         if crc32(&bytes) != stored {
             return Ok(None);
         }
-        Ok(Some(bytes))
+        Ok(Some((bytes, stored)))
     }
 
-    /// Reports a block's presence as `(length, crc32)` without reading it
-    /// back in full for the caller. Quarantined blocks report as absent.
+    /// Fetches a block's bytes. Returns `None` when the block is absent
+    /// *or* quarantined.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::Protocol`] for invalid ids and
+    /// [`ClusterError::Io`] for filesystem failures other than absence.
+    pub fn get(&self, id: &BlockId) -> Result<Option<Vec<u8>>, ClusterError> {
+        Ok(self.read_verified(id)?.map(|(bytes, _)| bytes))
+    }
+
+    /// Reports a block's presence as `(length, crc32)` — the trailer
+    /// checksum the read has just verified, not a second hash of the
+    /// block. Quarantined blocks report as absent.
     ///
     /// # Errors
     ///
     /// Same as [`BlockStore::get`].
     pub fn stat(&self, id: &BlockId) -> Result<Option<(u32, u32)>, ClusterError> {
         Ok(self
-            .get(id)?
-            .map(|bytes| (bytes.len() as u32, crc32(&bytes))))
+            .read_verified(id)?
+            .map(|(bytes, crc)| (bytes.len() as u32, crc)))
     }
 
     /// Removes a block if present.

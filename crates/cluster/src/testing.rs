@@ -1,7 +1,8 @@
 //! A loopback cluster harness: `n` real datanodes on ephemeral
 //! `127.0.0.1` ports plus a sharded metadata layer, all in one process.
 //!
-//! Used by the integration tests and the `ext_cluster` experiment binary.
+//! Used by the integration tests, the `ext_*` cluster benches and the
+//! `benchmark/` package.
 //! The crucial knob is the difference between [`LocalCluster::kill`] and
 //! [`LocalCluster::fail`]: `kill` stops a datanode *without telling the
 //! coordinator*, so a client discovers the failure mid-read through a
@@ -51,7 +52,7 @@ impl LocalCluster {
     ///
     /// Propagates bind and filesystem failures.
     pub fn start(n: usize) -> Result<Self, ClusterError> {
-        Self::start_with_delay(n, Duration::ZERO)
+        Self::start_full(n, 1, Duration::ZERO, None)
     }
 
     /// Like [`LocalCluster::start`], but with `shards` coordinator
@@ -68,22 +69,13 @@ impl LocalCluster {
     /// Like [`LocalCluster::start`], but every datanode sleeps
     /// `request_delay` before serving each request — a stand-in for the
     /// network/disk service time of a real (non-loopback) cluster, which
-    /// is what the client's concurrent fan-out overlaps. Used by the
-    /// `ext_pipeline` bench.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and filesystem failures.
-    pub fn start_with_delay(n: usize, request_delay: Duration) -> Result<Self, ClusterError> {
-        Self::start_with_service(n, request_delay, None)
-    }
-
-    /// Like [`LocalCluster::start_with_delay`], but additionally gives
-    /// every datanode a serialized service *rate* in bytes/sec (see
-    /// [`DataNodeConfig::service_rate`]): concurrent requests to one node
-    /// queue behind each other in proportion to the bytes they move, so
-    /// background repair traffic contends with foreground reads the way
-    /// it would on a real disk/NIC. Used by the `ext_repair_storm` bench.
+    /// is what the client's concurrent fan-out overlaps (`ext_observe`) —
+    /// and, with `service_rate`, serves at a serialized *rate* in
+    /// bytes/sec (see [`DataNodeConfig::service_rate`]): concurrent
+    /// requests to one node queue behind each other in proportion to the
+    /// bytes they move, so background repair traffic contends with
+    /// foreground reads the way it would on a real disk/NIC
+    /// (`ext_repair_storm`).
     ///
     /// # Errors
     ///

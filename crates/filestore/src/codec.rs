@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use access::{check_range, ExecError, MemorySource, PlanCache, PlanExecutor};
+use access::{check_range, ExecError, MemorySource, PlanCache, PlanExecutor, StripeGeometry};
 use erasure::{CodeError, ColumnUpdater, ErasureCode, SparseEncoder};
 
 use crate::error::FileError;
@@ -62,18 +62,11 @@ pub struct FileMeta {
     pub code_name: String,
 }
 
-impl FileMeta {
-    /// Original data bytes carried by one stripe.
-    pub fn stripe_data_bytes(&self) -> usize {
-        self.stripe_data_bytes
-    }
-}
-
 /// A fixed-geometry file encoder for one erasure code.
 #[derive(Debug, Clone)]
 pub struct FileCodec<C> {
     code: C,
-    block_bytes: usize,
+    geometry: StripeGeometry,
     encoder: SparseEncoder,
     plans: Arc<PlanCache>,
 }
@@ -87,18 +80,14 @@ impl<C: ErasureCode> FileCodec<C> {
     /// and divisible by the code's units-per-block (`sub`), so every unit
     /// has a whole number of bytes.
     pub fn new(code: C, block_bytes: usize) -> Result<Self, FileError> {
-        let sub = code.linear().sub();
-        if block_bytes == 0 || !block_bytes.is_multiple_of(sub) {
-            return Err(FileError::BadGeometry {
-                reason: format!(
-                    "block size {block_bytes} must be a positive multiple of sub = {sub}"
-                ),
-            });
-        }
+        let geometry =
+            StripeGeometry::new(&code, block_bytes).map_err(|e| FileError::BadGeometry {
+                reason: e.to_string(),
+            })?;
         let encoder = SparseEncoder::new(code.linear());
         Ok(FileCodec {
             code,
-            block_bytes,
+            geometry,
             encoder,
             plans: Arc::new(PlanCache::new(DEFAULT_PLAN_CACHE)),
         })
@@ -122,16 +111,33 @@ impl<C: ErasureCode> FileCodec<C> {
         &self.code
     }
 
+    /// The stripe geometry every path of this codec walks files with.
+    pub fn geometry(&self) -> &StripeGeometry {
+        &self.geometry
+    }
+
     /// Bytes per encoded block.
     pub fn block_bytes(&self) -> usize {
-        self.block_bytes
+        self.geometry.block_bytes()
     }
 
     /// Original data bytes per stripe: `message_units · unit_bytes`
     /// (`k · block_bytes` for MDS-shaped codes).
     pub fn stripe_data_bytes(&self) -> usize {
-        let unit = self.block_bytes / self.code.linear().sub();
-        self.code.linear().message_units() * unit
+        self.geometry.stripe_data_bytes()
+    }
+
+    /// The metadata of a `file_len`-byte file encoded by this codec.
+    pub fn meta_for(&self, file_len: u64) -> FileMeta {
+        FileMeta {
+            file_len,
+            block_bytes: self.block_bytes(),
+            n: self.code.n(),
+            k: self.code.k(),
+            stripes: self.geometry.stripes_for(file_len),
+            stripe_data_bytes: self.stripe_data_bytes(),
+            code_name: self.code.name(),
+        }
     }
 
     /// Encodes one stripe's worth of data (zero-padded to a full stripe).
@@ -140,30 +146,15 @@ impl<C: ErasureCode> FileCodec<C> {
     ///
     /// Returns [`FileError::BadGeometry`] if `chunk` exceeds a stripe.
     pub fn encode_stripe(&self, chunk: &[u8]) -> Result<Vec<Vec<u8>>, FileError> {
-        let sdb = self.stripe_data_bytes();
-        if chunk.is_empty() || chunk.len() > sdb {
-            return Err(FileError::BadGeometry {
-                reason: format!("stripe chunk of {} bytes, expected 1..={sdb}", chunk.len()),
-            });
-        }
-        // Fixed geometry: the unit width comes from the block size, not the
-        // chunk length, so short final chunks pad implicitly (and copy-free)
-        // inside the encoder.
-        let w = self.block_bytes / self.code.linear().sub();
-        let stripe = self.encoder.encode_with_unit_bytes(chunk, w)?;
-        debug_assert_eq!(stripe.block_bytes(), self.block_bytes);
+        let mut stripe = self.empty_stripe();
+        self.encode_stripe_into(chunk, &mut stripe)?;
         Ok(stripe.blocks)
     }
 
     /// A zeroed stripe with this codec's fixed geometry, ready for
     /// [`encode_stripe_into`](FileCodec::encode_stripe_into).
     pub fn empty_stripe(&self) -> erasure::EncodedStripe {
-        let sub = self.code.linear().sub();
-        erasure::EncodedStripe {
-            blocks: vec![vec![0u8; self.block_bytes]; self.code.linear().n()],
-            unit_bytes: self.block_bytes / sub,
-            original_len: 0,
-        }
+        self.geometry.empty_stripe()
     }
 
     /// Encodes one stripe's worth of data into `stripe`, reusing its block
@@ -188,12 +179,12 @@ impl<C: ErasureCode> FileCodec<C> {
                 reason: format!("stripe chunk of {} bytes, expected 1..={sdb}", chunk.len()),
             });
         }
-        if stripe.block_bytes() != self.block_bytes {
+        if stripe.block_bytes() != self.block_bytes() {
             return Err(FileError::BadGeometry {
                 reason: format!(
                     "stripe buffers hold {}-byte blocks, codec expects {}",
                     stripe.block_bytes(),
-                    self.block_bytes
+                    self.block_bytes()
                 ),
             });
         }
@@ -215,20 +206,11 @@ impl<C: ErasureCode> FileCodec<C> {
                 reason: "cannot encode an empty file".into(),
             });
         }
-        let sdb = self.stripe_data_bytes();
-        let mut stripes = Vec::with_capacity(data.len().div_ceil(sdb));
-        for chunk in data.chunks(sdb) {
+        let meta = self.meta_for(data.len() as u64);
+        let mut stripes = Vec::with_capacity(meta.stripes);
+        for chunk in data.chunks(self.stripe_data_bytes()) {
             stripes.push(self.encode_stripe(chunk)?.into_iter().map(Some).collect());
         }
-        let meta = FileMeta {
-            file_len: data.len() as u64,
-            block_bytes: self.block_bytes,
-            n: self.code.n(),
-            k: self.code.k(),
-            stripes: stripes.len(),
-            stripe_data_bytes: sdb,
-            code_name: self.code.name(),
-        };
         Ok(EncodedFile {
             codec: self.clone(),
             meta,
@@ -246,12 +228,26 @@ impl<C: ErasureCode> FileCodec<C> {
     /// Returns [`FileError::StripeUnrecoverable`] with fewer than `k` live
     /// blocks.
     pub fn decode_stripe(&self, blocks: &[Option<Vec<u8>>]) -> Result<Vec<u8>, FileError> {
+        self.decode_stripe_at(0, blocks)
+    }
+
+    /// [`decode_stripe`](FileCodec::decode_stripe) for stripe `stripe` of a
+    /// file: failures are labeled with that index.
+    ///
+    /// # Errors
+    ///
+    /// As for [`decode_stripe`](FileCodec::decode_stripe).
+    pub fn decode_stripe_at(
+        &self,
+        stripe: usize,
+        blocks: &[Option<Vec<u8>>],
+    ) -> Result<Vec<u8>, FileError> {
         let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| b.as_deref()).collect();
-        let mut source = MemorySource::new(refs, self.code.linear().sub());
+        let mut source = MemorySource::new(refs, self.geometry.sub());
         let executor = PlanExecutor::new(&self.plans).with_max_replans(self.code.n());
         let read = executor
             .read_stripe(&self.code, &mut source)
-            .map_err(|e| map_exec(0, self.code.k(), e))?;
+            .map_err(|e| map_exec(stripe, self.code.k(), e))?;
         Ok(read.data)
     }
 }
@@ -325,7 +321,7 @@ impl<C: ErasureCode> EncodedFile<C> {
     /// Returns the stripe's blocks as an in-memory [`access::BlockSource`].
     fn stripe_source(&self, stripe: usize) -> MemorySource<'_> {
         let refs: Vec<Option<&[u8]>> = self.stripes[stripe].iter().map(|b| b.as_deref()).collect();
-        MemorySource::new(refs, self.codec.code.linear().sub())
+        MemorySource::new(refs, self.codec.geometry.sub())
     }
 
     /// Decodes one stripe by index, labeling failures with that stripe —
@@ -343,14 +339,7 @@ impl<C: ErasureCode> EncodedFile<C> {
             .ok_or_else(|| FileError::BadGeometry {
                 reason: format!("stripe {stripe} out of range 0..{}", self.stripes.len()),
             })?;
-        self.codec.decode_stripe(blocks).map_err(|e| match e {
-            FileError::StripeUnrecoverable { live, needed, .. } => FileError::StripeUnrecoverable {
-                stripe,
-                live,
-                needed,
-            },
-            other => other,
-        })
+        self.codec.decode_stripe_at(stripe, blocks)
     }
 
     /// Decodes the entire file.
@@ -378,17 +367,9 @@ impl<C: ErasureCode> EncodedFile<C> {
     /// decoded.
     pub fn read_range(&self, offset: u64, len: u64) -> Result<Vec<u8>, FileError> {
         check_range(offset, len, self.meta.file_len)?;
-        let sdb = self.meta.stripe_data_bytes as u64;
         let mut out = Vec::with_capacity(len as usize);
-        let mut off = offset;
-        let mut remaining = len;
-        while remaining > 0 {
-            let stripe = (off / sdb) as usize;
-            let within = (off % sdb) as usize;
-            let take = remaining.min(sdb - within as u64) as usize;
-            self.read_within_stripe(stripe, within, take, &mut out)?;
-            off += take as u64;
-            remaining -= take as u64;
+        for span in self.codec.geometry.spans(offset, len) {
+            self.read_within_stripe(span.index, span.within, span.take, &mut out)?;
         }
         Ok(out)
     }
@@ -435,19 +416,19 @@ impl<C: ErasureCode> EncodedFile<C> {
             return Ok(());
         }
         let updater = ColumnUpdater::new(self.codec.code.linear());
-        let sdb = self.meta.stripe_data_bytes as u64;
-
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            let abs = offset + pos as u64;
-            let stripe = (abs / sdb) as usize;
-            let within = (abs % sdb) as usize;
-            let take = (sdb as usize - within).min(bytes.len() - pos);
+        for span in self.codec.geometry.spans(offset, bytes.len() as u64) {
             // Old bytes of the touched span, read straight from live data
             // regions (an in-place update requires a fully live stripe).
-            let old = self.stripe_span(stripe, within, take)?;
-            self.apply_stripe_delta(stripe, within, &old, &bytes[pos..pos + take], &updater)?;
-            pos += take;
+            self.require_live(span.index)?;
+            let mut old = Vec::with_capacity(span.take);
+            self.read_within_stripe(span.index, span.within, span.take, &mut old)?;
+            self.apply_stripe_delta(
+                span.index,
+                span.within,
+                &old,
+                &bytes[span.range()],
+                &updater,
+            )?;
         }
         Ok(())
     }
@@ -465,31 +446,27 @@ impl<C: ErasureCode> EncodedFile<C> {
         if bytes.is_empty() {
             return Ok(self.meta.file_len);
         }
-        let sdb = self.meta.stripe_data_bytes as u64;
-        let capacity = self.stripes.len() as u64 * sdb;
-        let fill = ((capacity - self.meta.file_len) as usize).min(bytes.len());
-        if fill > 0 {
-            // The bytes past file_len are implicit zero padding, so the
-            // delta of the fill region is simply the appended bytes.
+        let geometry = self.codec.geometry;
+        let fill = (geometry.padding(self.meta.file_len) as usize).min(bytes.len());
+        // The bytes past file_len are implicit zero padding, so the delta
+        // of the fill region (one span, in the last stripe) is simply the
+        // appended bytes.
+        if let Some(span) = geometry.spans(self.meta.file_len, fill as u64).next() {
             let updater = ColumnUpdater::new(self.codec.code.linear());
-            let stripe = self.stripes.len() - 1;
-            let within = (self.meta.file_len % sdb) as usize;
             let zeros = vec![0u8; fill];
-            self.apply_stripe_delta(stripe, within, &zeros, &bytes[..fill], &updater)?;
+            self.apply_stripe_delta(span.index, span.within, &zeros, &bytes[..fill], &updater)?;
         }
-        for chunk in bytes[fill..].chunks(sdb as usize) {
+        for chunk in bytes[fill..].chunks(geometry.stripe_data_bytes()) {
             let blocks = self.codec.encode_stripe(chunk)?;
             self.stripes.push(blocks.into_iter().map(Some).collect());
         }
-        self.meta.stripes = self.stripes.len();
-        self.meta.file_len += bytes.len() as u64;
+        self.meta = self.codec.meta_for(self.meta.file_len + bytes.len() as u64);
         Ok(self.meta.file_len)
     }
 
-    /// Reads `take` data bytes at offset `within` of one stripe in message
-    /// order — the "old" side of a delta update. Requires a fully live
-    /// stripe.
-    fn stripe_span(&self, stripe: usize, within: usize, take: usize) -> Result<Vec<u8>, FileError> {
+    /// An in-place update needs every block of the stripe present (a real
+    /// system would repair first).
+    fn require_live(&self, stripe: usize) -> Result<(), FileError> {
         if self.stripes[stripe].iter().any(Option::is_none) {
             return Err(FileError::StripeUnrecoverable {
                 stripe,
@@ -497,22 +474,7 @@ impl<C: ErasureCode> EncodedFile<C> {
                 needed: self.meta.n,
             });
         }
-        let layout = self.codec.code.data_layout();
-        let w = self.meta.block_bytes / self.codec.code.linear().sub();
-        let mut out = Vec::with_capacity(take);
-        let mut pos = within;
-        let end = within + take;
-        while pos < end {
-            let unit = pos / w;
-            let in_unit = pos % w;
-            let chunk = (w - in_unit).min(end - pos);
-            let loc = layout.locate(unit).expect("every file unit is mapped");
-            let start = loc.unit * w + in_unit;
-            let block = self.stripes[stripe][loc.node].as_ref().expect("live");
-            out.extend_from_slice(&block[start..start + chunk]);
-            pos += chunk;
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Applies `old → new` at message byte `within` of one stripe via the
@@ -525,13 +487,7 @@ impl<C: ErasureCode> EncodedFile<C> {
         new: &[u8],
         updater: &ColumnUpdater,
     ) -> Result<(), FileError> {
-        if self.stripes[stripe].iter().any(Option::is_none) {
-            return Err(FileError::StripeUnrecoverable {
-                stripe,
-                live: self.live_blocks(stripe).len(),
-                needed: self.meta.n,
-            });
-        }
+        self.require_live(stripe)?;
         // Move the blocks out, apply the delta, move them back.
         let mut blocks: Vec<Vec<u8>> = self.stripes[stripe]
             .iter_mut()
@@ -574,21 +530,17 @@ impl<C: ErasureCode> EncodedFile<C> {
         out: &mut Vec<u8>,
     ) -> Result<(), FileError> {
         let layout = self.codec.code.data_layout();
-        let sub = self.codec.code.linear().sub();
-        let w = self.meta.block_bytes / sub;
+        let w = self.codec.geometry.unit_bytes();
         // Rebuilt data regions of missing blocks, reused across units of
         // this call (plans themselves are cached across calls).
         let mut regions: Vec<Option<Vec<u8>>> = vec![None; self.meta.n];
-        let mut pos = within;
-        let end = within + take;
-        while pos < end {
-            let unit = pos / w;
-            let in_unit = pos % w;
-            let chunk = (w - in_unit).min(end - pos);
-            let loc = layout.locate(unit).expect("every file unit is mapped");
-            let start = loc.unit * w + in_unit;
+        for unit in self.codec.geometry.units(within, take) {
+            let loc = layout
+                .locate(unit.index)
+                .expect("every file unit is mapped");
+            let start = loc.unit * w + unit.within;
             if let Some(bytes) = self.block(stripe, loc.node) {
-                out.extend_from_slice(&bytes[start..start + chunk]);
+                out.extend_from_slice(&bytes[start..start + unit.take]);
             } else {
                 if regions[loc.node].is_none() {
                     let mut source = self.stripe_source(stripe);
@@ -601,9 +553,10 @@ impl<C: ErasureCode> EncodedFile<C> {
                 }
                 let region = regions[loc.node].as_ref().expect("just rebuilt");
                 let region_start = layout.data_byte_range(loc.node, w).start;
-                out.extend_from_slice(&region[start - region_start..start - region_start + chunk]);
+                out.extend_from_slice(
+                    &region[start - region_start..start - region_start + unit.take],
+                );
             }
-            pos += chunk;
         }
         Ok(())
     }

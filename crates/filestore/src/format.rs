@@ -19,7 +19,6 @@ use std::fs;
 use std::path::Path;
 
 pub use access::{AnyCode, CodeSpec};
-use erasure::ErasureCode;
 use gf256::crc32;
 
 use crate::codec::{EncodedFile, FileCodec, FileMeta};
@@ -105,9 +104,7 @@ fn open(dir: &Path) -> Result<Opened, FileError> {
         reason: format!("missing or invalid {what}"),
     };
     let spec = code.ok_or_else(|| missing("code"))?;
-    let file_len = file_len
-        .filter(|&len| len > 0)
-        .ok_or_else(|| missing("file_len"))?;
+    let file_len = file_len.ok_or_else(|| missing("file_len"))?;
     let block_bytes = block_bytes.ok_or_else(|| missing("block_bytes"))?;
     let stripes = stripes.ok_or_else(|| missing("stripes"))?;
 
@@ -123,24 +120,13 @@ fn open(dir: &Path) -> Result<Opened, FileError> {
             ),
         });
     }
-    let expected = file_len.div_ceil(sdb as u64);
-    if stripes as u64 != expected {
-        return Err(FileError::BadMeta {
-            reason: format!(
-                "stripes={stripes} disagrees with file_len={file_len}: \
-                 {expected} stripes of {sdb} data bytes expected"
-            ),
-        });
-    }
-    let meta = FileMeta {
-        file_len,
-        block_bytes,
-        n: codec.code().n(),
-        k: codec.code().k(),
-        stripes,
-        stripe_data_bytes: sdb,
-        code_name: spec.to_string(),
-    };
+    codec
+        .geometry()
+        .check_file(file_len, stripes)
+        .map_err(|e| FileError::BadMeta {
+            reason: e.to_string(),
+        })?;
+    let meta = codec.meta_for(file_len);
     Ok((spec, codec, meta, crcs))
 }
 

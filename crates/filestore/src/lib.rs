@@ -2,9 +2,11 @@
 //! deployment (like the paper's Hadoop prototype) needs between "a code"
 //! and "a file".
 //!
-//! * [`FileCodec`] — fixed-geometry encoder: a file becomes a sequence of
-//!   stripes of `k · block_bytes` data each, every stripe independently
-//!   encoded into `n` blocks;
+//! * [`FileCodec`] — fixed-geometry encoder, built on
+//!   [`access::StripeGeometry`]: a file becomes a sequence of stripes of
+//!   [`FileCodec::stripe_data_bytes`] data each (`k · block_bytes` for
+//!   MDS-shaped codes), every stripe independently encoded into `n`
+//!   blocks;
 //! * [`EncodedFile`] — in-memory encoded form with whole-file decode under
 //!   arbitrary per-block availability, and **byte-range reads** that touch
 //!   only the stripes/blocks they need (reading straight from data regions

@@ -1,9 +1,9 @@
 //! Streaming encode/decode: one stripe of memory at a time.
 //!
 //! For files too large to hold in memory, [`encode_stream`] reads a stripe
-//! of data (`k · block_bytes`), encodes it and hands the blocks to a sink;
-//! [`decode_stream`] pulls (possibly incomplete) stripes from a source and
-//! writes the recovered bytes out.
+//! of data ([`FileCodec::stripe_data_bytes`]), encodes it and hands the
+//! blocks to a sink; [`decode_stream`] pulls (possibly incomplete) stripes
+//! from a source and writes the recovered bytes out.
 
 use std::io::{Read, Write};
 
@@ -59,15 +59,7 @@ pub fn encode_stream<C: ErasureCode, R: Read>(
             reason: "cannot encode an empty stream".into(),
         });
     }
-    Ok(FileMeta {
-        file_len,
-        block_bytes: codec.block_bytes(),
-        n: codec.code().n(),
-        k: codec.code().k(),
-        stripes,
-        stripe_data_bytes: sdb,
-        code_name: codec.code().name(),
-    })
+    Ok(codec.meta_for(file_len))
 }
 
 /// Decodes a streamed file: pulls each stripe's blocks from `source`
@@ -83,21 +75,10 @@ pub fn decode_stream<C: ErasureCode, W: Write>(
     mut source: impl FnMut(usize) -> Result<Vec<Option<Vec<u8>>>, FileError>,
     mut writer: W,
 ) -> Result<(), FileError> {
-    let sdb = codec.stripe_data_bytes() as u64;
-    let mut remaining = meta.file_len;
-    for s in 0..meta.stripes {
-        let blocks = source(s)?;
-        let data = codec.decode_stripe(&blocks).map_err(|e| match e {
-            FileError::StripeUnrecoverable { live, needed, .. } => FileError::StripeUnrecoverable {
-                stripe: s,
-                live,
-                needed,
-            },
-            other => other,
-        })?;
-        let take = remaining.min(sdb) as usize;
-        writer.write_all(&data[..take])?;
-        remaining -= take as u64;
+    for span in codec.geometry().spans(0, meta.file_len) {
+        let blocks = source(span.index)?;
+        let data = codec.decode_stripe_at(span.index, &blocks)?;
+        writer.write_all(&data[..span.take])?;
     }
     writer.flush()?;
     Ok(())

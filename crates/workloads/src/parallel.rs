@@ -6,7 +6,7 @@
 //! `workloads::parallel::ParallelCtx` keeps resolving.
 
 use erasure::ErasureCode;
-use filestore::{EncodedFile, FileCodec, FileError, FileMeta};
+use filestore::{EncodedFile, FileCodec, FileError};
 
 pub use access::parallel::{available_threads, pipeline, ParallelCtx, ParallelCtxBuilder};
 
@@ -30,19 +30,9 @@ where
             reason: "cannot encode an empty file".into(),
         });
     }
-    let sdb = codec.stripe_data_bytes();
-    let chunks: Vec<&[u8]> = data.chunks(sdb).collect();
+    let chunks: Vec<&[u8]> = data.chunks(codec.stripe_data_bytes()).collect();
     let stripes = ctx.run(chunks.len(), |s| codec.encode_stripe(chunks[s]));
-    let meta = FileMeta {
-        file_len: data.len() as u64,
-        block_bytes: codec.block_bytes(),
-        n: codec.code().n(),
-        k: codec.code().k(),
-        stripes: chunks.len(),
-        stripe_data_bytes: sdb,
-        code_name: codec.code().name(),
-    };
-    let mut file = EncodedFile::empty(codec.clone(), meta);
+    let mut file = EncodedFile::empty(codec.clone(), codec.meta_for(data.len() as u64));
     for (s, blocks) in stripes.into_iter().enumerate() {
         for (b, bytes) in blocks?.into_iter().enumerate() {
             file.set_block(s, b, bytes);

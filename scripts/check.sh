@@ -91,9 +91,6 @@ cargo run --release --offline -p carousel-bench --bin ext_kernels -- --smoke --m
 cargo run --release --offline -p carousel-bench --bin jsonl_check -- "$metrics_on"
 rm -f "$metrics_on"
 
-step "wire-parallelism bench smoke (telemetry on)"
-cargo run --release --offline -p carousel-bench --bin ext_pipeline -- --smoke
-
 step "observability bench smoke (telemetry on)"
 cargo run --release --offline -p carousel-bench --bin ext_observe -- --smoke
 
@@ -125,9 +122,6 @@ if [ "$mode" != "fast" ]; then
   cargo run --release --offline -p carousel-bench --no-default-features --bin jsonl_check -- "$metrics_off"
   rm -f "$metrics_off"
 
-  step "wire-parallelism bench smoke (telemetry off)"
-  cargo run --release --offline -p carousel-bench --no-default-features --bin ext_pipeline -- --smoke
-
   step "observability bench smoke (telemetry off)"
   cargo run --release --offline -p carousel-bench --no-default-features --bin ext_observe -- --smoke
 
@@ -157,8 +151,5 @@ if rustup target list --installed 2>/dev/null | grep -q '^aarch64-unknown-linux-
 else
   echo "warning: aarch64-unknown-linux-gnu target not installed; skipping NEON cross-check"
 fi
-
-step "build ext_cluster (real-TCP experiment binary)"
-cargo build --release --offline -p carousel-bench --bin ext_cluster
 
 step "all checks passed"

@@ -138,11 +138,7 @@ fn encode(args: &[String]) -> Result<(), String> {
     }
     let data = std::fs::read(input).map_err(err_str)?;
     let code = spec.build().map_err(err_str)?;
-    let sub = code.linear().sub();
-    // Default block size: data spread over k blocks, rounded up to units.
-    let block_bytes = block_bytes
-        .unwrap_or_else(|| (data.len().div_ceil(code.k())).max(sub))
-        .next_multiple_of(sub);
+    let block_bytes = block_bytes.unwrap_or_else(|| one_stripe_block_bytes(&code, data.len()));
     let codec = FileCodec::new(code, block_bytes).map_err(err_str)?;
     let encoded = workloads::parallel::encode_file(&codec, &data, &ctx).map_err(err_str)?;
     format::save(Path::new(dir), spec, &encoded).map_err(err_str)?;
@@ -155,6 +151,13 @@ fn encode(args: &[String]) -> Result<(), String> {
         ctx.threads()
     );
     Ok(())
+}
+
+/// The default block size: the smallest that holds `len` bytes in one
+/// stripe (`message_units` units of data, `sub` units per block).
+fn one_stripe_block_bytes(code: &impl ErasureCode, len: usize) -> usize {
+    let linear = code.linear();
+    linear.sub() * len.div_ceil(linear.message_units()).max(1)
 }
 
 /// Parses a `--threads` value into a parallel context; `0` means "all
@@ -470,10 +473,7 @@ fn put_cluster(args: &[String]) -> Result<(), String> {
     let coord = coordinator_for(&nodes, Path::new(manifest))?;
     let data = std::fs::read(input).map_err(err_str)?;
     let code = spec.build().map_err(err_str)?;
-    let sub = code.linear().sub();
-    let block_bytes = block_bytes
-        .unwrap_or_else(|| (data.len().div_ceil(code.k())).max(sub))
-        .next_multiple_of(sub);
+    let block_bytes = block_bytes.unwrap_or_else(|| one_stripe_block_bytes(&code, data.len()));
     let name = Path::new(input)
         .file_name()
         .and_then(|n| n.to_str())

@@ -95,8 +95,7 @@ fn concurrent_clients_read_and_repair_consistently() {
                 scope.spawn(move || {
                     let mut client = cluster
                         .client()
-                        .with_fanout(ParallelCtx::builder().threads(6).build())
-                        .with_pipeline_depth(2);
+                        .with_fanout(ParallelCtx::builder().threads(6).build());
                     start.wait();
                     let mut delta_sum = (0u64, 0u64);
                     for _ in 0..READS_EACH {

@@ -207,3 +207,114 @@ fn restart_keeps_vanished_nodes_dead() {
         "degraded post-restart read"
     );
 }
+
+/// Placements are outside input: a CRC-valid `FilePlaced` record whose
+/// numbers do not fit its own code is replayed by the coordinator, served
+/// over `ManifestGet` — and refused by the client's one `open`, by field
+/// name, on every path that would otherwise divide by, index with or
+/// allocate from it. (The parent divided by zero on the first one.)
+#[test]
+fn malformed_placements_are_refused_not_trusted() {
+    use cluster::{metalog, FilePlacement, MetaRecord};
+    use std::io::Write as _;
+
+    let mut cluster = LocalCluster::start(7).unwrap();
+    let data = payload(900);
+    cluster
+        .client()
+        .with_seed(3)
+        .put_opts("good", &data, &opts(60))
+        .unwrap();
+    let good = cluster.router().file("good").expect("placement after put");
+    assert_eq!(good.stripes, 5, "900 bytes over 180-byte stripes");
+
+    let short_row = {
+        let mut nodes = good.nodes.clone();
+        nodes[1].pop();
+        nodes
+    };
+    let tampered: Vec<(&str, FilePlacement)> = vec![
+        (
+            "block_bytes",
+            FilePlacement {
+                block_bytes: 0,
+                ..good.clone()
+            },
+        ),
+        (
+            "block_bytes",
+            FilePlacement {
+                block_bytes: 61, // sub = 2
+                ..good.clone()
+            },
+        ),
+        (
+            "stripes",
+            FilePlacement {
+                stripes: 4, // 900 bytes need five
+                nodes: good.nodes[..4].to_vec(),
+                ..good.clone()
+            },
+        ),
+        (
+            "stripes",
+            FilePlacement {
+                file_len: 181, // two stripes' worth, five recorded
+                ..good.clone()
+            },
+        ),
+        (
+            "nodes",
+            FilePlacement {
+                nodes: short_row,
+                ..good.clone()
+            },
+        ),
+    ];
+    let mut log = std::fs::OpenOptions::new()
+        .append(true)
+        .open(cluster.meta_log_path(0))
+        .unwrap();
+    for (i, (_, fp)) in tampered.iter().enumerate() {
+        let record = MetaRecord::FilePlaced(FilePlacement {
+            name: format!("bad-{i}"),
+            ..fp.clone()
+        });
+        log.write_all(&metalog::encode_record(&record)).unwrap();
+    }
+    log.sync_all().unwrap();
+    drop(log);
+
+    // Replay the log into fresh coordinators, and restart one datanode so
+    // it serves manifests from them.
+    cluster.restart_coordinators().unwrap();
+    cluster.restart(0, false).unwrap();
+    let mut client = cluster.client().with_fanout(ctx(2));
+    assert_eq!(client.get("good").unwrap(), data);
+
+    for (i, (field, _)) in tampered.iter().enumerate() {
+        let name = format!("bad-{i}");
+        assert!(cluster.router().file(&name).is_some(), "{name} replayed");
+        let outcomes = [
+            ("get", client.get(&name).map(drop)),
+            ("get_range", client.get_range(&name, 0, 1).map(drop)),
+            ("write_range", client.write_range(&name, 0, &[1])),
+            ("append", client.append(&name, &[1, 2, 3]).map(drop)),
+            ("repair_file", client.repair_file(&name).map(drop)),
+            (
+                "manifest_from_node",
+                client.manifest_from_node(0, &name).map(drop),
+            ),
+        ];
+        for (op, outcome) in outcomes {
+            match outcome {
+                Err(ClusterError::Protocol { reason }) => assert!(
+                    reason.contains(field) && reason.contains(&name),
+                    "{name} {op}: {reason}"
+                ),
+                other => panic!("{name} {op}: expected a refusal naming {field}, got {other:?}"),
+            }
+        }
+    }
+    assert_eq!(client.get("good").unwrap(), data, "refusals broke nothing");
+}

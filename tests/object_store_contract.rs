@@ -6,17 +6,28 @@
 //! backend bug by construction. The drift detector at the end makes that
 //! sharp: the same seeded put sequence under the same pack limit must
 //! land at the same `(pack, offset, len)` extents on both stores.
+//!
+//! The contract runs once per code family of the registry — MDS-shaped
+//! ones and MBR, whose stripes are *not* `k` blocks of data — and in its
+//! middle loses a block of every stripe and repairs it, so "which stripe
+//! and unit does this byte live in" is held to one answer per family on
+//! both transports, healthy, degraded and rebuilt.
 
 use access::CodeSpec;
 use access::{Extent, ObjectBackend, ObjectStore, PutOptions};
 use cluster::testing::LocalCluster;
 use filestore::{FileCodec, LocalObjects};
-use rs_code::ReedSolomon;
 
-/// Both stores run RS(5,3) over 120-byte blocks (360-byte stripes).
-const BLOCK_BYTES: usize = 120;
-const STRIPE: usize = 3 * BLOCK_BYTES;
+/// Every family splits a 360-byte block into whole units.
+const BLOCK_BYTES: usize = 360;
 const PACK_LIMIT: u64 = 1000;
+
+/// The two things the contract asks of the harness around a store: lose
+/// one block per stripe of `"obj"` behind the store's back, and rebuild it.
+enum Fault {
+    Lose,
+    Repair,
+}
 
 fn bytes(len: usize, seed: usize) -> Vec<u8> {
     (0..len)
@@ -24,40 +35,61 @@ fn bytes(len: usize, seed: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Drives the whole object lifecycle through `store` and returns the
-/// extent of every packed put, in put order.
-fn contract<S: ObjectStore + ObjectBackend>(store: &mut S) -> Vec<Extent> {
+/// Drives the whole object lifecycle through `store`, whose stripes carry
+/// `stripe` data bytes, and returns the extent of every packed put, in put
+/// order.
+fn contract<S: ObjectStore + ObjectBackend>(
+    store: &mut S,
+    stripe: usize,
+    fault: &mut dyn FnMut(&mut S, Fault),
+) -> Vec<Extent> {
     let packed = PutOptions::new().pack(true);
 
     // --- Unpacked: put / get / get_range / object_len, multi-stripe.
-    let mut expect = bytes(2 * STRIPE + 100, 1);
+    let mut expect = bytes(2 * stripe + 100, 1);
     store.put("obj", &expect).unwrap();
     assert_eq!(store.get("obj").unwrap(), expect);
     assert_eq!(store.object_len("obj").unwrap(), expect.len() as u64);
     assert_eq!(store.get_range("obj", 100, 50).unwrap(), &expect[100..150]);
     // A range spanning all three stripes, and the empty range.
     assert_eq!(
-        store.get_range("obj", 350, STRIPE as u64 + 20).unwrap(),
-        &expect[350..350 + STRIPE + 20]
+        store
+            .get_range("obj", stripe as u64 - 10, stripe as u64 + 20)
+            .unwrap(),
+        &expect[stripe - 10..2 * stripe + 10]
     );
     assert!(store.get_range("obj", 7, 0).unwrap().is_empty());
 
     // write_range across a stripe boundary; it cannot extend.
     let patch = bytes(120, 9);
-    store.write_range("obj", 300, &patch).unwrap();
-    expect[300..420].copy_from_slice(&patch);
+    store
+        .write_range("obj", stripe as u64 - 60, &patch)
+        .unwrap();
+    expect[stripe - 60..stripe + 60].copy_from_slice(&patch);
     assert_eq!(store.get("obj").unwrap(), expect);
     let end = expect.len() as u64;
     assert!(store.write_range("obj", end - 1, &[0, 0]).is_err());
     assert!(store.get_range("obj", end - 1, 2).is_err());
 
     // append fills the last stripe's padding, then adds stripes.
-    let tail = bytes(STRIPE + 33, 3);
+    let tail = bytes(stripe + 33, 3);
     let new_len = store.append("obj", &tail).unwrap();
     expect.extend_from_slice(&tail);
     assert_eq!(new_len, expect.len() as u64);
     assert_eq!(store.object_len("obj").unwrap(), new_len);
     assert_eq!(store.get("obj").unwrap(), expect);
+
+    // A lost block degrades reads without changing a byte; repair puts
+    // back blocks that still decode to the mutated, grown object.
+    fault(store, Fault::Lose);
+    assert_eq!(store.get("obj").unwrap(), expect, "degraded get");
+    assert_eq!(
+        store.get_range("obj", 2 * stripe as u64 - 7, 40).unwrap(),
+        &expect[2 * stripe - 7..2 * stripe + 33],
+        "degraded range"
+    );
+    fault(store, Fault::Repair);
+    assert_eq!(store.get("obj").unwrap(), expect, "get after repair");
 
     // Refusals: duplicate, reserved, empty — packed or not.
     assert!(store.put("obj", b"x").is_err(), "duplicate put");
@@ -172,19 +204,47 @@ fn contract<S: ObjectStore + ObjectBackend>(store: &mut S) -> Vec<Extent> {
 
 #[test]
 fn local_objects_and_cluster_client_uphold_one_contract() {
-    let codec = FileCodec::new(ReedSolomon::new(5, 3).unwrap(), BLOCK_BYTES).unwrap();
-    let mut local = LocalObjects::new(codec).with_pack_limit(PACK_LIMIT);
-    let local_extents = contract(&mut local);
+    for family in ["rs(6,4)", "carousel(9,6,6,9)", "msr(6,3,4)", "mbr(6,3,4)"] {
+        let spec = CodeSpec::parse(family).unwrap();
+        let codec = FileCodec::new(spec.build().unwrap(), BLOCK_BYTES).unwrap();
+        let stripe = codec.stripe_data_bytes();
+        let n = spec.n();
 
-    let cluster = LocalCluster::start(6).unwrap();
-    let mut client = cluster
-        .client()
-        .with_seed(13)
-        .with_default_code(CodeSpec::Rs { n: 5, k: 3 })
-        .with_default_block_bytes(BLOCK_BYTES)
-        .with_pack_limit(PACK_LIMIT);
-    let cluster_extents = contract(&mut client);
+        let mut local = LocalObjects::new(codec).with_pack_limit(PACK_LIMIT);
+        let local_extents = contract(&mut local, stripe, &mut |store, fault| {
+            let file = store.encoded_mut("obj").unwrap();
+            for s in 0..file.stripes() {
+                match fault {
+                    Fault::Lose => file.drop_block(s, s % n),
+                    Fault::Repair => file.repair_block(s, s % n).unwrap(),
+                }
+            }
+        });
 
-    // The drift detector: one policy, so one extent sequence.
-    assert_eq!(local_extents, cluster_extents);
+        let mut cluster = LocalCluster::start(n + 1).unwrap();
+        let mut client = cluster
+            .client()
+            .with_seed(13)
+            .with_default_code(spec)
+            .with_default_block_bytes(BLOCK_BYTES)
+            .with_pack_limit(PACK_LIMIT);
+        // The node holding stripe 0's first block (and whatever else
+        // placement put there): killed silently, then replaced by an empty
+        // machine that `repair_file` refills.
+        let mut victim = 0;
+        let cluster_extents = contract(&mut client, stripe, &mut |client, fault| match fault {
+            Fault::Lose => {
+                victim = client.file_manifest("obj").unwrap().nodes[0][0];
+                cluster.kill(victim);
+            }
+            Fault::Repair => {
+                cluster.restart(victim, true).unwrap();
+                let report = client.repair_file("obj").unwrap();
+                assert!(report.blocks_repaired > 0, "{family}: nothing rebuilt");
+            }
+        });
+
+        // The drift detector: one policy, so one extent sequence.
+        assert_eq!(local_extents, cluster_extents, "{family}");
+    }
 }
