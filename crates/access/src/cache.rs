@@ -45,9 +45,9 @@ enum Entry {
 /// A bounded, thread-safe store of access plans keyed by
 /// `(code, availability pattern)`.
 ///
-/// Hit/miss totals are tracked both as local counters (always available,
-/// even with telemetry compiled out) and as the `access.plan.cache.hit` /
-/// `access.plan.cache.miss` telemetry counters.
+/// Hit/miss totals are tracked both as per-cache counters and as the
+/// process-wide `access.plan.cache.hit` / `access.plan.cache.miss`
+/// telemetry counters.
 ///
 /// # Examples
 ///
@@ -227,16 +227,12 @@ impl PlanCache {
                 let entry = entry.clone();
                 drop(entries);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                if telemetry::ENABLED {
-                    CACHE_HITS.inc();
-                }
+                CACHE_HITS.inc();
                 return Ok(entry);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if telemetry::ENABLED {
-            CACHE_MISSES.inc();
-        }
+        CACHE_MISSES.inc();
         let entry = build()?;
         if self.capacity > 0 {
             let mut entries = self.entries.lock().expect("plan cache poisoned");

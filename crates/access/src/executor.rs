@@ -306,7 +306,7 @@ impl<'a> PlanExecutor<'a> {
                     task,
                 })
                 .collect();
-            record_fanout(requests.len());
+            FETCH_FANOUT.record(requests.len() as u64);
             let fetches = source.fetch_batch(&requests).map_err(ExecError::Source)?;
             let mut payloads = Vec::with_capacity(d);
             let mut dead = Vec::new();
@@ -318,11 +318,9 @@ impl<'a> PlanExecutor<'a> {
             }
             if dead.is_empty() && payloads.len() == plan.helpers.len() {
                 let payload_bytes = payloads.iter().map(Vec::len).sum();
-                let combined_at = telemetry::ENABLED.then(std::time::Instant::now);
+                let combined_at = std::time::Instant::now();
                 let block = plan.combine_payloads(&payloads)?;
-                if let Some(t) = combined_at {
-                    REPAIR_DECODE.record(t.elapsed().as_micros() as u64);
-                }
+                REPAIR_DECODE.record(combined_at.elapsed().as_micros() as u64);
                 return Ok(RepairOutcome {
                     block,
                     payload_bytes,
@@ -341,12 +339,6 @@ impl<'a> PlanExecutor<'a> {
                 return Err(ExecError::ReplansExhausted { attempts: replans });
             }
         }
-    }
-}
-
-fn record_fanout(requests: usize) {
-    if telemetry::ENABLED {
-        FETCH_FANOUT.record(requests as u64);
     }
 }
 
@@ -383,7 +375,7 @@ fn batch_units<S: BlockSource>(
             }
         }
     }
-    record_fanout(requests.len());
+    FETCH_FANOUT.record(requests.len() as u64);
     let fetches = source.fetch_batch(&requests)?;
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); sources.len()];
     let mut failed = Vec::new();

@@ -26,6 +26,8 @@
 //!   implementation: the naming, packing and extent policy is written
 //!   once over the small [`ObjectBackend`] trait of per-file primitives,
 //!   so a transport supplies ~10 short methods and never re-types policy;
+//! * [`Placement`] — where a stripe's blocks land (random or rack-aware),
+//!   shared by the simulator's namenode and the cluster's coordinator;
 //! * [`parallel`] — the shared worker pool ([`parallel::ParallelCtx`])
 //!   and two-stage [`parallel::pipeline`] the transports fan out on;
 //! * [`CodeSpec`] / [`AnyCode`] — the code registry: the serializable
@@ -49,6 +51,7 @@ mod executor;
 mod geometry;
 mod object;
 pub mod parallel;
+mod placement;
 mod source;
 mod spec;
 
@@ -63,5 +66,6 @@ pub use object::{
     check_range, Extent, ObjectBackend, ObjectError, ObjectStore, PackCursor, PutOptions,
     DEFAULT_PACK_LIMIT, PACK_PREFIX,
 };
+pub use placement::Placement;
 pub use source::{BatchRequest, BlockSource, Fetch, MemorySource};
 pub use spec::{AnyCode, CodeSpec};

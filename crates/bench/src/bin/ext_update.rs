@@ -20,9 +20,8 @@
 //!   throughput, wire bytes per object, and stripes stored; asserts
 //!   packing strictly reduces stored stripes.
 //!
-//! Writes `results/BENCH_update.json` (`--smoke`: a temp file) and, with
-//! the telemetry feature on, emits one `{"type": "update"}` event line
-//! per measured row. Knobs: `BENCH_UPDATE_BLOCK_BYTES` (multiple of 6),
+//! Writes `results/BENCH_update.json` (`--smoke`: a temp file) and emits
+//! one `{"type": "update"}` event line per measured row. Knobs: `BENCH_UPDATE_BLOCK_BYTES` (multiple of 6),
 //! `BENCH_UPDATE_OBJECTS`, `BENCH_UPDATE_OBJ_BYTES`.
 
 use std::process::ExitCode;
@@ -34,7 +33,7 @@ use cluster::testing::LocalCluster;
 use telemetry::json::Obj;
 
 /// Emits a `{"type": "update"}` event line when a sink is installed
-/// (`--metrics`); compiled out entirely without the telemetry feature.
+/// (`--metrics`).
 fn emit_update(build: impl FnOnce(Obj) -> Obj) {
     if telemetry::event_sink_installed() {
         telemetry::emit_event(build(Obj::new().str("type", "update")));

@@ -7,11 +7,10 @@
 //! For every line of every file: it must parse as an RFC 8259 JSON value
 //! (via the telemetry crate's own validator — the same grammar its writer
 //! targets), and its top-level `type` member must be one of the event
-//! types this workspace emits. Empty files fail: even a
-//! `--no-default-features` run writes the final `meta` line. Wired into
-//! `scripts/check.sh` against a real `--metrics` capture in both feature
-//! configurations, so the hand-rolled JSON writer and the documented
-//! schema cannot drift apart silently.
+//! types this workspace emits. Empty files fail: every capture ends with
+//! a `meta` line. Wired into `scripts/check.sh` against real `--metrics`
+//! captures, so the hand-rolled JSON writer and the documented schema
+//! cannot drift apart silently.
 
 use std::process::ExitCode;
 
@@ -51,9 +50,7 @@ fn check_file(path: &str) -> Result<usize, String> {
         lines += 1;
     }
     if lines == 0 {
-        return Err(format!(
-            "{path}: no event lines (even a telemetry-off run writes a meta line)"
-        ));
+        return Err(format!("{path}: no event lines"));
     }
     Ok(lines)
 }

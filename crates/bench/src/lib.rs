@@ -59,8 +59,7 @@ pub fn env_knob(name: &str, default: usize) -> usize {
 /// timings stream into it during the run; when the returned guard drops at
 /// exit, the sink is closed and a full registry snapshot (counters, gauges,
 /// histogram quantiles) is appended as JSON-lines. Without the flag this is
-/// a no-op; in a `--no-default-features` build the requested file is still
-/// written but holds only the `meta` line (the registry is empty).
+/// a no-op.
 ///
 /// See `docs/OBSERVABILITY.md` for the metric names and line schema.
 pub fn init_metrics(run: &'static str) -> MetricsGuard {

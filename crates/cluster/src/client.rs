@@ -46,10 +46,10 @@
 //! instead of retrying forever.
 //!
 //! Every byte in and out of the client is counted (and exported through
-//! `carousel-telemetry` when the `telemetry` feature is on), so repair
-//! and read traffic are *measured*, not asserted. Workers count bytes in
-//! private [`Tally`] values folded into the client's totals after each
-//! operation — no shared counter is touched on the hot path.
+//! `carousel-telemetry`), so repair and read traffic are *measured*, not
+//! asserted. Workers count bytes in private [`Tally`] values folded into
+//! the client's totals after each operation — no shared counter is touched
+//! on the hot path.
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -58,12 +58,12 @@ use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
 use access::parallel::{self, ParallelCtx};
+use access::Placement;
 use access::{
     check_range, AnyCode, BatchRequest, BlockSource, CodeSpec, ExecError, Extent, Fetch,
     FetchedStripe, ObjectBackend, ObjectError, PackCursor, PlanCache, PlanExecutor, PutOptions,
     ReadMode, Span, StripeGeometry,
 };
-use dfs::Placement;
 use erasure::{CodeError, ColumnUpdater, ErasureCode as _, HelperTask, SparseEncoder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,8 +126,7 @@ static DELETES: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("cluster.deletes"));
 
 /// One node's scraped telemetry registry, as returned by
-/// [`ClusterClient::node_stats`]. With the `telemetry` feature off this
-/// is always empty.
+/// [`ClusterClient::node_stats`].
 pub type NodeStats = telemetry::Snapshot;
 
 /// Decode plans cached per client (more than enough for the handful of
@@ -242,19 +241,17 @@ impl Link {
             self.meta.mark_dead(node);
             ClusterError::NodeDown { node }
         };
-        let wire = protocol::WireTrace::from_ctx(&trace);
+        let wire = Some(protocol::WireTrace::from_ctx(&trace));
         for attempt in 0..2u8 {
             let cached = self.take_conn(node);
             let had_cached = cached.is_some();
             let mut conn = match cached {
                 Some(conn) => conn,
                 None => {
-                    let dialed = telemetry::ENABLED.then(Instant::now);
+                    let dialed = Instant::now();
                     match TcpStream::connect_timeout(&addr, self.timeout) {
                         Ok(stream) => {
-                            if let Some(t) = dialed {
-                                PHASE_CONNECT.record(t.elapsed().as_micros() as u64);
-                            }
+                            PHASE_CONNECT.record(dialed.elapsed().as_micros() as u64);
                             let _ = stream.set_read_timeout(Some(self.timeout));
                             let _ = stream.set_write_timeout(Some(self.timeout));
                             let _ = stream.set_nodelay(true);
@@ -267,12 +264,10 @@ impl Link {
                     }
                 }
             };
-            let sent = telemetry::ENABLED.then(Instant::now);
+            let sent = Instant::now();
             let exchange = protocol::write_request_traced(&mut conn.stream, request, wire)
                 .and_then(|tx| {
-                    if let Some(t) = sent {
-                        PHASE_SEND.record(t.elapsed().as_micros() as u64);
-                    }
+                    PHASE_SEND.record(sent.elapsed().as_micros() as u64);
                     Ok((
                         tx,
                         protocol::read_response_timed(&mut conn.stream, &mut conn.scratch)?,
@@ -281,12 +276,10 @@ impl Link {
             match exchange {
                 Ok((tx, Some((response, rx, timing)))) => {
                     self.put_conn(node, conn);
-                    if telemetry::ENABLED {
-                        CLIENT_TX.add(tx as u64);
-                        CLIENT_RX.add(rx as u64);
-                        PHASE_WAIT.record(timing.wait_ns / 1_000);
-                        PHASE_RECV.record(timing.recv_ns / 1_000);
-                    }
+                    CLIENT_TX.add(tx as u64);
+                    CLIENT_RX.add(rx as u64);
+                    PHASE_WAIT.record(timing.wait_ns / 1_000);
+                    PHASE_RECV.record(timing.recv_ns / 1_000);
                     return Ok((
                         response,
                         Tally {
@@ -684,16 +677,12 @@ impl ClusterClient {
         if let Some(cached) = self.manifests.get(name) {
             if cached.epoch == epoch {
                 self.manifest_hits += 1;
-                if telemetry::ENABLED {
-                    META_CACHE_HIT.inc();
-                }
+                META_CACHE_HIT.inc();
                 return Ok(Arc::clone(&cached.fp));
             }
         }
         self.manifest_misses += 1;
-        if telemetry::ENABLED {
-            META_CACHE_MISS.inc();
-        }
+        META_CACHE_MISS.inc();
         let fp = self.link.placement(name)?;
         let fp = Arc::new(fp);
         if self.manifests.len() >= MANIFEST_CACHE_CAPACITY && !self.manifests.contains_key(name) {
@@ -715,7 +704,7 @@ impl ClusterClient {
     }
 
     /// `(hits, misses)` of the manifest cache over this client's
-    /// lifetime. Plain counters, available with telemetry compiled out.
+    /// lifetime (the `meta.cache.{hit,miss}` counters are process-wide).
     pub fn manifest_cache_stats(&self) -> (u64, u64) {
         (self.manifest_hits, self.manifest_misses)
     }
@@ -844,7 +833,7 @@ impl ClusterClient {
         range: Option<(u64, u64)>,
     ) -> Result<Vec<u8>, ClusterError> {
         let whole = range.is_none();
-        let _timer = if whole && telemetry::ENABLED {
+        let _timer = if whole {
             READS.inc();
             Some(telemetry::span("cluster.read.ns"))
         } else {
@@ -861,7 +850,7 @@ impl ClusterClient {
         let fp = self.file_manifest(name)?;
         let (offset, len) = range.unwrap_or((0, fp.file_len));
         let (out, degraded) = self.read_span(&fp, offset, len, op.ctx())?;
-        if whole && degraded && telemetry::ENABLED {
+        if whole && degraded {
             READS_DEGRADED.inc();
         }
         Ok(out)
@@ -929,11 +918,9 @@ impl ClusterClient {
                 degraded = true;
             }
             let _span = op_ctx.child("cluster.decode.stripe_us");
-            let decoded_at = telemetry::ENABLED.then(Instant::now);
+            let decoded_at = Instant::now();
             let data = fetched.decode().map_err(|_| unreadable(name, span.index))?;
-            if let Some(t) = decoded_at {
-                PHASE_DECODE.record(t.elapsed().as_micros() as u64);
-            }
+            PHASE_DECODE.record(decoded_at.elapsed().as_micros() as u64);
             out[span.range()].copy_from_slice(&data[span.within..span.within + span.take]);
             Ok(())
         };
@@ -1088,10 +1075,8 @@ impl ClusterClient {
         })();
         self.fold(tally);
         outcome?;
-        if telemetry::ENABLED {
-            REPAIR_BLOCKS.add(report.blocks_repaired as u64);
-            REPAIR_WIRE.add(report.wire_bytes);
-        }
+        REPAIR_BLOCKS.add(report.blocks_repaired as u64);
+        REPAIR_WIRE.add(report.wire_bytes);
         Ok(report)
     }
 
@@ -1109,8 +1094,7 @@ impl ClusterClient {
     }
 
     /// Scrapes one datanode's full telemetry registry over the wire via
-    /// [`Request::Stats`]. With the `telemetry` feature compiled out (on
-    /// either end) the snapshot is empty.
+    /// [`Request::Stats`].
     ///
     /// # Errors
     ///
@@ -1121,9 +1105,9 @@ impl ClusterClient {
         protocol::decode_stats(&bytes)
     }
 
-    /// Asks one datanode for its process's repair-scheduler status board
-    /// via [`Request::RepairStatus`]. Unlike `Stats` this works with the
-    /// `telemetry` feature compiled out — the board is plain atomics.
+    /// Asks one datanode for its process's repair-scheduler totals via
+    /// [`Request::RepairStatus`]: the ten `repair.*` gauges and counters
+    /// of its registry, without shipping the whole `Stats` snapshot.
     ///
     /// # Errors
     ///
@@ -1237,10 +1221,8 @@ impl ClusterClient {
             }
             Ok(())
         })();
-        if telemetry::ENABLED {
-            UPDATE_DELTAS.add(requests);
-            UPDATE_WIRE.add(tally.tx);
-        }
+        UPDATE_DELTAS.add(requests);
+        UPDATE_WIRE.add(tally.tx);
         self.fold(tally);
         outcome
     }
@@ -1262,9 +1244,7 @@ impl ClusterClient {
         }
         let old = self.read_file(name, Some((offset, new.len() as u64)))?;
         self.delta_write(&fp, offset, &old, new, op.ctx())?;
-        if telemetry::ENABLED {
-            UPDATE_WRITES.inc();
-        }
+        UPDATE_WRITES.inc();
         Ok(())
     }
 
@@ -1300,9 +1280,7 @@ impl ClusterClient {
         if !overflow.is_empty() {
             self.upload(name, &code, geometry, overflow, fp.stripes, &rows, op_ctx)?;
         }
-        if telemetry::ENABLED {
-            UPDATE_APPENDS.inc();
-        }
+        UPDATE_APPENDS.inc();
         Ok(new_len)
     }
 
@@ -1344,9 +1322,7 @@ impl ClusterClient {
         self.fold(tally);
         let existed = self.link.meta.delete_file(name)?;
         self.manifests.remove(name);
-        if telemetry::ENABLED {
-            DELETES.inc();
-        }
+        DELETES.inc();
         Ok(existed)
     }
 }
@@ -1394,15 +1370,13 @@ impl ObjectBackend for ClusterClient {
 
     fn set_extent(&mut self, object: &str, extent: Extent) -> Result<(), ClusterError> {
         self.link.meta.put_extent(object, extent)?;
-        if telemetry::ENABLED {
-            UPDATE_PACKED.inc();
-        }
+        UPDATE_PACKED.inc();
         Ok(())
     }
 
     fn drop_extent(&mut self, object: &str) -> Result<bool, ClusterError> {
         let existed = self.link.meta.delete_extent(object)?;
-        if existed && telemetry::ENABLED {
+        if existed {
             DELETES.inc();
         }
         Ok(existed)
@@ -1433,9 +1407,7 @@ fn staged<I: Send, T: Send>(
         move |pipe| {
             for item in items {
                 let made = make(item);
-                if telemetry::ENABLED {
-                    PIPELINE_INFLIGHT.add(1);
-                }
+                PIPELINE_INFLIGHT.add(1);
                 if pipe.send(made).is_err() {
                     break;
                 }
@@ -1446,10 +1418,8 @@ fn staged<I: Send, T: Send>(
             let Ok(made) = pipe.recv() else {
                 return Ok(());
             };
-            if telemetry::ENABLED {
-                FETCH_STALL.record(wait.elapsed().as_micros() as u64);
-                PIPELINE_INFLIGHT.add(-1);
-            }
+            FETCH_STALL.record(wait.elapsed().as_micros() as u64);
+            PIPELINE_INFLIGHT.add(-1);
             take(made)?;
         },
     );

@@ -3,7 +3,7 @@
 //!
 //! Mirrors the namenode of the paper's Hadoop testbed, but against *live*
 //! TCP datanodes: nodes register on startup and heartbeat periodically;
-//! placement reuses [`dfs::Placement`] (random or rack-aware) against the
+//! placement reuses [`access::Placement`] (random or rack-aware) against the
 //! currently-alive node set. The client consults the coordinator for
 //! addresses and placement and reports nodes it finds unreachable, which
 //! is how a mid-read failure becomes a degraded read on the next plan.
@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
+use access::Placement;
 use access::{CodeSpec, Extent};
-use dfs::Placement;
 use rand::Rng;
 
 use crate::error::ClusterError;
@@ -114,9 +114,7 @@ impl State {
         match log.append(rec) {
             Ok(()) => Ok(()),
             Err(e) => {
-                if telemetry::ENABLED {
-                    LOG_ERRORS.inc();
-                }
+                LOG_ERRORS.inc();
                 if required {
                     Err(e)
                 } else {
@@ -154,7 +152,7 @@ impl State {
         if self.log.as_ref().is_some_and(MetaLog::needs_compaction) {
             let snapshot = self.snapshot_records();
             if let Some(log) = self.log.as_mut() {
-                if log.compact(&snapshot).is_err() && telemetry::ENABLED {
+                if log.compact(&snapshot).is_err() {
                     LOG_ERRORS.inc();
                 }
             }
@@ -304,9 +302,7 @@ impl Coordinator {
 
     fn bump_epoch(&self) {
         let now = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        if telemetry::ENABLED {
-            SHARD_EPOCH.set(now as i64);
-        }
+        SHARD_EPOCH.set(now as i64);
     }
 
     /// Installs the liveness listener, replacing any previous one. The
@@ -822,8 +818,7 @@ impl Coordinator {
     }
 
     /// A snapshot of this process's telemetry registry — what the
-    /// coordinator would serve for a `Stats` scrape. Empty with the
-    /// `telemetry` feature compiled out.
+    /// coordinator would serve for a `Stats` scrape.
     pub fn stats(&self) -> telemetry::Snapshot {
         telemetry::Registry::global().snapshot()
     }

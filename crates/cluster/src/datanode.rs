@@ -52,21 +52,6 @@ pub struct DataNodeConfig {
     pub meta: Option<Arc<MetaRouter>>,
     /// Heartbeat period when a coordinator is attached.
     pub heartbeat_every: Duration,
-    /// Artificial per-request service delay, applied before each request
-    /// is executed. Zero (the default) for production use; the pipeline
-    /// bench sets it to model the network/disk service time of a real
-    /// (non-loopback) datanode, which is what concurrent fan-out overlaps.
-    pub request_delay: Duration,
-    /// Artificial service *rate* in bytes/sec. When set, the node serves
-    /// requests through a single service unit (one guard shared by all
-    /// connections) and each request additionally holds it for
-    /// `bytes_moved / rate` — so concurrent requests *queue* behind each
-    /// other in proportion to the bytes they move, like a single disk or
-    /// NIC. This is what makes repair traffic visibly interfere with
-    /// foreground reads in `ext_repair_storm`: a code that moves fewer
-    /// repair bytes steals less service time. `None` (the default) keeps
-    /// the fully-parallel `request_delay`-only behavior.
-    pub service_rate: Option<u64>,
 }
 
 impl DataNodeConfig {
@@ -79,8 +64,6 @@ impl DataNodeConfig {
             read_timeout: Duration::from_secs(30),
             meta: None,
             heartbeat_every: Duration::from_millis(200),
-            request_delay: Duration::ZERO,
-            service_rate: None,
         }
     }
 
@@ -98,32 +81,6 @@ impl DataNodeConfig {
         self.meta = Some(meta);
         self
     }
-
-    /// Sets an artificial per-request service delay (see
-    /// [`DataNodeConfig::request_delay`]).
-    #[must_use]
-    pub fn with_request_delay(mut self, delay: Duration) -> Self {
-        self.request_delay = delay;
-        self
-    }
-
-    /// Sets an artificial serialized service rate (see
-    /// [`DataNodeConfig::service_rate`]).
-    #[must_use]
-    pub fn with_service_rate(mut self, bytes_per_sec: u64) -> Self {
-        self.service_rate = Some(bytes_per_sec.max(1));
-        self
-    }
-}
-
-/// The node's service-time model, shared by all its connections: the
-/// fixed per-request delay, and — when a rate is set — the single
-/// service unit that serializes byte-proportional service.
-#[derive(Debug, Clone)]
-struct ServiceModel {
-    delay: Duration,
-    rate: Option<u64>,
-    unit: Arc<Mutex<()>>,
 }
 
 /// A running datanode. Dropping the handle does *not* stop the server;
@@ -165,11 +122,6 @@ impl DataNode {
             let conns = Arc::clone(&conns);
             let meta = config.meta.clone();
             let read_timeout = config.read_timeout;
-            let model = ServiceModel {
-                delay: config.request_delay,
-                rate: config.service_rate,
-                unit: Arc::new(Mutex::new(())),
-            };
             let node_id = config.id;
             std::thread::Builder::new()
                 .name(format!("datanode-{node_id}-accept"))
@@ -186,12 +138,11 @@ impl DataNode {
                             conns.lock().expect("conn list lock").push(clone);
                         }
                         let store = Arc::clone(&store);
-                        let model = model.clone();
                         let meta = meta.clone();
                         let handle = std::thread::Builder::new()
                             .name(format!("datanode-{node_id}-conn"))
                             .spawn(move || {
-                                serve_connection(stream, &store, &model, meta.as_deref());
+                                serve_connection(stream, &store, meta.as_deref());
                             })
                             .expect("spawn connection worker");
                         workers.push(handle);
@@ -262,12 +213,7 @@ impl DataNode {
 }
 
 /// Per-connection request loop.
-fn serve_connection(
-    mut stream: TcpStream,
-    store: &BlockStore,
-    model: &ServiceModel,
-    meta: Option<&MetaRouter>,
-) {
+fn serve_connection(mut stream: TcpStream, store: &BlockStore, meta: Option<&MetaRouter>) {
     loop {
         let (request, rx_bytes, wire_trace) = match protocol::read_request_traced(&mut stream) {
             Ok(Some(triple)) => triple,
@@ -281,56 +227,23 @@ fn serve_connection(
                 return;
             }
         };
-        // Queue wait starts when the frame has fully arrived and ends when
-        // service begins. Without a rate it is the artificial request
-        // delay; with one it is the wait for the node's single service
-        // unit, i.e. the time spent behind other requests' bytes.
-        let queued_at = telemetry::ENABLED.then(std::time::Instant::now);
-        let service_unit = model
-            .rate
-            .map(|_| model.unit.lock().expect("service unit lock"));
-        if model.rate.is_none() && !model.delay.is_zero() {
-            std::thread::sleep(model.delay);
-        }
         // Adopt the client's trace (or open a local root for untraced
-        // peers): this request span and its queue/service children carry
-        // the client's TraceId, which is what lets a slow get be
-        // attributed to a specific node's queue or service time.
+        // peers): this request span and its service child carry the
+        // client's TraceId, which is what lets a slow get be attributed
+        // to a specific node.
         let ctx = telemetry::trace::TraceCtx::adopt(wire_trace.map(|t| (t.trace, t.span)));
         let req_span = ctx.child("cluster.node.request_us");
-        if let Some(t) = queued_at {
-            req_span
-                .ctx()
-                .span_with("cluster.node.queue_us", t.elapsed());
-        }
         let response = {
             let _service = req_span.ctx().child("cluster.node.service_us");
-            if model.rate.is_some() && !model.delay.is_zero() {
-                std::thread::sleep(model.delay);
-            }
-            let response = handle(store, request, meta);
-            if let Some(rate) = model.rate {
-                // Hold the service unit for the bytes this request moved
-                // through the node, in and out.
-                let bytes = rx_bytes as u64 + response_payload_bytes(&response);
-                std::thread::sleep(Duration::from_secs_f64(bytes as f64 / rate as f64));
-            }
-            response
+            handle(store, request, meta)
         };
-        drop(service_unit);
-        if telemetry::ENABLED {
-            NODE_REQUESTS.inc();
-            NODE_RX.add(rx_bytes as u64);
-            if matches!(response, Response::Error(_)) {
-                NODE_ERRORS.inc();
-            }
+        NODE_REQUESTS.inc();
+        NODE_RX.add(rx_bytes as u64);
+        if matches!(response, Response::Error(_)) {
+            NODE_ERRORS.inc();
         }
         match protocol::write_response(&mut stream, &response) {
-            Ok(tx_bytes) => {
-                if telemetry::ENABLED {
-                    NODE_TX.add(tx_bytes as u64);
-                }
-            }
+            Ok(tx_bytes) => NODE_TX.add(tx_bytes as u64),
             Err(_) => return,
         }
     }
@@ -404,16 +317,15 @@ fn handle(store: &BlockStore, request: Request, meta: Option<&MetaRouter>) -> Re
         },
         // The node's full registry over the wire. All nodes of the
         // loopback harness share one process (and thus one registry);
-        // real deployments get per-process scrapes. With telemetry
-        // compiled out the snapshot is empty.
+        // real deployments get per-process scrapes.
         Request::Stats => Response::Data(protocol::encode_stats(
             &telemetry::Registry::global().snapshot(),
         )),
-        // The process-wide repair scoreboard. Like `Stats`, every node of
+        // The process-wide `repair.*` totals. Like `Stats`, every node of
         // the loopback harness answers with the same numbers; a real
         // deployment would scrape the coordinator's process.
         Request::RepairStatus => Response::Data(protocol::encode_repair_status(
-            &crate::repair::StatusBoard::global().report(),
+            &crate::repair::RepairStatusReport::current(),
         )),
         // The write-path dual of RepairRead: fold the shipped message
         // deltas into the stored block with the shipped per-unit
@@ -462,15 +374,6 @@ fn handle(store: &BlockStore, request: Request, meta: Option<&MetaRouter>) -> Re
                 }
             }
         },
-    }
-}
-
-/// Payload bytes a response puts on the wire, for the service-rate model.
-fn response_payload_bytes(response: &Response) -> u64 {
-    match response {
-        Response::Data(data) => data.len() as u64,
-        Response::Error(message) => message.len() as u64,
-        _ => 0,
     }
 }
 

@@ -12,7 +12,7 @@
 //!   matrix and the node returns only `β/sub` of its block;
 //! * [`Coordinator`] — the namenode analogue: registrations,
 //!   heartbeats, and file → stripe → block → node placement via
-//!   [`dfs::Placement`], durable through the [`metalog`] record log;
+//!   [`access::Placement`], durable through the [`metalog`] record log;
 //! * [`metalog`] / [`MetaRouter`] — the scale-out metadata layer: an
 //!   append-only CRC-framed record log with torn-tail crash recovery
 //!   and snapshot compaction, plus consistent-hash sharding of the
@@ -85,7 +85,6 @@ pub use metalog::{MetaLog, MetaRecord};
 pub use protocol::{BlockId, Request, Response};
 pub use repair::{
     FanInGate, RateLimiter, RepairConfig, RepairScheduler, RepairStatusReport, SchedulerStatus,
-    StatusBoard,
 };
 pub use router::MetaRouter;
 pub use store::BlockStore;

@@ -108,13 +108,10 @@ pub struct WireTrace {
 }
 
 impl WireTrace {
-    /// The extension `ctx` stamps on an outgoing frame; `None` when this
-    /// build does not trace (telemetry feature off), so untraced builds
-    /// keep emitting byte-identical v1 frames.
-    pub fn from_ctx(ctx: &telemetry::trace::TraceCtx) -> Option<WireTrace> {
-        ctx.wire()
-            .filter(|&(trace, _)| trace != 0)
-            .map(|(trace, span)| WireTrace { trace, span })
+    /// The extension `ctx` stamps on an outgoing frame.
+    pub fn from_ctx(ctx: &telemetry::trace::TraceCtx) -> WireTrace {
+        let (trace, span) = ctx.wire();
+        WireTrace { trace, span }
     }
 
     /// Adopts this extension as a trace context for server-side spans.
@@ -242,15 +239,12 @@ pub enum Request {
     },
     /// Scrape the serving node's full telemetry registry; answered with
     /// [`Response::Data`] holding an [`encode_stats`]-serialized
-    /// snapshot. In a build with telemetry compiled out the snapshot is
-    /// empty — the zero-cost guarantee extends over the wire.
+    /// snapshot.
     Stats,
-    /// Scrape the serving process's background-repair progress board;
-    /// answered with [`Response::Data`] holding an
+    /// Scrape the serving process's background-repair totals; answered
+    /// with [`Response::Data`] holding an
     /// [`encode_repair_status`]-serialized
-    /// [`RepairStatusReport`](crate::repair::RepairStatusReport). The
-    /// board is plain atomics, so — unlike [`Request::Stats`] — this
-    /// works with telemetry compiled out.
+    /// [`RepairStatusReport`](crate::repair::RepairStatusReport).
     RepairStatus,
     /// Fetch one file's placement manifest from the serving node's
     /// attached metadata router; answered with [`Response::Data`]
@@ -452,8 +446,7 @@ fn deframe(buf: &[u8]) -> Result<(Option<WireTrace>, Vec<u8>), ClusterError> {
 
 /// Per-frame receive timings, split at the first byte: how long the
 /// reader *waited* for the peer to start answering vs how long the body
-/// took to *arrive*. All zeros when telemetry is compiled out (no clock
-/// reads on the hot path).
+/// took to *arrive*.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecvTiming {
     /// Nanoseconds from entering the read to the first header byte.
@@ -482,7 +475,7 @@ fn read_frame_into(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
 ) -> Result<Option<FrameMeta>, ClusterError> {
-    let entered = telemetry::ENABLED.then(Instant::now);
+    let entered = Instant::now();
     // Read the first byte separately to distinguish clean EOF from a
     // truncated frame.
     let mut first = [0u8; 1];
@@ -494,7 +487,7 @@ fn read_frame_into(
             Err(e) => return Err(e.into()),
         }
     }
-    let first_byte_at = telemetry::ENABLED.then(Instant::now);
+    let first_byte_at = Instant::now();
     // Rest of the magic plus the version byte.
     let mut head = [0u8; 4];
     r.read_exact(&mut head)?;
@@ -550,12 +543,12 @@ fn read_frame_into(
             reason: "payload CRC mismatch".into(),
         });
     }
-    let timing = match (entered, first_byte_at) {
-        (Some(t0), Some(t1)) => RecvTiming {
-            wait_ns: t1.duration_since(t0).as_nanos().min(u64::MAX as u128) as u64,
-            recv_ns: t1.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        },
-        _ => RecvTiming::default(),
+    let timing = RecvTiming {
+        wait_ns: first_byte_at
+            .duration_since(entered)
+            .as_nanos()
+            .min(u64::MAX as u128) as u64,
+        recv_ns: first_byte_at.elapsed().as_nanos().min(u64::MAX as u128) as u64,
     };
     Ok(Some(FrameMeta {
         wire,
@@ -928,8 +921,7 @@ pub fn read_response_into(
 
 /// [`read_response_into`] that also reports the wait/receive split of the
 /// read ([`RecvTiming`]) — the raw material for the client's per-phase
-/// latency histograms. The timings are zero when telemetry is compiled
-/// out.
+/// latency histograms.
 ///
 /// # Errors
 ///

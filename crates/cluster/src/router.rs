@@ -22,8 +22,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+use access::Placement;
 use access::{CodeSpec, Extent};
-use dfs::Placement;
 use rand::Rng;
 
 use crate::coordinator::{Coordinator, FilePlacement, NodeInfo};

@@ -38,8 +38,6 @@ pub struct LocalCluster {
     nodes: Vec<Option<DataNode>>,
     roots: Vec<PathBuf>,
     base: PathBuf,
-    request_delay: Duration,
-    service_rate: Option<u64>,
 }
 
 impl LocalCluster {
@@ -52,7 +50,7 @@ impl LocalCluster {
     ///
     /// Propagates bind and filesystem failures.
     pub fn start(n: usize) -> Result<Self, ClusterError> {
-        Self::start_full(n, 1, Duration::ZERO, None)
+        Self::start_sharded(n, 1)
     }
 
     /// Like [`LocalCluster::start`], but with `shards` coordinator
@@ -63,37 +61,6 @@ impl LocalCluster {
     ///
     /// Propagates bind and filesystem failures.
     pub fn start_sharded(n: usize, shards: usize) -> Result<Self, ClusterError> {
-        Self::start_full(n, shards, Duration::ZERO, None)
-    }
-
-    /// Like [`LocalCluster::start`], but every datanode sleeps
-    /// `request_delay` before serving each request — a stand-in for the
-    /// network/disk service time of a real (non-loopback) cluster, which
-    /// is what the client's concurrent fan-out overlaps (`ext_observe`) —
-    /// and, with `service_rate`, serves at a serialized *rate* in
-    /// bytes/sec (see [`DataNodeConfig::service_rate`]): concurrent
-    /// requests to one node queue behind each other in proportion to the
-    /// bytes they move, so background repair traffic contends with
-    /// foreground reads the way it would on a real disk/NIC
-    /// (`ext_repair_storm`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and filesystem failures.
-    pub fn start_with_service(
-        n: usize,
-        request_delay: Duration,
-        service_rate: Option<u64>,
-    ) -> Result<Self, ClusterError> {
-        Self::start_full(n, 1, request_delay, service_rate)
-    }
-
-    fn start_full(
-        n: usize,
-        shards: usize,
-        request_delay: Duration,
-        service_rate: Option<u64>,
-    ) -> Result<Self, ClusterError> {
         let base = std::env::temp_dir().join(format!(
             "carousel-cluster-{}-{}",
             std::process::id(),
@@ -109,10 +76,7 @@ impl LocalCluster {
         let mut roots = Vec::with_capacity(n);
         for id in 0..n {
             let root = base.join(format!("node{id:02}"));
-            let mut config = DataNodeConfig::new(id, &root)
-                .with_router(Arc::clone(&meta))
-                .with_request_delay(request_delay);
-            config.service_rate = service_rate;
+            let config = DataNodeConfig::new(id, &root).with_router(Arc::clone(&meta));
             nodes.push(Some(DataNode::spawn("127.0.0.1:0", config)?));
             roots.push(root);
         }
@@ -121,8 +85,6 @@ impl LocalCluster {
             nodes,
             roots,
             base,
-            request_delay,
-            service_rate,
         })
     }
 
@@ -210,10 +172,7 @@ impl LocalCluster {
         if wipe {
             let _ = std::fs::remove_dir_all(&self.roots[id]);
         }
-        let mut config = DataNodeConfig::new(id, &self.roots[id])
-            .with_router(Arc::clone(&self.meta))
-            .with_request_delay(self.request_delay);
-        config.service_rate = self.service_rate;
+        let config = DataNodeConfig::new(id, &self.roots[id]).with_router(Arc::clone(&self.meta));
         self.nodes[id] = Some(DataNode::spawn("127.0.0.1:0", config)?);
         Ok(())
     }

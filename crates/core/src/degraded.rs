@@ -110,10 +110,8 @@ pub(crate) fn plan_block_read(
         copies.push(RegionSolve { sources, outputs });
     }
     let plan = DegradedPlan::new(target, sub, alpha * k0, copies);
-    if telemetry::ENABLED {
-        BLOCK_READS.inc();
-        DEGRADED_TRAFFIC.record(plan.traffic_units() as u64);
-    }
+    BLOCK_READS.inc();
+    DEGRADED_TRAFFIC.record(plan.traffic_units() as u64);
     Ok(plan)
 }
 

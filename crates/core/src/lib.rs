@@ -118,12 +118,8 @@ impl Carousel {
     /// or a `d` strictly between `k` and `2k − 2` (no base construction
     /// exists there).
     pub fn new(n: usize, k: usize, d: usize, p: usize) -> Result<Self, CodeError> {
-        let _timer = if telemetry::ENABLED {
-            telemetry::counter("carousel.constructions").inc();
-            Some(telemetry::span("carousel.construct.ns"))
-        } else {
-            None
-        };
+        telemetry::counter("carousel.constructions").inc();
+        let _timer = telemetry::span("carousel.construct.ns");
         let params = CarouselParams::validate(n, k, d, p)?;
         let (base, base_generator) = if d == k {
             let rs = ReedSolomon::new(n, k)?;

@@ -77,14 +77,12 @@ pub(crate) fn plan(code: &Carousel, available: &[usize]) -> Result<ReadPlan, Cod
 
 fn finish(mode: ReadMode, decode: DecodePlan) -> ReadPlan {
     let plan = ReadPlan::new(mode, decode);
-    if telemetry::ENABLED {
-        match mode {
-            ReadMode::Direct => READS_DIRECT.inc(),
-            ReadMode::Degraded => READS_DEGRADED.inc(),
-            ReadMode::Fallback => READS_FALLBACK.inc(),
-        }
-        READ_TRAFFIC.record(plan.traffic_units() as u64);
+    match mode {
+        ReadMode::Direct => READS_DIRECT.inc(),
+        ReadMode::Degraded => READS_DEGRADED.inc(),
+        ReadMode::Fallback => READS_FALLBACK.inc(),
     }
+    READ_TRAFFIC.record(plan.traffic_units() as u64);
     plan
 }
 

@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn rack_aware_placement_survives_rack_storms() {
-        use crate::placement::Placement;
+        use access::Placement;
         // Only rack failures (no independent node failures). Rack-aware
         // (12,6) stripes lose <= 2 blocks per rack event and always recover;
         // single-rack placement loses everything at once.

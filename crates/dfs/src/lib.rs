@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 mod namenode;
-mod placement;
 mod policy;
 mod topology;
 
@@ -34,7 +33,7 @@ pub mod reader;
 pub mod repairer;
 pub mod writer;
 
+pub use access::Placement;
 pub use namenode::{MapSplit, Namenode, PlacedBlock, StoredFile, Stripe};
-pub use placement::Placement;
 pub use policy::{CodingRates, Policy, SplitSpec};
 pub use topology::{ClusterSpec, Topology};

@@ -2,8 +2,8 @@
 
 use rand::Rng;
 
-use crate::placement::Placement;
 use crate::policy::{Policy, SplitSpec};
+use access::Placement;
 
 /// One placed block of a stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -155,7 +155,7 @@ pub fn repair_file(
             Ev::Write => {}
         }
     }
-    if telemetry::ENABLED && blocks_repaired > 0 {
+    if blocks_repaired > 0 {
         REPAIRED_BLOCKS.add(blocks_repaired as u64);
         REPAIR_MB.record_f64(network_mb);
         REPAIR_MS.record_f64(last_t * 1e3);

@@ -158,13 +158,9 @@ impl SparseEncoder {
     /// clamping the final (short) unit instead of materializing padding.
     fn encode_unpadded_into(&self, data: &[u8], w: usize, stripe: &mut EncodedStripe) {
         debug_assert!(data.len() <= self.units * w);
-        let _timer = if telemetry::ENABLED {
-            ENCODE_STRIPES.inc();
-            ENCODE_BYTES.add((self.n * self.sub * w) as u64);
-            Some(telemetry::span("erasure.encode.ns"))
-        } else {
-            None
-        };
+        ENCODE_STRIPES.inc();
+        ENCODE_BYTES.add((self.n * self.sub * w) as u64);
+        let _timer = telemetry::span("erasure.encode.ns");
         for (node, block) in stripe.blocks.iter_mut().enumerate() {
             block.fill(0);
             for unit in 0..self.sub {

@@ -197,11 +197,7 @@ impl RepairPlan {
                 got: helper_blocks.len(),
             });
         }
-        let _timer = if telemetry::ENABLED {
-            Some(telemetry::span("erasure.repair.ns"))
-        } else {
-            None
-        };
+        let _timer = telemetry::span("erasure.repair.ns");
         let payloads: Vec<Vec<u8>> = self
             .helpers
             .iter()
@@ -210,10 +206,8 @@ impl RepairPlan {
             .collect::<Result<_, _>>()?;
         let traffic = payloads.iter().map(Vec::len).sum();
         let block = self.combine_payloads(&payloads)?;
-        if telemetry::ENABLED {
-            REPAIRS.inc();
-            REPAIR_TRAFFIC.add(traffic as u64);
-        }
+        REPAIRS.inc();
+        REPAIR_TRAFFIC.add(traffic as u64);
         Ok((block, traffic))
     }
 }

@@ -359,9 +359,7 @@ impl KernelHandle {
     /// Panics if the two slices have different lengths.
     pub fn add_assign(&self, dst: &mut [u8], src: &[u8]) {
         assert_eq!(dst.len(), src.len(), "slice length mismatch");
-        if telemetry::ENABLED {
-            DISPATCH.add(1);
-        }
+        DISPATCH.add(1);
         xor_slices(dst, src);
     }
 
@@ -372,9 +370,7 @@ impl KernelHandle {
     /// Panics if the two slices have different lengths.
     pub fn mul(&self, c: Gf256, src: &[u8], dst: &mut [u8]) {
         assert_eq!(dst.len(), src.len(), "slice length mismatch");
-        if telemetry::ENABLED {
-            DISPATCH.add(1);
-        }
+        DISPATCH.add(1);
         if c.is_zero() {
             dst.fill(0);
             return;
@@ -383,17 +379,13 @@ impl KernelHandle {
             dst.copy_from_slice(src);
             return;
         }
-        if telemetry::ENABLED {
-            MUL_BYTES.add(dst.len() as u64);
-        }
+        MUL_BYTES.add(dst.len() as u64);
         self.inner.mul_raw(c.value(), src, dst);
     }
 
     /// `buf[i] = c * buf[i]` for every byte, in place.
     pub fn mul_in_place(&self, c: Gf256, buf: &mut [u8]) {
-        if telemetry::ENABLED {
-            DISPATCH.add(1);
-        }
+        DISPATCH.add(1);
         if c.is_zero() {
             buf.fill(0);
             return;
@@ -401,9 +393,7 @@ impl KernelHandle {
         if c == Gf256::ONE {
             return;
         }
-        if telemetry::ENABLED {
-            MUL_BYTES.add(buf.len() as u64);
-        }
+        MUL_BYTES.add(buf.len() as u64);
         self.inner.mul_in_place_raw(c.value(), buf);
     }
 
@@ -418,9 +408,7 @@ impl KernelHandle {
     ///
     /// Panics if the two slices have different lengths.
     pub fn mul_acc(&self, c: Gf256, src: &[u8], dst: &mut [u8]) {
-        if telemetry::ENABLED {
-            DISPATCH.add(1);
-        }
+        DISPATCH.add(1);
         self.mul_acc_inner(c, src, dst);
     }
 
@@ -442,10 +430,8 @@ impl KernelHandle {
         for (_, src) in terms {
             assert_eq!(dst.len(), src.len(), "slice length mismatch");
         }
-        if telemetry::ENABLED {
-            DISPATCH.add(1);
-            FUSED_ROWS.add(terms.len() as u64);
-        }
+        DISPATCH.add(1);
+        FUSED_ROWS.add(terms.len() as u64);
         // Strip the handle-level fast paths once for the whole product:
         // zero terms vanish, one terms are a plain XOR pass, and only the
         // general coefficients reach the kernel's fused loop. XOR commutes
@@ -456,9 +442,7 @@ impl KernelHandle {
                 continue;
             }
             if c == Gf256::ONE {
-                if telemetry::ENABLED {
-                    XOR_BYTES.add(dst.len() as u64);
-                }
+                XOR_BYTES.add(dst.len() as u64);
                 xor_slices(dst, src);
             } else {
                 raw.push((c.value(), src));
@@ -467,9 +451,7 @@ impl KernelHandle {
         if raw.is_empty() {
             return;
         }
-        if telemetry::ENABLED {
-            MUL_BYTES.add((dst.len() * raw.len()) as u64);
-        }
+        MUL_BYTES.add((dst.len() * raw.len()) as u64);
         self.inner.mul_acc_rows_raw(&raw, dst);
         // Zero-length destinations: still a valid (empty) product.
     }
@@ -482,15 +464,11 @@ impl KernelHandle {
             return;
         }
         if c == Gf256::ONE {
-            if telemetry::ENABLED {
-                XOR_BYTES.add(dst.len() as u64);
-            }
+            XOR_BYTES.add(dst.len() as u64);
             xor_slices(dst, src);
             return;
         }
-        if telemetry::ENABLED {
-            MUL_BYTES.add(dst.len() as u64);
-        }
+        MUL_BYTES.add(dst.len() as u64);
         self.inner.mul_acc_raw(c.value(), src, dst);
     }
 }

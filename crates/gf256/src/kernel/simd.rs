@@ -25,8 +25,8 @@
 //! unchanged.
 //!
 //! This module is the only place in the workspace allowed to contain
-//! `unsafe` (scripts/check.sh enforces the confinement); everything it
-//! exports is a safe `Kernel` implementation.
+//! `unsafe` (every crate forbids it; this one denies it and allows it back
+//! here); everything it exports is a safe `Kernel` implementation.
 
 #![allow(unsafe_code)]
 

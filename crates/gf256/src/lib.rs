@@ -30,7 +30,7 @@
 //! assert_eq!(m.rank(), 2);
 //! ```
 
-#![deny(unsafe_code)] // allowed back on only in kernel::simd (see check.sh)
+#![deny(unsafe_code)] // allowed back on only in kernel::simd
 #![warn(missing_docs)]
 
 mod checksum;

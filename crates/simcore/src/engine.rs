@@ -156,7 +156,7 @@ impl<E> Engine<E> {
         // simulator schedules land in the same JSON-lines file as metric
         // snapshots and spans; the in-memory trace stays available for
         // in-test assertions.
-        if telemetry::ENABLED && telemetry::event_sink_installed() {
+        if telemetry::event_sink_installed() {
             let obj = telemetry::json::Obj::new().str("type", "sim").f64("at", at);
             let obj = match &kind {
                 TraceKind::FlowStarted { id, work, path } => {
@@ -279,11 +279,9 @@ impl<E> Engine<E> {
         self.completions[slot] = Some(on_complete);
         self.flow_started_at[slot] = self.now;
         self.flows_started += 1;
-        if telemetry::ENABLED {
-            FLOWS_STARTED.inc();
-            ACTIVE_FLOWS.add(1);
-            FLOW_WORK.record_f64(work.max(0.0));
-        }
+        FLOWS_STARTED.inc();
+        ACTIVE_FLOWS.add(1);
+        FLOW_WORK.record_f64(work.max(0.0));
         self.record(TraceKind::FlowStarted {
             id: FlowId(slot),
             work: work.max(0.0),
@@ -296,9 +294,7 @@ impl<E> Engine<E> {
     /// still active.
     pub fn cancel_flow(&mut self, id: FlowId) -> Option<E> {
         self.net.remove(id.0)?;
-        if telemetry::ENABLED {
-            ACTIVE_FLOWS.add(-1);
-        }
+        ACTIVE_FLOWS.add(-1);
         self.completions[id.0].take()
     }
 
@@ -334,9 +330,7 @@ impl<E> Engine<E> {
             (Some(t), None) => {
                 self.advance_to(t);
                 let timer = self.timers.pop().expect("peeked");
-                if telemetry::ENABLED {
-                    TIMERS_FIRED.inc();
-                }
+                TIMERS_FIRED.inc();
                 self.record(TraceKind::TimerFired { id: timer.id });
                 Some((self.now, timer.event))
             }
@@ -348,9 +342,7 @@ impl<E> Engine<E> {
                 if tt <= ft {
                     self.advance_to(tt);
                     let timer = self.timers.pop().expect("peeked");
-                    if telemetry::ENABLED {
-                        TIMERS_FIRED.inc();
-                    }
+                    TIMERS_FIRED.inc();
                     self.record(TraceKind::TimerFired { id: timer.id });
                     return Some((self.now, timer.event));
                 }
@@ -400,12 +392,10 @@ impl<E> Engine<E> {
 
     fn finish_flow(&mut self, slot: usize) -> E {
         let spec = self.net.remove(slot).expect("completing flow exists");
-        if telemetry::ENABLED {
-            FLOWS_COMPLETED.inc();
-            ACTIVE_FLOWS.add(-1);
-            let dur_us = (self.now - self.flow_started_at[slot]).max(0.0) * 1e6;
-            FLOW_DURATION.record_f64(dur_us);
-        }
+        FLOWS_COMPLETED.inc();
+        ACTIVE_FLOWS.add(-1);
+        let dur_us = (self.now - self.flow_started_at[slot]).max(0.0) * 1e6;
+        FLOW_DURATION.record_f64(dur_us);
         self.record(TraceKind::FlowCompleted { id: FlowId(slot) });
         self.bytes_completed += spec.remaining.max(0.0); // ~0 at completion
         self.completions[slot]

@@ -1,4 +1,4 @@
-//! The real implementation, compiled when the `telemetry` feature is on.
+//! The metric handles, the registry behind them and the event sink.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

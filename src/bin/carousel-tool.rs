@@ -716,7 +716,7 @@ fn stats_cluster(args: &[String]) -> Result<(), String> {
         other => return Err(format!("stats: unexpected reply {other:?}")),
     };
     if snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty() {
-        println!("{addr}: no metrics (node built without the telemetry feature?)");
+        println!("{addr}: no metrics recorded yet");
         return Ok(());
     }
     for (name, v) in &snap.counters {

@@ -48,12 +48,15 @@ fn spec_k(spec: CodeSpec) -> usize {
 }
 
 /// Kill a node mid-storm: foreground reads stay byte-identical during
-/// and after the rebuild, the queue drains to empty, the per-node
-/// fan-in cap is never exceeded (from the recorded metric), and the
-/// coordinator's stats snapshot carries the repair-queue gauges.
+/// and after the rebuild, the queue drains to empty no faster than the
+/// bandwidth budget allows, the per-node fan-in cap is never exceeded
+/// (from the recorded metric), the coordinator's stats snapshot carries
+/// the repair-queue gauges, and a live node's `RepairStatus` reply
+/// accounts for the rebuild.
 #[test]
 fn storm_rebuild_is_byte_identical_and_fan_in_capped() {
     let fanin_cap = 2;
+    let budget = 16 * 1024; // repair bytes per second
     let mut cluster = LocalCluster::start(9).expect("start cluster");
     let coord = cluster.coordinator();
     let spec = CodeSpec::Carousel {
@@ -69,12 +72,14 @@ fn storm_rebuild_is_byte_identical_and_fan_in_capped() {
         RepairConfig {
             workers: 2,
             node_fanin: fanin_cap,
+            bandwidth: Some(budget),
             ..RepairConfig::default()
         },
     );
 
+    let victim = fp.nodes[0][0];
     let stop = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|scope| {
+    let rebuild_took = std::thread::scope(|scope| {
         let mut readers = Vec::new();
         for _ in 0..2 {
             let coord = Arc::clone(&coord);
@@ -95,16 +100,19 @@ fn storm_rebuild_is_byte_identical_and_fan_in_capped() {
         // The kill: mark a block-hosting node dead mid-storm. The
         // liveness event enqueues every stripe it hosted.
         std::thread::sleep(Duration::from_millis(50));
-        cluster.fail(fp.nodes[0][0]);
+        let killed_at = Instant::now();
+        cluster.fail(victim);
         assert!(
             scheduler.wait_idle(Duration::from_secs(30)),
             "repair queue did not drain"
         );
+        let rebuild_took = killed_at.elapsed();
         stop.store(true, Ordering::Relaxed);
         for reader in readers {
             let gets = reader.join().expect("reader panicked");
             assert!(gets > 0, "a foreground reader never completed a get");
         }
+        rebuild_took
     });
 
     let status = scheduler.status();
@@ -113,37 +121,56 @@ fn storm_rebuild_is_byte_identical_and_fan_in_capped() {
     assert!(status.completed >= 1, "no stripe was rebuilt");
     assert!(status.blocks_rebuilt >= 1, "no block was rebuilt");
     assert_eq!(status.abandoned, 0, "a stripe was abandoned");
+    // Pacing: each worker sleeps off the shared limiter's debt before it
+    // reports its stripe done, so an idle queue means the repair bytes
+    // were paid for at the budgeted rate. The floor counts helper bytes
+    // only and forgives one stripe's worth; a slow host can only make the
+    // rebuild longer, never shorter.
+    let paced_bytes = status.helper_bytes - status.helper_bytes / status.completed;
+    let floor = Duration::from_secs_f64(paced_bytes as f64 / budget as f64);
+    assert!(
+        rebuild_took >= floor,
+        "{} helper bytes rebuilt in {rebuild_took:?}, under the {floor:?} the budget allows",
+        status.helper_bytes
+    );
 
     // After the rebuild, a fresh client — planning against the updated
     // placement — still reads identical bytes.
     let mut fresh = ClusterClient::new(Arc::clone(&coord)).with_timeout(Duration::from_secs(5));
     assert_eq!(fresh.get("storm").expect("post-rebuild get"), data);
 
-    if telemetry::ENABLED {
-        let snap = coord.stats();
-        // Satellite: the coordinator's stats snapshot shows rebuild
-        // progress — the queue gauges and the stripe counters are there.
-        for gauge in ["repair.queue.depth", "repair.inflight"] {
-            assert!(
-                snap.gauges.iter().any(|(name, _)| name == gauge),
-                "stats snapshot is missing the {gauge} gauge"
-            );
-        }
-        // The fan-in throttle: every recorded concurrency level —
-        // sampled at each permit acquisition — is within the cap.
-        let fanin = snap
-            .histograms
-            .iter()
-            .find(|(name, _)| name == "repair.node.fanin")
-            .map(|(_, h)| h.clone())
-            .expect("repair.node.fanin histogram missing");
-        assert!(fanin.count > 0, "fan-in histogram recorded nothing");
+    // The same totals over the wire, from any live node. At least the
+    // scheduler's own: the registry behind the reply is process-wide and
+    // the other tests of this file repair too.
+    let live = (0..cluster.len()).find(|&node| node != victim).unwrap();
+    let wire = fresh.repair_status(live).expect("repair status scrape");
+    assert!(wire.completed >= status.completed, "{wire:?} vs {status:?}");
+    assert!(wire.blocks_rebuilt >= status.blocks_rebuilt);
+    assert!(wire.helper_bytes >= status.helper_bytes);
+
+    let snap = coord.stats();
+    // Satellite: the coordinator's stats snapshot shows rebuild
+    // progress — the queue gauges and the stripe counters are there.
+    for gauge in ["repair.queue.depth", "repair.inflight"] {
         assert!(
-            fanin.max <= fanin_cap as u64,
-            "per-node fan-in reached {} (cap {fanin_cap})",
-            fanin.max
+            snap.gauges.iter().any(|(name, _)| name == gauge),
+            "stats snapshot is missing the {gauge} gauge"
         );
     }
+    // The fan-in throttle: every recorded concurrency level —
+    // sampled at each permit acquisition — is within the cap.
+    let fanin = snap
+        .histograms
+        .iter()
+        .find(|(name, _)| name == "repair.node.fanin")
+        .map(|(_, h)| h.clone())
+        .expect("repair.node.fanin histogram missing");
+    assert!(fanin.count > 0, "fan-in histogram recorded nothing");
+    assert!(
+        fanin.max <= fanin_cap as u64,
+        "per-node fan-in reached {} (cap {fanin_cap})",
+        fanin.max
+    );
     scheduler.shutdown();
 }
 
