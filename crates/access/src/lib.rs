@@ -37,7 +37,11 @@
 //!   units for one code at one block size: the only place a block size is
 //!   checked against a code, and the only owner of "data bytes per
 //!   stripe", so both transports stripe a file identically for every
-//!   family (MBR-shaped ones included).
+//!   family (MBR-shaped ones included);
+//! * [`blockfile`] — the one on-disk block file both transports store
+//!   blocks in: payload, a CRC-32 per 4 KiB chunk, a footer; the atomic
+//!   write, the reads that verify exactly what they return, and the
+//!   verify-or-quarantine rule.
 //!
 //! The two in-tree byte-moving stacks are `filestore` (in-memory blocks,
 //! via [`MemorySource`]) and `cluster` (real TCP datanodes); `dfs`
@@ -46,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blockfile;
 mod cache;
 mod executor;
 mod geometry;

@@ -3,7 +3,8 @@
 //! One accept thread hands each connection to its own worker thread,
 //! which loops over framed requests until the peer closes, a read times
 //! out, or the node shuts down. Storage goes through [`BlockStore`]
-//! (CRC-trailed block files). The helper side of MSR repair runs *here*:
+//! (chunk-checksummed block files, so a read of some units verifies only
+//! the chunks covering them). The helper side of MSR repair runs *here*:
 //! a [`Request::RepairRead`] ships the `β × sub` coefficient matrix and
 //! the node returns the compressed `β·w`-byte payload, so the
 //! `d/(d−k+1)` bandwidth saving is realized on the wire rather than
@@ -22,7 +23,7 @@ use gf256::{Gf256, Matrix};
 
 use crate::coordinator::Coordinator;
 use crate::error::ClusterError;
-use crate::protocol::{self, Request, Response};
+use crate::protocol::{self, BlockId, Request, Response};
 use crate::router::MetaRouter;
 use crate::store::BlockStore;
 
@@ -249,52 +250,45 @@ fn serve_connection(mut stream: TcpStream, store: &BlockStore, meta: Option<&Met
     }
 }
 
+/// Answers from a verified store read: `found` maps what was read to the
+/// reply; an absent (or quarantined) block and a store failure are errors.
+fn reply<T>(
+    id: &BlockId,
+    read: Result<Option<T>, ClusterError>,
+    found: impl FnOnce(T) -> Response,
+) -> Response {
+    match read {
+        Ok(Some(value)) => found(value),
+        Ok(None) => Response::Error(format!("block {id:?} not found")),
+        Err(e) => Response::Error(e.to_string()),
+    }
+}
+
 /// Executes one request against the local store.
 fn handle(store: &BlockStore, request: Request, meta: Option<&MetaRouter>) -> Response {
-    let fail = |e: ClusterError| Response::Error(e.to_string());
+    let done = |r: Result<(), ClusterError>| match r {
+        Ok(()) => Response::Done,
+        Err(e) => Response::Error(e.to_string()),
+    };
     match request {
         Request::Ping => Response::Pong,
-        Request::PutBlock { id, data } => match store.put(&id, &data) {
-            Ok(()) => Response::Done,
-            Err(e) => fail(e),
-        },
-        Request::GetBlock { id } => match store.get(&id) {
-            Ok(Some(data)) => Response::Data(data),
-            Ok(None) => Response::Error(format!("block {id:?} not found")),
-            Err(e) => fail(e),
-        },
+        Request::PutBlock { id, data } => done(store.put(&id, &data)),
+        Request::GetBlock { id } => reply(&id, store.get(&id), Response::Data),
+        // Only the chunks covering the wanted units are read and verified.
         Request::GetUnits { id, sub, units } => {
-            let block = match store.get(&id) {
-                Ok(Some(b)) => b,
-                Ok(None) => return Response::Error(format!("block {id:?} not found")),
-                Err(e) => return fail(e),
-            };
-            let sub = sub as usize;
-            if sub == 0 || block.len() % sub != 0 {
-                return Response::Error(format!(
-                    "block of {} bytes not divisible into sub={sub} units",
-                    block.len()
-                ));
-            }
-            let w = block.len() / sub;
-            let mut out = Vec::with_capacity(units.len() * w);
-            for u in units {
-                let u = u as usize;
-                out.extend_from_slice(&block[u * w..(u + 1) * w]);
-            }
-            Response::Data(out)
+            let units: Vec<usize> = units.into_iter().map(|u| u as usize).collect();
+            reply(
+                &id,
+                store.get_units(&id, sub as usize, &units),
+                Response::Data,
+            )
         }
         Request::RepairRead {
             id,
             rows,
             cols,
             coeffs,
-        } => {
-            let block = match store.get(&id) {
-                Ok(Some(b)) => b,
-                Ok(None) => return Response::Error(format!("block {id:?} not found")),
-                Err(e) => return fail(e),
-            };
+        } => reply(&id, store.get(&id), |block| {
             let (rows, cols) = (rows as usize, cols as usize);
             let task = HelperTask {
                 node: 0, // the role index is irrelevant on the helper side
@@ -304,17 +298,10 @@ fn handle(store: &BlockStore, request: Request, meta: Option<&MetaRouter>) -> Re
                 Ok(payload) => Response::Data(payload),
                 Err(e) => Response::Error(e.to_string()),
             }
-        }
-        Request::Stat { id } => match store.stat(&id) {
-            Ok(Some((len, crc))) => {
-                let mut out = Vec::with_capacity(8);
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(&crc.to_le_bytes());
-                Response::Data(out)
-            }
-            Ok(None) => Response::Error(format!("block {id:?} not found")),
-            Err(e) => fail(e),
-        },
+        }),
+        Request::Stat { id } => reply(&id, store.stat(&id), |(len, digest)| {
+            Response::Data([len.to_le_bytes(), digest.to_le_bytes()].concat())
+        }),
         // The node's full registry over the wire. All nodes of the
         // loopback harness share one process (and thus one registry);
         // real deployments get per-process scrapes.
@@ -336,32 +323,19 @@ fn handle(store: &BlockStore, request: Request, meta: Option<&MetaRouter>) -> Re
             unit_bytes,
             deltas,
             rows,
-        } => {
-            let mut block = match store.get(&id) {
-                Ok(Some(b)) => b,
-                Ok(None) => return Response::Error(format!("block {id:?} not found")),
-                Err(e) => return fail(e),
-            };
+        } => reply(&id, store.get(&id), |mut block| {
             let rows: Vec<(usize, Vec<Gf256>)> = rows
                 .into_iter()
                 .map(|(unit, coeffs)| (unit as usize, coeffs.into_iter().map(Gf256::new).collect()))
                 .collect();
-            if let Err(e) =
-                erasure::apply_block_delta(&mut block, unit_bytes as usize, &rows, &deltas)
-            {
-                return Response::Error(e.to_string());
+            match erasure::apply_block_delta(&mut block, unit_bytes as usize, &rows, &deltas) {
+                Ok(()) => done(store.put(&id, &block)),
+                Err(e) => Response::Error(e.to_string()),
             }
-            match store.put(&id, &block) {
-                Ok(()) => Response::Done,
-                Err(e) => fail(e),
-            }
-        }
+        }),
         // Idempotent block reclamation: Done whether or not the block was
         // present, so a delete fan-out can be retried safely.
-        Request::DeleteBlock { id } => match store.delete(&id) {
-            Ok(_existed) => Response::Done,
-            Err(e) => fail(e),
-        },
+        Request::DeleteBlock { id } => done(store.delete(&id)),
         // A file's manifest, routed to its owning shard and stamped with
         // that shard's epoch so the caller can cache it.
         Request::ManifestGet { name } => match meta {
@@ -403,7 +377,6 @@ pub fn serve_forever(bind_addr: &str, config: DataNodeConfig) -> Result<(), Clus
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::BlockId;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir =

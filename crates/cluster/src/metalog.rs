@@ -44,6 +44,7 @@ use gf256::crc32;
 
 use crate::coordinator::FilePlacement;
 use crate::error::ClusterError;
+use crate::protocol::{put_rows, put_u32, Reader};
 
 /// Log file magic, first 8 bytes of every metalog.
 pub const MAGIC: [u8; 8] = *b"CRSLMLOG";
@@ -63,12 +64,6 @@ const TAG_FILE_DELETED: u8 = 0x04;
 const TAG_OBJECT_PACKED: u8 = 0x05;
 const TAG_OBJECT_DELETED: u8 = 0x06;
 const TAG_FILE_EXTENDED: u8 = 0x07;
-
-/// Decode bounds: a corrupt record must not allocate absurd amounts
-/// before its CRC check has already rejected it — these are sanity caps
-/// on top of the CRC, not the real validation.
-const MAX_STRIPES: u64 = 1 << 22;
-const MAX_ROW: u32 = 4096;
 
 static LOG_APPEND_US: LazyLock<&'static telemetry::Histogram> =
     LazyLock::new(|| telemetry::histogram("meta.log.append_us"));
@@ -146,10 +141,6 @@ pub enum MetaRecord {
     },
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -158,50 +149,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize);
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-/// Forward-only reader over one record payload. Every accessor returns
-/// `None` past the end — decode treats that as a torn record.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 /// Encodes one record's *payload* (tag + body, no framing).
@@ -220,12 +167,7 @@ pub fn encode_payload(rec: &MetaRecord) -> Vec<u8> {
             put_u64(&mut out, fp.file_len);
             put_u64(&mut out, fp.block_bytes as u64);
             put_u64(&mut out, fp.stripes as u64);
-            for row in &fp.nodes {
-                put_u32(&mut out, row.len() as u32);
-                for &node in row {
-                    put_u32(&mut out, node as u32);
-                }
-            }
+            put_rows(&mut out, &fp.nodes);
         }
         MetaRecord::PlacementCommitted {
             file,
@@ -268,12 +210,7 @@ pub fn encode_payload(rec: &MetaRecord) -> Vec<u8> {
             put_str(&mut out, file);
             put_u64(&mut out, *file_len);
             put_u64(&mut out, added.len() as u64);
-            for row in added {
-                put_u32(&mut out, row.len() as u32);
-                for &node in row {
-                    put_u32(&mut out, node as u32);
-                }
-            }
+            put_rows(&mut out, added);
         }
     }
     out
@@ -292,87 +229,58 @@ pub fn encode_record(rec: &MetaRecord) -> Vec<u8> {
 /// Decodes one payload (as framed by [`encode_record`]). `None` means
 /// the payload is malformed — recovery treats the record as torn.
 pub fn decode_payload(payload: &[u8]) -> Option<MetaRecord> {
-    let mut cur = Cur {
-        buf: payload,
-        pos: 0,
-    };
-    let rec = match cur.u8()? {
+    let mut cur = Reader::new(payload);
+    let rec = match cur.u8().ok()? {
         TAG_NODE_REGISTERED => MetaRecord::NodeRegistered {
-            id: cur.u64()?,
-            addr: cur.str()?,
+            id: cur.u64().ok()?,
+            addr: cur.str16().ok()?,
         },
         TAG_FILE_PLACED => {
-            let name = cur.str()?;
-            let spec = CodeSpec::parse(&cur.str()?).ok()?;
-            let file_len = cur.u64()?;
-            let block_bytes = cur.u64()?;
-            let stripes = cur.u64()?;
-            if stripes > MAX_STRIPES {
-                return None;
-            }
-            let mut nodes = Vec::with_capacity(stripes as usize);
-            for _ in 0..stripes {
-                let len = cur.u32()?;
-                if len > MAX_ROW {
-                    return None;
-                }
-                let mut row = Vec::with_capacity(len as usize);
-                for _ in 0..len {
-                    row.push(cur.u32()? as usize);
-                }
-                nodes.push(row);
-            }
+            let name = cur.str16().ok()?;
+            let spec = CodeSpec::parse(&cur.str16().ok()?).ok()?;
+            let file_len = cur.u64().ok()?;
+            let block_bytes = usize::try_from(cur.u64().ok()?).ok()?;
+            let stripes = usize::try_from(cur.u64().ok()?).ok()?;
             MetaRecord::FilePlaced(FilePlacement {
                 name,
                 spec,
                 file_len,
-                block_bytes: usize::try_from(block_bytes).ok()?,
-                stripes: usize::try_from(stripes).ok()?,
-                nodes,
+                block_bytes,
+                stripes,
+                nodes: cur.rows(stripes).ok()?,
             })
         }
         TAG_PLACEMENT_COMMITTED => MetaRecord::PlacementCommitted {
-            file: cur.str()?,
-            stripe: cur.u32()?,
-            role: cur.u32()?,
-            node: cur.u64()?,
+            file: cur.str16().ok()?,
+            stripe: cur.u32().ok()?,
+            role: cur.u32().ok()?,
+            node: cur.u64().ok()?,
         },
-        TAG_FILE_DELETED => MetaRecord::FileDeleted { file: cur.str()? },
+        TAG_FILE_DELETED => MetaRecord::FileDeleted {
+            file: cur.str16().ok()?,
+        },
         TAG_OBJECT_PACKED => MetaRecord::ObjectPacked {
-            object: cur.str()?,
-            pack: cur.str()?,
-            offset: cur.u64()?,
-            len: cur.u64()?,
+            object: cur.str16().ok()?,
+            pack: cur.str16().ok()?,
+            offset: cur.u64().ok()?,
+            len: cur.u64().ok()?,
         },
-        TAG_OBJECT_DELETED => MetaRecord::ObjectDeleted { object: cur.str()? },
+        TAG_OBJECT_DELETED => MetaRecord::ObjectDeleted {
+            object: cur.str16().ok()?,
+        },
         TAG_FILE_EXTENDED => {
-            let file = cur.str()?;
-            let file_len = cur.u64()?;
-            let count = cur.u64()?;
-            if count > MAX_STRIPES {
-                return None;
-            }
-            let mut added = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let len = cur.u32()?;
-                if len > MAX_ROW {
-                    return None;
-                }
-                let mut row = Vec::with_capacity(len as usize);
-                for _ in 0..len {
-                    row.push(cur.u32()? as usize);
-                }
-                added.push(row);
-            }
+            let file = cur.str16().ok()?;
+            let file_len = cur.u64().ok()?;
+            let count = usize::try_from(cur.u64().ok()?).ok()?;
             MetaRecord::FileExtended {
                 file,
                 file_len,
-                added,
+                added: cur.rows(count).ok()?,
             }
         }
         _ => return None,
     };
-    cur.done().then_some(rec)
+    cur.finish().ok().map(|()| rec)
 }
 
 /// Scans log bytes (header included) and returns the records of the
@@ -383,29 +291,26 @@ pub fn recover(bytes: &[u8]) -> (Vec<MetaRecord>, usize) {
     if bytes.len() < HEADER_BYTES || bytes[..8] != MAGIC || bytes[8..12] != VERSION.to_le_bytes() {
         return (Vec::new(), 0);
     }
-    let mut records = Vec::new();
-    let mut pos = HEADER_BYTES;
-    while let Some(len_bytes) = bytes.get(pos..pos + 4) {
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+    /// One framed record off the front of `log`; `None` at the first torn one.
+    fn next_record(log: &mut Reader<'_>) -> Option<MetaRecord> {
+        let len = log.u32().ok()? as usize;
         if len == 0 || len > MAX_RECORD {
-            break;
+            return None;
         }
-        let Some(payload) = bytes.get(pos + 4..pos + 4 + len) else {
-            break;
-        };
-        let Some(crc_bytes) = bytes.get(pos + 4 + len..pos + 8 + len) else {
-            break;
-        };
-        if crc32(payload) != u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) {
-            break;
+        let payload = log.take(len).ok()?;
+        if log.u32().ok()? != crc32(payload) {
+            return None;
         }
-        let Some(rec) = decode_payload(payload) else {
-            break;
-        };
-        records.push(rec);
-        pos += 8 + len;
+        decode_payload(payload)
     }
-    (records, pos)
+    let mut log = Reader::new(&bytes[HEADER_BYTES..]);
+    let mut records = Vec::new();
+    let mut valid = HEADER_BYTES;
+    while let Some(rec) = next_record(&mut log) {
+        records.push(rec);
+        valid = HEADER_BYTES + log.pos;
+    }
+    (records, valid)
 }
 
 /// Reads a log without opening it for writing — what `carousel-tool

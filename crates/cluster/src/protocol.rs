@@ -231,8 +231,9 @@ pub enum Request {
         coeffs: Vec<u8>,
     },
     /// Presence probe for one block; answered with [`Response::Data`]
-    /// holding `len (u32) ++ crc32 (u32)`, or [`Response::Error`] when
-    /// absent.
+    /// holding `len (u32) ++ block digest (u32)` — the digest of the
+    /// block file's footer, every chunk verified — or [`Response::Error`]
+    /// when absent or quarantined.
     Stat {
         /// Which block.
         id: BlockId,
@@ -303,7 +304,7 @@ pub enum Response {
 // Payload primitives.
 // ---------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -322,13 +323,33 @@ fn put_block_id(out: &mut Vec<u8>, id: &BlockId) {
     put_u32(out, id.block);
 }
 
-struct Reader<'a> {
+/// Writes stripe → node rows, each as `u32 width ++ u32 node ids`; the
+/// row count travels in whatever field the caller's layout gives it.
+pub(crate) fn put_rows(out: &mut Vec<u8>, rows: &[Vec<usize>]) {
+    for row in rows {
+        put_u32(out, row.len() as u32);
+        for &node in row {
+            put_u32(out, node as u32);
+        }
+    }
+}
+
+/// Decode bounds on [`Reader::rows`]: a hostile or corrupt count must not
+/// allocate absurd amounts — sanity caps on top of the frame's or
+/// record's CRC, not the real validation.
+const MAX_STRIPES: usize = 1 << 22;
+const MAX_ROW: usize = 4096;
+
+/// Forward-only cursor over one payload — a wire message body or a
+/// metadata-log record. Every accessor fails past the end.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
-    pos: usize,
+    /// Bytes consumed so far.
+    pub(crate) pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
@@ -338,7 +359,7 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
         if self.buf.len() - self.pos < n {
             return self.err("truncated field");
         }
@@ -347,16 +368,21 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, ClusterError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, ClusterError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, ClusterError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, ClusterError> {
+        let b = self.take(2)?;
+        Ok(u16::from_le_bytes([b[0], b[1]]))
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, ClusterError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self) -> Result<u64, ClusterError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, ClusterError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
@@ -369,9 +395,35 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
-    fn str(&mut self) -> Result<String, ClusterError> {
+    pub(crate) fn str(&mut self) -> Result<String, ClusterError> {
         let raw = self.bytes()?;
         String::from_utf8(raw).or_else(|_| self.err("invalid UTF-8 string"))
+    }
+
+    /// A string behind a `u16` length — the metadata log's form.
+    pub(crate) fn str16(&mut self) -> Result<String, ClusterError> {
+        let len = self.u16()? as usize;
+        String::from_utf8(self.take(len)?.to_vec()).or_else(|_| self.err("invalid UTF-8 string"))
+    }
+
+    /// `count` stripe → node rows as [`put_rows`] wrote them.
+    pub(crate) fn rows(&mut self, count: usize) -> Result<Vec<Vec<usize>>, ClusterError> {
+        if count > MAX_STRIPES {
+            return self.err(&format!("{count} stripe rows claimed"));
+        }
+        let mut rows = Vec::with_capacity(count);
+        for s in 0..count {
+            let width = self.u32()? as usize;
+            if width > MAX_ROW {
+                return self.err(&format!("stripe row {s} claims {width} nodes"));
+            }
+            let mut row = Vec::with_capacity(width);
+            for _ in 0..width {
+                row.push(self.u32()? as usize);
+            }
+            rows.push(row);
+        }
+        Ok(rows)
     }
 
     fn block_id(&mut self) -> Result<BlockId, ClusterError> {
@@ -384,7 +436,7 @@ impl<'a> Reader<'a> {
         Ok(id)
     }
 
-    fn finish(&self) -> Result<(), ClusterError> {
+    pub(crate) fn finish(&self) -> Result<(), ClusterError> {
         if self.pos != self.buf.len() {
             return self.err("trailing bytes after message");
         }
@@ -1122,10 +1174,6 @@ pub fn decode_repair_status(buf: &[u8]) -> Result<crate::repair::RepairStatusRep
 
 /// Version byte of the manifest payload, bumped if fields change.
 const MANIFEST_VERSION: u8 = 1;
-/// Upper bound on stripes claimed by a manifest payload.
-const MAX_MANIFEST_STRIPES: usize = 1 << 22;
-/// Upper bound on one stripe row's width (nodes per stripe).
-const MAX_MANIFEST_ROW: usize = 4096;
 
 /// Serializes `(shard epoch, placement)` as the [`Response::Data`]
 /// payload answering [`Request::ManifestGet`]: a version byte, the
@@ -1141,12 +1189,7 @@ pub fn encode_manifest(epoch: u64, fp: &crate::coordinator::FilePlacement) -> Ve
     out.extend_from_slice(&fp.file_len.to_le_bytes());
     out.extend_from_slice(&(fp.block_bytes as u64).to_le_bytes());
     put_u32(&mut out, fp.stripes as u32);
-    for row in &fp.nodes {
-        put_u32(&mut out, row.len() as u32);
-        for &node in row {
-            put_u32(&mut out, node as u32);
-        }
-    }
+    put_rows(&mut out, &fp.nodes);
     out
 }
 
@@ -1177,25 +1220,7 @@ pub fn decode_manifest(
     let file_len = r.u64()?;
     let block_bytes = r.u64()? as usize;
     let stripes = r.u32()? as usize;
-    if stripes > MAX_MANIFEST_STRIPES {
-        return Err(ClusterError::Protocol {
-            reason: format!("manifest claims {stripes} stripes"),
-        });
-    }
-    let mut nodes = Vec::with_capacity(stripes);
-    for s in 0..stripes {
-        let width = r.u32()? as usize;
-        if width > MAX_MANIFEST_ROW {
-            return Err(ClusterError::Protocol {
-                reason: format!("manifest stripe {s} claims {width} nodes"),
-            });
-        }
-        let mut row = Vec::with_capacity(width);
-        for _ in 0..width {
-            row.push(r.u32()? as usize);
-        }
-        nodes.push(row);
-    }
+    let nodes = r.rows(stripes)?;
     r.finish()?;
     Ok((
         epoch,

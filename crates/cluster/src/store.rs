@@ -1,17 +1,16 @@
 //! Per-datanode persistent block storage.
 //!
 //! One directory per datanode; one file per stored block, named
-//! `<file>.s<stripe>.b<block>.blk`, holding the block bytes followed by a
-//! 4-byte CRC-32 trailer (`gf256::crc32`, the same IEEE CRC the filestore format records).
-//! Reads verify the trailer and *quarantine* corrupt files — they are
-//! reported as missing so the erasure code repairs them, mirroring the
-//! filestore on-disk loader's behavior.
+//! `<file>.s<stripe>.b<block>.blk`, in the chunk-checksummed format of
+//! [`access::blockfile`]. This type only validates ids and maps them to
+//! paths: the layout, the atomic write, and the rule that a corrupt file
+//! is *quarantined* — reported as missing so the erasure code repairs it —
+//! are that module's, shared with the filestore directory format.
 
 use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use gf256::crc32;
+use access::blockfile;
 
 use crate::error::ClusterError;
 use crate::protocol::BlockId;
@@ -34,11 +33,6 @@ impl BlockStore {
         Ok(BlockStore { root })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn path_for(&self, id: &BlockId) -> Result<PathBuf, ClusterError> {
         id.validate()?;
         Ok(self.root.join(format!(
@@ -47,77 +41,55 @@ impl BlockStore {
         )))
     }
 
-    /// Stores a block, overwriting any previous version. The write goes to
-    /// a temporary file first and is renamed into place, so a crashed
-    /// datanode never leaves a half-written block behind.
+    /// Stores a block, overwriting any previous version, atomically: a
+    /// crashed datanode never leaves a half-written block behind.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::Protocol`] for invalid ids and
     /// [`ClusterError::Io`] for filesystem failures.
     pub fn put(&self, id: &BlockId, data: &[u8]) -> Result<(), ClusterError> {
-        let path = self.path_for(id)?;
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(data)?;
-            f.write_all(&crc32(data).to_le_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        Ok(())
+        Ok(blockfile::write(&self.path_for(id)?, data)?)
     }
 
-    /// Reads a block and verifies its CRC trailer, returning the bytes
-    /// with the checksum that was just checked. `None` when the block is
-    /// absent *or* fails the trailer (quarantined: the caller treats it as
-    /// lost and lets the code recover it).
-    fn read_verified(&self, id: &BlockId) -> Result<Option<(Vec<u8>, u32)>, ClusterError> {
-        let path = self.path_for(id)?;
-        let mut bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        if bytes.len() < 4 {
-            return Ok(None);
-        }
-        let crc_pos = bytes.len() - 4;
-        let stored = u32::from_le_bytes([
-            bytes[crc_pos],
-            bytes[crc_pos + 1],
-            bytes[crc_pos + 2],
-            bytes[crc_pos + 3],
-        ]);
-        bytes.truncate(crc_pos);
-        if crc32(&bytes) != stored {
-            return Ok(None);
-        }
-        Ok(Some((bytes, stored)))
-    }
-
-    /// Fetches a block's bytes. Returns `None` when the block is absent
-    /// *or* quarantined.
+    /// Fetches a block's bytes, every chunk verified. Returns `None` when
+    /// the block is absent *or* quarantined.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::Protocol`] for invalid ids and
     /// [`ClusterError::Io`] for filesystem failures other than absence.
     pub fn get(&self, id: &BlockId) -> Result<Option<Vec<u8>>, ClusterError> {
-        Ok(self.read_verified(id)?.map(|(bytes, _)| bytes))
+        Ok(blockfile::read(&self.path_for(id)?)?)
     }
 
-    /// Reports a block's presence as `(length, crc32)` — the trailer
-    /// checksum the read has just verified, not a second hash of the
-    /// block. Quarantined blocks report as absent.
+    /// Fetches the given units of a block of `sub` equal units, in request
+    /// order, reading and verifying only the chunks that cover them.
+    /// Returns `None` when the block is absent *or* one of those chunks
+    /// fails.
+    ///
+    /// # Errors
+    ///
+    /// As for [`BlockStore::get`], plus [`ClusterError::Io`] when the block
+    /// does not divide into `sub` units or a unit is not below `sub`.
+    pub fn get_units(
+        &self,
+        id: &BlockId,
+        sub: usize,
+        units: &[usize],
+    ) -> Result<Option<Vec<u8>>, ClusterError> {
+        Ok(blockfile::read_units(&self.path_for(id)?, sub, units)?)
+    }
+
+    /// Reports a block's presence as `(length, digest)` — the block
+    /// digest of its file (the CRC of its chunk CRCs), after one pass that
+    /// verified every chunk. Quarantined blocks report as absent.
     ///
     /// # Errors
     ///
     /// Same as [`BlockStore::get`].
     pub fn stat(&self, id: &BlockId) -> Result<Option<(u32, u32)>, ClusterError> {
-        Ok(self
-            .read_verified(id)?
-            .map(|(bytes, crc)| (bytes.len() as u32, crc)))
+        Ok(blockfile::stat(&self.path_for(id)?)?.map(|(len, digest)| (len as u32, digest)))
     }
 
     /// Removes a block if present.
@@ -161,16 +133,19 @@ mod tests {
         assert!(store.get(&a).unwrap().is_none());
         store.put(&a, b"hello block").unwrap();
         assert_eq!(store.get(&a).unwrap().unwrap(), b"hello block");
-        let (len, crc) = store.stat(&a).unwrap().unwrap();
+        assert_eq!(
+            store.get_units(&a, 11, &[10, 0, 1]).unwrap().unwrap(),
+            b"khe"
+        );
+        let (len, _digest) = store.stat(&a).unwrap().unwrap();
         assert_eq!(len, 11);
-        assert_eq!(crc, crc32(b"hello block"));
         // Overwrite wins.
         store.put(&a, b"v2").unwrap();
         assert_eq!(store.get(&a).unwrap().unwrap(), b"v2");
         store.delete(&a).unwrap();
         assert!(store.get(&a).unwrap().is_none());
         store.delete(&a).unwrap(); // idempotent
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
     }
 
     #[test]
@@ -178,13 +153,14 @@ mod tests {
         let store = temp_store("corrupt");
         let a = id("f", 1, 2);
         store.put(&a, &[7u8; 64]).unwrap();
-        let path = store.root().join("f.s00001.b002.blk");
+        let path = store.root.join("f.s00001.b002.blk");
         let mut bytes = fs::read(&path).unwrap();
         bytes[10] ^= 0x40;
         fs::write(&path, bytes).unwrap();
         assert!(store.get(&a).unwrap().is_none(), "bit rot must quarantine");
         assert!(store.stat(&a).unwrap().is_none());
-        let _ = fs::remove_dir_all(store.root());
+        assert!(store.get_units(&a, 4, &[0]).unwrap().is_none());
+        let _ = fs::remove_dir_all(&store.root);
     }
 
     #[test]
@@ -194,7 +170,8 @@ mod tests {
             let bad = id(name, 0, 0);
             assert!(store.put(&bad, b"x").is_err(), "{name:?}");
             assert!(store.get(&bad).is_err());
+            assert!(store.get_units(&bad, 1, &[0]).is_err());
         }
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
     }
 }

@@ -18,7 +18,7 @@
 //! every shard is rebuilt purely from its log and dead-until-verified
 //! nodes are revived by pinging them.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -104,6 +104,12 @@ impl LocalCluster {
     /// The record-log path of shard `shard`.
     pub fn meta_log_path(&self, shard: usize) -> PathBuf {
         self.base.join(format!("meta{shard:02}.log"))
+    }
+
+    /// The block-store directory of node `id` — where a test reaches in
+    /// to damage a stored block behind the node's back.
+    pub fn node_root(&self, id: usize) -> &Path {
+        &self.roots[id]
     }
 
     /// A fresh client with a short timeout suited to loopback tests.

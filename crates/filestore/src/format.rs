@@ -1,5 +1,5 @@
-//! On-disk block format: a directory with a `meta` file and one file per
-//! block, used by the `carousel-tool` CLI.
+//! On-disk directory format: a `meta` file and one file per block, used
+//! by the `carousel-tool` CLI.
 //!
 //! ```text
 //! mydata.enc/
@@ -13,18 +13,25 @@
 //! (the one file naming every code family) and are re-exported here. The
 //! geometry the metadata records is *checked* against the code it names
 //! before anything is sized by it — a `meta` file is outside input.
+//!
+//! Each `.blk` is an [`access::blockfile`] — the chunk-checksummed file a
+//! datanode stores too — so a block vouches for itself: `meta` carries no
+//! checksums, and no edit of it can make a damaged block load.
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
 
+use access::blockfile;
 pub use access::{AnyCode, CodeSpec};
-use gf256::crc32;
 
 use crate::codec::{EncodedFile, FileCodec, FileMeta};
 use crate::error::FileError;
 
-fn block_file_name(stripe: usize, block: usize) -> String {
+/// The `format=` value [`save`] writes and [`load`] insists on.
+const FORMAT: &str = "carousel-filestore-v2";
+
+/// The name of stripe `stripe`'s block `block` inside an encoded directory.
+pub fn block_file_name(stripe: usize, block: usize) -> String {
     format!("s{stripe:05}_b{block:03}.blk")
 }
 
@@ -37,152 +44,108 @@ fn block_file_name(stripe: usize, block: usize) -> String {
 pub fn save(dir: &Path, spec: CodeSpec, file: &EncodedFile<AnyCode>) -> Result<(), FileError> {
     fs::create_dir_all(dir)?;
     let meta = file.meta();
-    let mut text = String::new();
-    text.push_str("format=carousel-filestore-v1\n");
-    text.push_str(&format!("code={spec}\n"));
-    text.push_str(&format!("file_len={}\n", meta.file_len));
-    text.push_str(&format!("block_bytes={}\n", meta.block_bytes));
-    text.push_str(&format!("stripes={}\n", meta.stripes));
-    text.push_str(&format!("stripe_data_bytes={}\n", meta.stripe_data_bytes));
     for s in 0..file.stripes() {
         for b in 0..meta.n {
             if let Some(bytes) = file.block(s, b) {
-                fs::write(dir.join(block_file_name(s, b)), bytes)?;
-                text.push_str(&format!("crc_{s}_{b}={:08x}\n", crc32(bytes)));
+                blockfile::write(&dir.join(block_file_name(s, b)), bytes)?;
             }
         }
     }
+    let text = format!(
+        "format={FORMAT}\ncode={spec}\nfile_len={}\nblock_bytes={}\nstripes={}\n\
+         stripe_data_bytes={}\n",
+        meta.file_len, meta.block_bytes, meta.stripes, meta.stripe_data_bytes
+    );
     fs::write(dir.join("meta"), text)?;
     Ok(())
 }
 
-/// What a `meta` file yields once checked: the spec, a codec built from it,
-/// the metadata, and the recorded per-block CRCs.
-type Opened = (
-    CodeSpec,
-    FileCodec<AnyCode>,
-    FileMeta,
-    HashMap<(usize, usize), u32>,
-);
-
 /// Parses `meta`, builds the code it names and checks the recorded
 /// geometry against that code, so nothing downstream divides by, indexes
 /// with or allocates from an unchecked number.
-fn open(dir: &Path) -> Result<Opened, FileError> {
+fn open(dir: &Path) -> Result<(CodeSpec, FileCodec<AnyCode>, FileMeta), FileError> {
     let text = fs::read_to_string(dir.join("meta"))?;
-    let mut code = None;
-    let mut file_len: Option<u64> = None;
-    let mut block_bytes = None;
-    let mut stripes: Option<usize> = None;
-    let mut stripe_data_bytes: Option<usize> = None;
-    let mut crcs = HashMap::new();
-    for line in text.lines() {
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        let (key, value) = (key.trim(), value.trim());
-        match key {
-            "code" => {
-                code = Some(CodeSpec::parse(value).map_err(|_| FileError::BadMeta {
-                    reason: format!("unparseable code spec: {value:?}"),
-                })?)
-            }
-            "file_len" => file_len = value.parse().ok(),
-            "block_bytes" => block_bytes = value.parse().ok(),
-            "stripes" => stripes = value.parse().ok(),
-            "stripe_data_bytes" => stripe_data_bytes = value.parse().ok(),
-            _ => {
-                if let Some(id) = parse_crc_key(key) {
-                    if let Ok(crc) = u32::from_str_radix(value, 16) {
-                        crcs.insert(id, crc);
-                    }
-                }
-            }
-        }
-    }
-    let missing = |what: &str| FileError::BadMeta {
-        reason: format!("missing or invalid {what}"),
+    // `key=value` lines; the last line of a key wins, unknown keys are ignored.
+    let field = |key: &str| {
+        let mut pairs = text.lines().rev().filter_map(|line| line.split_once('='));
+        pairs.find_map(|(k, v)| (k.trim() == key).then_some(v.trim()))
     };
-    let spec = code.ok_or_else(|| missing("code"))?;
-    let file_len = file_len.ok_or_else(|| missing("file_len"))?;
-    let block_bytes = block_bytes.ok_or_else(|| missing("block_bytes"))?;
-    let stripes = stripes.ok_or_else(|| missing("stripes"))?;
+    let bad = |reason: String| FileError::BadMeta { reason };
+    let number = |key: &str| {
+        let parsed = field(key).and_then(|v| v.parse::<usize>().ok());
+        parsed.ok_or_else(|| bad(format!("missing or invalid {key}")))
+    };
+    let format = field("format").unwrap_or("");
+    if format != FORMAT {
+        return Err(bad(format!("format={format}, this build reads {FORMAT}")));
+    }
+    let code = field("code").ok_or_else(|| bad("missing or invalid code".into()))?;
+    let spec =
+        CodeSpec::parse(code).map_err(|_| bad(format!("unparseable code spec: {code:?}")))?;
+    let file_len = number("file_len")? as u64;
+    let block_bytes = number("block_bytes")?;
+    let stripes = number("stripes")?;
+    let recorded = number("stripe_data_bytes")?;
 
     let codec = FileCodec::new(spec.build()?, block_bytes)?;
     let sdb = codec.stripe_data_bytes();
-    // Older directories predate this field; the codec's value is the only
-    // one that was ever correct.
-    if let Some(recorded) = stripe_data_bytes.filter(|&r| r != sdb) {
-        return Err(FileError::BadMeta {
-            reason: format!(
-                "stripe_data_bytes={recorded}, but {spec} with block_bytes={block_bytes} \
-                 carries {sdb} per stripe"
-            ),
-        });
+    if recorded != sdb {
+        return Err(bad(format!(
+            "stripe_data_bytes={recorded}, but {spec} with block_bytes={block_bytes} \
+             carries {sdb} per stripe"
+        )));
     }
     codec
         .geometry()
         .check_file(file_len, stripes)
-        .map_err(|e| FileError::BadMeta {
-            reason: e.to_string(),
-        })?;
+        .map_err(|e| bad(e.to_string()))?;
     let meta = codec.meta_for(file_len);
-    Ok((spec, codec, meta, crcs))
-}
-
-/// `crc_<stripe>_<block>` → `(stripe, block)`.
-fn parse_crc_key(key: &str) -> Option<(usize, usize)> {
-    let (s, b) = key.strip_prefix("crc_")?.split_once('_')?;
-    Some((s.parse().ok()?, b.parse().ok()?))
+    Ok((spec, codec, meta))
 }
 
 /// Reads the metadata of an encoded directory.
 ///
 /// # Errors
 ///
-/// Returns [`FileError::BadMeta`] on malformed metadata or a recorded
-/// geometry (`file_len`, `stripes`, `stripe_data_bytes`) that does not fit
-/// the recorded code, and I/O errors on filesystem failures.
+/// Returns [`FileError::BadMeta`] on malformed metadata, a `format=` other
+/// than this build's, or a recorded geometry (`file_len`, `stripes`,
+/// `stripe_data_bytes`) that does not fit the recorded code, and I/O
+/// errors on filesystem failures.
 pub fn read_meta(dir: &Path) -> Result<(CodeSpec, FileMeta), FileError> {
-    let (spec, _, meta, _) = open(dir)?;
+    let (spec, _, meta) = open(dir)?;
     Ok((spec, meta))
 }
 
 /// Loads an encoded directory: missing `.blk` files become missing blocks,
-/// and blocks whose CRC-32 disagrees with the metadata are *quarantined*
-/// (treated as missing, so the erasure code can recover them).
+/// and so do block files that fail their own checksums or are not block
+/// files at all — *quarantined*, so the erasure code can recover them.
 ///
 /// # Errors
 ///
 /// Propagates metadata and filesystem failures; individual absent or
 /// corrupt block files are *not* errors (that is the point of erasure
-/// coding).
+/// coding). A block file of another format version is one, as is an
+/// intact block whose length is not the recorded `block_bytes`.
 pub fn load(dir: &Path) -> Result<EncodedFile<AnyCode>, FileError> {
-    let (_, codec, meta, crcs) = open(dir)?;
+    let (_, codec, meta) = open(dir)?;
     let mut file = EncodedFile::empty(codec, meta.clone());
     for s in 0..meta.stripes {
         for b in 0..meta.n {
             let path = dir.join(block_file_name(s, b));
-            if path.exists() {
-                let bytes = fs::read(&path)?;
-                if bytes.len() != meta.block_bytes {
-                    return Err(FileError::BadMeta {
-                        reason: format!(
-                            "block file {} has {} bytes, expected {}",
-                            path.display(),
-                            bytes.len(),
-                            meta.block_bytes
-                        ),
-                    });
-                }
-                // Quarantine blocks failing their recorded checksum.
-                if let Some(&expect) = crcs.get(&(s, b)) {
-                    if crc32(&bytes) != expect {
-                        continue;
-                    }
-                }
-                file.set_block(s, b, bytes);
+            let Some(bytes) = blockfile::read(&path)? else {
+                continue;
+            };
+            if bytes.len() != meta.block_bytes {
+                return Err(FileError::BadMeta {
+                    reason: format!(
+                        "block file {} has {} bytes, expected {}",
+                        path.display(),
+                        bytes.len(),
+                        meta.block_bytes
+                    ),
+                });
             }
+            file.set_block(s, b, bytes);
         }
     }
     Ok(file)
@@ -230,14 +193,50 @@ mod tests {
         let victim = dir.join(block_file_name(0, 1));
         let mut bytes = fs::read(&victim).unwrap();
         bytes[7] ^= 0xFF;
-        fs::write(&victim, bytes).unwrap();
+        fs::write(&victim, &bytes).unwrap();
 
-        let loaded = load(&dir).unwrap();
-        assert!(
-            !loaded.live_blocks(0).contains(&1),
-            "corrupt block must be quarantined"
+        // The block vouches for itself, so it stays quarantined whatever
+        // `meta` says — the v1 format trusted a `crc_0_1=` line there, and
+        // loaded the block unchecked once that line was deleted.
+        let good = fs::read_to_string(dir.join("meta")).unwrap();
+        assert!(!good.contains("crc_"), "meta carries no checksums");
+        let forged = format!(
+            "{good}crc_0_1={:08x}\n",
+            crate::checksum::crc32(&bytes[..90])
         );
-        assert_eq!(loaded.decode().unwrap(), data, "code recovers the damage");
+        for meta in [&good, &forged] {
+            fs::write(dir.join("meta"), meta).unwrap();
+            let loaded = load(&dir).unwrap();
+            assert!(
+                !loaded.live_blocks(0).contains(&1),
+                "corrupt block must be quarantined"
+            );
+            assert_eq!(loaded.decode().unwrap(), data, "code recovers the damage");
+        }
+
+        // So does a v1 block file (bare payload, its CRC in `meta`) and a
+        // truncated one; repairing and saving rewrites them.
+        fs::write(dir.join(block_file_name(1, 0)), enc.block(1, 0).unwrap()).unwrap();
+        fs::write(dir.join(block_file_name(1, 4)), &bytes[..40]).unwrap();
+        let mut loaded = load(&dir).unwrap();
+        assert_eq!(loaded.live_blocks(1), vec![1, 2, 3]);
+        for (s, b) in [(0, 1), (1, 0), (1, 4)] {
+            loaded.repair_block(s, b).unwrap();
+        }
+        save(&dir, spec, &loaded).unwrap();
+        let healed = load(&dir).unwrap();
+        assert!((0..healed.stripes()).all(|s| healed.live_blocks(s).len() == 5));
+        assert_eq!(healed.decode().unwrap(), data);
+
+        // A block file from a later format is refused, not repaired over.
+        let mut bytes = fs::read(&victim).unwrap();
+        let version_at = bytes.len() - blockfile::FOOTER_BYTES + 4;
+        bytes[version_at] += 1;
+        fs::write(&victim, bytes).unwrap();
+        match load(&dir).map(drop) {
+            Err(FileError::Io(e)) => assert!(e.to_string().contains("version 2"), "{e}"),
+            other => panic!("expected a version error, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -246,10 +245,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("filestore-badmeta-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("meta"), "format=x\ncode=rs(4,2)\nblock_bytes=64\n").unwrap();
-        match read_meta(&dir) {
-            Err(FileError::BadMeta { reason }) => assert!(reason.contains("file_len")),
-            other => panic!("expected BadMeta, got {other:?}"),
+        let v2 = format!("format={FORMAT}\ncode=rs(4,2)\nblock_bytes=64\n");
+        for (meta, names) in [
+            (v2.as_str(), "file_len"),
+            // Any other format, the v1 this format replaced included, is
+            // refused by the value found; so is no format line at all.
+            ("format=x\ncode=rs(4,2)\n", "format=x"),
+            ("format=carousel-filestore-v1\n", "carousel-filestore-v1"),
+            ("code=rs(4,2)\nblock_bytes=64\n", "format="),
+        ] {
+            fs::write(dir.join("meta"), meta).unwrap();
+            match read_meta(&dir) {
+                Err(FileError::BadMeta { reason }) => assert!(reason.contains(names), "{reason}"),
+                other => panic!("expected BadMeta, got {other:?}"),
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -285,6 +294,8 @@ mod tests {
             ("file_len", "file_len=5000", "file_len=0"),
             ("stripes", "stripes=5", "stripes=99999999999"),
             ("code", "code=rs(6,4)", "code=rs(6;4)"),
+            ("stripe_data_bytes", "stripe_data_bytes=1024\n", ""),
+            ("carousel-filestore-v1", FORMAT, "carousel-filestore-v1"),
         ] {
             assert!(good.contains(from), "fixture has {from}");
             fs::write(dir.join("meta"), good.replace(from, to)).unwrap();
@@ -297,12 +308,7 @@ mod tests {
                 }
             }
         }
-        // Directories older than the stripe_data_bytes field still load.
-        fs::write(
-            dir.join("meta"),
-            good.replace("stripe_data_bytes=1024\n", ""),
-        )
-        .unwrap();
+        fs::write(dir.join("meta"), good).unwrap();
         assert_eq!(load(&dir).unwrap().decode().unwrap(), data);
         let _ = fs::remove_dir_all(&dir);
     }

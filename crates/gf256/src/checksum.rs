@@ -2,11 +2,14 @@
 //!
 //! Erasure codes recover *erased* blocks but silently propagate *corrupt*
 //! ones; real storage systems (HDFS included) therefore checksum every
-//! block. The filestore on-disk format records a CRC per block, the
-//! cluster's block store, wire frames and metadata log trail one, and
-//! every reader treats a mismatch as an erasure, letting the code repair
-//! what bit-rot damaged. It lives here, below all of them, next to the
-//! other byte-slice kernels.
+//! block. Three things carry this CRC: a stored block file
+//! (`access::blockfile`, one per 4 KiB chunk plus a digest over them —
+//! the format of both the cluster's block store and the filestore
+//! directory, verified by whichever read returns the bytes), a wire frame
+//! (verified by the receiver) and a metadata-log record (verified at
+//! replay). A stored block that fails is treated as an erasure, letting
+//! the code repair what bit rot damaged. It lives here, below all of
+//! them, next to the other byte-slice kernels.
 
 const POLY: u32 = 0xEDB8_8320;
 

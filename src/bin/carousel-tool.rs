@@ -245,7 +245,7 @@ fn drop_block(args: &[String]) -> Result<(), String> {
         .ok_or("drop: missing <block>")?
         .parse()
         .map_err(|_| "invalid block index")?;
-    let path = dir.join(format!("s{stripe:05}_b{block:03}.blk"));
+    let path = dir.join(format::block_file_name(stripe, block));
     std::fs::remove_file(&path).map_err(err_str)?;
     println!("removed {}", path.display());
     Ok(())
@@ -280,7 +280,7 @@ fn repair(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Scrub: verify every block against its recorded CRC and report the
+/// Scrub: verify every block against its own chunk checksums and report the
 /// recovery headroom of each stripe. With `--deep`, additionally runs the
 /// checksum-free consistency check (subset-vote corruption localization).
 fn verify(args: &[String]) -> Result<(), String> {

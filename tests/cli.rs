@@ -98,16 +98,42 @@ fn bitrot_is_quarantined_and_fatal_damage_reported() {
 
     // Corrupt one block in place: verify must quarantine it.
     let victim = enc.join("s00000_b001.blk");
-    let mut bytes = std::fs::read(&victim).unwrap();
-    bytes[3] ^= 0x80;
-    std::fs::write(&victim, bytes).unwrap();
+    let flip = || {
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes[3] ^= 0x80;
+        std::fs::write(&victim, bytes).unwrap();
+    };
+    flip();
+    let verify = || {
+        let output = tool()
+            .args(["verify", enc.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(output.status.success());
+        String::from_utf8_lossy(&output.stdout).into_owned()
+    };
+    assert!(verify().contains("3/4 blocks healthy"));
+
+    // A block file in the pre-v2 layout (payload ++ CRC-32, no footer) is
+    // not trusted and not an error: it loads as missing, and repair
+    // rebuilds it along with the bit-rotted one.
+    let legacy = enc.join("s00000_b003.blk");
+    let stored = std::fs::read(&legacy).unwrap();
+    let mut v1 = access::blockfile::read(&legacy).unwrap().unwrap();
+    let crc = filestore::checksum::crc32(&v1);
+    v1.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(&legacy, v1).unwrap();
+    assert!(verify().contains("2/4 blocks healthy"));
     let output = tool()
-        .args(["verify", enc.to_str().unwrap()])
+        .args(["repair", enc.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(output.status.success());
-    assert!(String::from_utf8_lossy(&output.stdout).contains("3/4 blocks healthy"));
+    assert!(String::from_utf8_lossy(&output.stdout).contains("repaired 2 block(s)"));
+    assert!(verify().contains("fully healthy"));
+    assert_eq!(std::fs::read(&legacy).unwrap(), stored, "rewritten as v2");
 
+    flip();
     // Destroy two more blocks: below k, verify must fail loudly.
     std::fs::remove_file(enc.join("s00000_b000.blk")).unwrap();
     std::fs::remove_file(enc.join("s00000_b002.blk")).unwrap();

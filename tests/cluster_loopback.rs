@@ -3,9 +3,11 @@
 //! byte-identical contents on the healthy, degraded and post-repair
 //! paths — all through the unified [`ObjectStore`] API.
 
+use access::blockfile::{self, CHUNK};
 use access::{ObjectStore, PutOptions};
+use cluster::protocol::{read_response, write_request};
 use cluster::testing::LocalCluster;
-use cluster::{ClusterError, MetaRecord};
+use cluster::{BlockId, ClusterError, MetaRecord, Request, Response};
 
 fn payload(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 31 + 17) as u8).collect()
@@ -118,6 +120,77 @@ fn rs_cluster_reads_and_degrades() {
         client.get("nope"),
         Err(ClusterError::UnknownFile { .. })
     ));
+}
+
+/// Bit rot on a *live* node, for a block-wise and a unit-wise code: one
+/// flipped byte of a stored `.blk`. The node serves what it can still
+/// vouch for — units whose chunks are intact — and reports the block
+/// missing to `Stat`; the client reads around it, and repair rebuilds the
+/// block where it was.
+#[test]
+fn bit_rot_is_read_around_and_repaired_in_place() {
+    for spec in ["rs(6,3)", "carousel(6,3,3,6)"] {
+        let cluster = LocalCluster::start(7).unwrap();
+        let mut client = cluster.client().with_seed(13);
+        // Four chunks per block, whatever the code's sub-packetization.
+        let block_bytes = 4 * CHUNK;
+        let data = payload(5 * block_bytes); // 2 stripes, last one partial
+        let opts = PutOptions::new().code(spec).block_bytes(block_bytes);
+        client.put_opts("rot", &data, &opts).unwrap();
+        let fp = client.coordinator().file("rot").unwrap();
+        assert_eq!(client.get("rot").unwrap(), data, "{spec}");
+
+        // Flip one byte in the last chunk of stripe 0's first block.
+        let node = fp.nodes[0][0];
+        let path = cluster.node_root(node).join("rot.s00000.b000.blk");
+        let block = blockfile::read(&path).unwrap().expect("stored block");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[3 * CHUNK + 5] ^= 0x10;
+        std::fs::write(&path, bytes).unwrap();
+
+        let addr = cluster.router().node_addr(node).unwrap();
+        let call = |request: &Request| {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            write_request(&mut stream, request).unwrap();
+            read_response(&mut stream).unwrap().unwrap().0
+        };
+        let id = BlockId {
+            file: "rot".into(),
+            stripe: 0,
+            block: 0,
+        };
+        let units = |units: Vec<u32>| Request::GetUnits {
+            id: id.clone(),
+            sub: 4,
+            units,
+        };
+        // Units 0..3 sit in chunks the flip did not touch.
+        assert_eq!(
+            call(&units(vec![0, 1, 2])),
+            Response::Data(block[..3 * CHUNK].to_vec()),
+            "{spec}"
+        );
+        for covering in [
+            units(vec![3]),
+            units(vec![0, 3]),
+            Request::Stat { id: id.clone() },
+        ] {
+            assert!(
+                matches!(call(&covering), Response::Error(_)),
+                "{spec}: {covering:?} must not vouch for the damaged chunk"
+            );
+        }
+
+        // The client reads around the damage without declaring the node dead.
+        assert_eq!(client.get("rot").unwrap(), data, "{spec}");
+        assert!(client.coordinator().is_alive(node), "{spec}");
+        let report = client.repair_file("rot").unwrap();
+        assert_eq!(report.blocks_repaired, 1, "{spec}");
+        assert_eq!(client.coordinator().file("rot").unwrap().nodes, fp.nodes);
+        assert_eq!(blockfile::read(&path).unwrap(), Some(block), "{spec}");
+        assert_eq!(client.get("rot").unwrap(), data, "{spec}");
+        assert_eq!(client.repair_file("rot").unwrap().blocks_repaired, 0);
+    }
 }
 
 /// In-place writes and appends over live TCP: `write_range` ships only
