@@ -4,19 +4,25 @@
 //! believed availability, fetch, and when a node dies mid-read drop it and
 //! replan. [`PlanExecutor`] is that machine, written once, bounded (a
 //! cluster where nodes keep failing mid-read must not livelock), and generic
-//! over [`BlockSource`] — so the in-memory store, the simulator and the TCP
-//! client cannot diverge from each other or from the paper's math.
+//! over [`BlockSource`] — so the in-memory store and the TCP client cannot
+//! diverge from each other or from the paper's math.
 //!
-//! Every fetch of a plan — the per-node unit reads of a stripe read, and
-//! all `d` helper reads of a repair — is issued as *one*
-//! [`BlockSource::fetch_batch`] call, so a transport can fan the requests
-//! out to distinct nodes concurrently. Failures are collected per batch:
-//! one replan routes around *every* node that failed in the round, not one
-//! node at a time.
+//! A stripe read, a block-region read and a repair all run the same round:
+//! plan against the available set, hand the plan's requests to
+//! [`BlockSource::fetch`] as *one* batch (so a transport can fan them out
+//! to distinct nodes concurrently), and hold every slot to the payload
+//! length its request names. A slot that is anything else — `Unavailable`,
+//! a wrong length, or missing from the result — names a dead node; one
+//! replan routes around *every* node that failed in the round, not one
+//! node at a time. The operations differ only in how they plan and in the
+//! kind of request they issue.
+//!
+//! Payloads are never re-cut: each node's answer is kept whole, and decode
+//! reads the planned units as slices into it.
 
 use std::sync::{Arc, LazyLock};
 
-use erasure::{CodeError, DegradedPlan, ErasureCode, ReadMode, ReadPlan};
+use erasure::{CodeError, ErasureCode, ReadMode, ReadPlan};
 
 use crate::cache::PlanCache;
 use crate::source::{BatchRequest, BlockSource, Fetch};
@@ -91,21 +97,17 @@ pub struct StripeRead {
 /// previous stripe. The struct is pure data (the plan is `Arc`-shared pure
 /// data too), so it crosses threads freely.
 #[derive(Debug, Clone)]
-pub struct FetchedStripe {
-    plan: Arc<ReadPlan>,
-    units: Vec<Vec<u8>>,
-    replans: usize,
-}
+pub struct FetchedStripe(Round<ReadPlan, UnitLayout>);
 
 impl FetchedStripe {
     /// The read mode of the plan that succeeded.
     pub fn mode(&self) -> ReadMode {
-        self.plan.mode()
+        self.0.plan.mode()
     }
 
     /// Mid-read replans that were needed (0 = first plan worked).
     pub fn replans(&self) -> usize {
-        self.replans
+        self.0.replans
     }
 
     /// Decodes the fetched units into the stripe's original data
@@ -116,8 +118,13 @@ impl FetchedStripe {
     ///
     /// Propagates decode failures from the plan.
     pub fn decode(&self) -> Result<Vec<u8>, CodeError> {
-        let slices: Vec<&[u8]> = self.units.iter().map(Vec::as_slice).collect();
-        self.plan.decode_units(&slices)
+        let Round {
+            plan,
+            payloads,
+            layout,
+            ..
+        } = &self.0;
+        plan.decode_units(&layout.slices(payloads))
     }
 }
 
@@ -180,19 +187,14 @@ impl<'a> PlanExecutor<'a> {
         code: &dyn ErasureCode,
         source: &mut S,
     ) -> Result<FetchedStripe, ExecError<S::Error>> {
-        let mut available = source.available();
-        available.sort_unstable();
-        let (plan, units, replans) = self.fetch_replanning(
-            available,
+        let w = source.unit_bytes();
+        self.fetch_replanning(
+            None,
             source,
             |live| self.cache.read_plan(code, live),
-            ReadPlan::sources,
-        )?;
-        Ok(FetchedStripe {
-            plan,
-            units,
-            replans,
-        })
+            |plan| unit_batch(plan.sources(), w),
+        )
+        .map(FetchedStripe)
     }
 
     /// Reads one stripe's original data, degrading and replanning as nodes
@@ -226,57 +228,30 @@ impl<'a> PlanExecutor<'a> {
         target: usize,
         source: &mut S,
     ) -> Result<RegionRead, ExecError<S::Error>> {
-        let mut available = source.available();
-        available.sort_unstable();
-        available.retain(|&n| n != target);
-        let (plan, units, replans) = self.fetch_replanning(
-            available,
+        let w = source.unit_bytes();
+        let round = self.fetch_replanning(
+            Some(target),
             source,
             |live| self.cache.degraded_plan(code, target, live),
-            DegradedPlan::sources,
+            |plan| unit_batch(plan.sources(), w),
         )?;
-        let slices: Vec<&[u8]> = units.iter().map(Vec::as_slice).collect();
-        let data = plan.decode_units(&slices)?;
-        Ok(RegionRead { data, replans })
+        let data = round
+            .plan
+            .decode_units(&round.layout.slices(&round.payloads))?;
+        Ok(RegionRead {
+            data,
+            replans: round.replans,
+        })
     }
 
-    /// The replanning loop of both unit-level reads: plan against
-    /// `available`, fetch the plan's sources as one batch, and on failures
-    /// drop every dead node and plan again, within the replan budget.
-    /// Returns the plan that worked, its payloads in source order, and the
-    /// replans it took.
-    #[allow(clippy::type_complexity)]
-    fn fetch_replanning<S: BlockSource, P>(
-        &self,
-        mut available: Vec<usize>,
-        source: &mut S,
-        plan: impl Fn(&[usize]) -> Result<Arc<P>, CodeError>,
-        sources: impl Fn(&P) -> &[(usize, usize)],
-    ) -> Result<(Arc<P>, Vec<Vec<u8>>, usize), ExecError<S::Error>> {
-        let w = source.unit_bytes();
-        let mut replans = 0;
-        loop {
-            let planned = plan(&available)?;
-            match batch_units(sources(&planned), w, source).map_err(ExecError::Source)? {
-                Ok(units) => return Ok((planned, units, replans)),
-                Err(dead) => {
-                    available.retain(|n| !dead.contains(n));
-                    replans += 1;
-                    if replans > self.max_replans {
-                        return Err(ExecError::ReplansExhausted { attempts: replans });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Repairs block `failed` from `d` helpers, swapping in fresh helpers
-    /// (and re-deriving coefficients) when one dies mid-repair. All `d`
-    /// helper reads of a plan go out as one batch.
+    /// Repairs block `failed` from the first `d` available helpers,
+    /// swapping in fresh helpers (and re-deriving coefficients) when one
+    /// dies mid-repair.
     ///
     /// # Errors
     ///
-    /// As for [`PlanExecutor::fetch_stripe`].
+    /// As for [`PlanExecutor::fetch_stripe`]; fewer than `d` helpers left
+    /// is [`CodeError::InsufficientData`].
     pub fn repair_block<S: BlockSource>(
         &self,
         code: &dyn ErasureCode,
@@ -284,54 +259,79 @@ impl<'a> PlanExecutor<'a> {
         source: &mut S,
     ) -> Result<RepairOutcome, ExecError<S::Error>> {
         let d = code.d();
+        let round = self.fetch_replanning(
+            Some(failed),
+            source,
+            |live| match live.get(..d) {
+                Some(helpers) => self.cache.repair_plan(code, failed, helpers),
+                None => Err(CodeError::InsufficientData {
+                    needed: d,
+                    got: live.len(),
+                }),
+            },
+            |plan| {
+                let requests = plan.helpers.iter().map(|task| BatchRequest::Repair {
+                    node: task.node,
+                    task,
+                });
+                (requests.collect(), ())
+            },
+        )?;
+        let payload_bytes = round.payloads.iter().map(Vec::len).sum();
+        let combined_at = std::time::Instant::now();
+        let block = round.plan.combine_payloads(&round.payloads)?;
+        REPAIR_DECODE.record(combined_at.elapsed().as_micros() as u64);
+        Ok(RepairOutcome {
+            block,
+            payload_bytes,
+            replans: round.replans,
+        })
+    }
+
+    /// The replanning loop under every operation: `plan` against the
+    /// source's available nodes (less `exclude`, the block being rebuilt),
+    /// issue the plan's `batch` as one fetch, and hold each slot to the
+    /// payload length its request names. Any other slot — unavailable,
+    /// wrong length, or absent from the result — names a dead node; all of
+    /// a round's dead nodes are dropped together and the operation plans
+    /// again, within the replan budget.
+    fn fetch_replanning<S: BlockSource, P, L>(
+        &self,
+        exclude: Option<usize>,
+        source: &mut S,
+        plan: impl Fn(&[usize]) -> Result<Arc<P>, CodeError>,
+        batch: impl Fn(&P) -> (Vec<BatchRequest<'_>>, L),
+    ) -> Result<Round<P, L>, ExecError<S::Error>> {
         let mut available = source.available();
         available.sort_unstable();
-        available.retain(|&n| n != failed);
+        available.retain(|&n| Some(n) != exclude);
         let w = source.unit_bytes();
         let mut replans = 0;
         loop {
-            if available.len() < d {
-                return Err(ExecError::Code(CodeError::InsufficientData {
-                    needed: d,
-                    got: available.len(),
-                }));
-            }
-            let helpers: Vec<usize> = available.iter().copied().take(d).collect();
-            let plan = self.cache.repair_plan(code, failed, &helpers)?;
-            let requests: Vec<BatchRequest<'_>> = plan
-                .helpers
-                .iter()
-                .map(|task| BatchRequest::Repair {
-                    node: task.node,
-                    task,
-                })
-                .collect();
+            let planned = plan(&available)?;
+            let (requests, layout) = batch(&planned);
             FETCH_FANOUT.record(requests.len() as u64);
-            let fetches = source.fetch_batch(&requests).map_err(ExecError::Source)?;
-            let mut payloads = Vec::with_capacity(d);
+            let mut fetches = source
+                .fetch(&requests)
+                .map_err(ExecError::Source)?
+                .into_iter();
+            let mut payloads = Vec::with_capacity(requests.len());
             let mut dead = Vec::new();
-            for (task, fetch) in plan.helpers.iter().zip(fetches) {
-                match fetch {
-                    Fetch::Data(bytes) if bytes.len() == task.beta() * w => payloads.push(bytes),
-                    _ => dead.push(task.node),
+            for request in &requests {
+                match fetches.next() {
+                    Some(Fetch::Data(bytes)) if bytes.len() == request.payload_bytes(w) => {
+                        payloads.push(bytes);
+                    }
+                    _ => dead.push(request.node()),
                 }
             }
-            if dead.is_empty() && payloads.len() == plan.helpers.len() {
-                let payload_bytes = payloads.iter().map(Vec::len).sum();
-                let combined_at = std::time::Instant::now();
-                let block = plan.combine_payloads(&payloads)?;
-                REPAIR_DECODE.record(combined_at.elapsed().as_micros() as u64);
-                return Ok(RepairOutcome {
-                    block,
-                    payload_bytes,
+            if dead.is_empty() {
+                return Ok(Round {
+                    plan: planned,
+                    payloads,
+                    layout,
                     replans,
                 });
-            }
-            // A short batch result (a source violating the contract) with
-            // no named dead node cannot make progress; treat every helper
-            // as suspect rather than loop forever.
-            if dead.is_empty() {
-                dead = helpers;
             }
             available.retain(|n| !dead.contains(n));
             replans += 1;
@@ -342,58 +342,67 @@ impl<'a> PlanExecutor<'a> {
     }
 }
 
-/// Issues every `(node, unit)` source of a plan as one batch, grouping
-/// per-node requests into one [`BatchRequest::Units`] each.
-/// `Ok(Ok(units))` has payloads in source order; `Ok(Err(nodes))` lists
-/// *every* node that failed to serve this round (including wrong-length
-/// payloads, which are treated as the node lying and therefore dying);
-/// `Err` is transport-fatal.
-#[allow(clippy::type_complexity)]
-fn batch_units<S: BlockSource>(
+/// What a successful round of the replanning loop hands back.
+#[derive(Debug, Clone)]
+struct Round<P, L> {
+    /// The plan that worked.
+    plan: Arc<P>,
+    /// One payload per request of the plan's batch, in request order.
+    payloads: Vec<Vec<u8>>,
+    /// Whatever the batch builder returned beside its requests.
+    layout: L,
+    /// Replans it took.
+    replans: usize,
+}
+
+/// Where each planned `(node, unit)` source of a unit-level plan lies in
+/// the payloads of its batch, which are kept whole as their nodes sent
+/// them.
+#[derive(Debug, Clone)]
+struct UnitLayout {
+    /// Per planned source, in plan order: `(request, byte offset)`.
+    at: Vec<(usize, usize)>,
+    unit_bytes: usize,
+}
+
+impl UnitLayout {
+    /// The planned units in plan order, borrowed from `payloads`.
+    fn slices<'a>(&self, payloads: &'a [Vec<u8>]) -> Vec<&'a [u8]> {
+        let w = self.unit_bytes;
+        self.at
+            .iter()
+            .map(|&(request, offset)| &payloads[request][offset..offset + w])
+            .collect()
+    }
+}
+
+/// The batch of a unit-level plan: one [`BatchRequest::Units`] per node of
+/// `sources` (in first-appearance order, units in plan order), and where
+/// each source's `unit_bytes`-wide unit will lie in the payloads.
+fn unit_batch(
     sources: &[(usize, usize)],
-    w: usize,
-    source: &mut S,
-) -> Result<Result<Vec<Vec<u8>>, Vec<usize>>, S::Error> {
-    // Group per-node runs, remembering each unit's position in the plan.
+    unit_bytes: usize,
+) -> (Vec<BatchRequest<'static>>, UnitLayout) {
     let mut requests: Vec<BatchRequest<'static>> = Vec::new();
-    let mut positions: Vec<Vec<usize>> = Vec::new();
-    for (pos, &(node, unit)) in sources.iter().enumerate() {
-        match requests.iter().position(|r| r.node() == node) {
-            Some(i) => {
-                let BatchRequest::Units { units, .. } = &mut requests[i] else {
-                    unreachable!("unit batches hold only unit requests");
-                };
-                units.push(unit);
-                positions[i].push(pos);
-            }
-            None => {
+    let mut at = Vec::with_capacity(sources.len());
+    for &(node, unit) in sources {
+        let request = requests
+            .iter()
+            .position(|r| r.node() == node)
+            .unwrap_or_else(|| {
                 requests.push(BatchRequest::Units {
                     node,
-                    units: vec![unit],
+                    units: Vec::new(),
                 });
-                positions.push(vec![pos]);
-            }
-        }
+                requests.len() - 1
+            });
+        let BatchRequest::Units { units, .. } = &mut requests[request] else {
+            unreachable!("unit batches hold only unit requests");
+        };
+        at.push((request, units.len() * unit_bytes));
+        units.push(unit);
     }
-    FETCH_FANOUT.record(requests.len() as u64);
-    let fetches = source.fetch_batch(&requests)?;
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); sources.len()];
-    let mut failed = Vec::new();
-    for (i, request) in requests.iter().enumerate() {
-        match fetches.get(i) {
-            Some(Fetch::Data(bytes)) if bytes.len() == positions[i].len() * w => {
-                for (j, &pos) in positions[i].iter().enumerate() {
-                    out[pos] = bytes[j * w..(j + 1) * w].to_vec();
-                }
-            }
-            _ => failed.push(request.node()),
-        }
-    }
-    if failed.is_empty() {
-        Ok(Ok(out))
-    } else {
-        Ok(Err(failed))
-    }
+    (requests, UnitLayout { at, unit_bytes })
 }
 
 #[cfg(test)]
@@ -407,36 +416,6 @@ mod tests {
         let data: Vec<u8> = (0..b * stripes_of).map(|i| (i * 37 + 11) as u8).collect();
         let stripe = code.linear().encode(&data).unwrap();
         (data, stripe.blocks)
-    }
-
-    /// A source that silently drops nodes after their first successful
-    /// serve — the kill-mid-read scenario, batched.
-    struct FlakySource<'a> {
-        inner: MemorySource<'a>,
-        dies_after_serving: Vec<usize>,
-        served: bool,
-    }
-
-    impl BlockSource for FlakySource<'_> {
-        type Error = std::convert::Infallible;
-        fn block_count(&self) -> usize {
-            self.inner.block_count()
-        }
-        fn unit_bytes(&self) -> usize {
-            self.inner.unit_bytes()
-        }
-        fn available(&mut self) -> Vec<usize> {
-            self.inner.available()
-        }
-        fn fetch_units(&mut self, node: usize, units: &[usize]) -> Result<Fetch, Self::Error> {
-            if self.dies_after_serving.contains(&node) {
-                if self.served {
-                    return Ok(Fetch::Unavailable);
-                }
-                self.served = true;
-            }
-            self.inner.fetch_units(node, units)
-        }
     }
 
     #[test]
@@ -469,42 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn mid_read_failure_triggers_replan() {
-        let code = Carousel::new(6, 3, 3, 6).unwrap();
-        let (data, blocks) = encoded(&code, 8);
-        let cache = PlanCache::new(8);
-        let executor = PlanExecutor::new(&cache);
-        let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| Some(&b[..])).collect();
-        let mut source = FlakySource {
-            inner: MemorySource::new(refs, code.sub()),
-            dies_after_serving: vec![0],
-            served: true, // dead from the start, but still listed available
-        };
-        let read = executor.read_stripe(&code, &mut source).unwrap();
-        assert!(read.replans >= 1);
-        assert_eq!(&read.data[..data.len()], &data[..]);
-    }
-
-    /// Batched replanning routes around *all* of a round's failures at
-    /// once: two nodes dead-but-listed cost one replan, not two.
-    #[test]
-    fn batch_failures_share_one_replan() {
-        let code = Carousel::new(6, 3, 3, 6).unwrap();
-        let (data, blocks) = encoded(&code, 8);
-        let cache = PlanCache::new(8);
-        let executor = PlanExecutor::new(&cache);
-        let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| Some(&b[..])).collect();
-        let mut source = FlakySource {
-            inner: MemorySource::new(refs, code.sub()),
-            dies_after_serving: vec![0, 3],
-            served: true, // both dead from the start, still listed available
-        };
-        let read = executor.read_stripe(&code, &mut source).unwrap();
-        assert_eq!(read.replans, 1, "both failures handled in one replan");
-        assert_eq!(&read.data[..data.len()], &data[..]);
-    }
-
-    #[test]
     fn fetch_decode_split_matches_read_stripe() {
         let code = Carousel::new(6, 3, 3, 6).unwrap();
         let (data, blocks) = encoded(&code, 8);
@@ -521,55 +464,6 @@ mod tests {
         assert_ne!(fetched.mode(), ReadMode::Direct);
         assert_eq!(fetched.replans(), 0);
         assert_eq!(&fetched.decode().unwrap()[..data.len()], &data[..]);
-    }
-
-    #[test]
-    fn replan_budget_is_enforced() {
-        let code = Carousel::new(6, 3, 3, 6).unwrap();
-        let (_, blocks) = encoded(&code, 4);
-
-        /// Fails exactly the first request of every batch, so each round
-        /// loses one more node and the budget, not the availability set,
-        /// is what runs out.
-        struct FirstRequestFails<'a> {
-            inner: MemorySource<'a>,
-        }
-        impl BlockSource for FirstRequestFails<'_> {
-            type Error = std::convert::Infallible;
-            fn block_count(&self) -> usize {
-                self.inner.block_count()
-            }
-            fn unit_bytes(&self) -> usize {
-                self.inner.unit_bytes()
-            }
-            fn available(&mut self) -> Vec<usize> {
-                self.inner.available()
-            }
-            fn fetch_units(&mut self, node: usize, units: &[usize]) -> Result<Fetch, Self::Error> {
-                self.inner.fetch_units(node, units)
-            }
-            fn fetch_batch(
-                &mut self,
-                requests: &[BatchRequest<'_>],
-            ) -> Result<Vec<Fetch>, Self::Error> {
-                let mut fetches = self.inner.fetch_batch(requests)?;
-                if let Some(first) = fetches.first_mut() {
-                    *first = Fetch::Unavailable;
-                }
-                Ok(fetches)
-            }
-        }
-
-        let cache = PlanCache::new(8);
-        let executor = PlanExecutor::new(&cache).with_max_replans(2);
-        let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| Some(&b[..])).collect();
-        let mut source = FirstRequestFails {
-            inner: MemorySource::new(refs, code.sub()),
-        };
-        match executor.read_stripe(&code, &mut source) {
-            Err(ExecError::ReplansExhausted { attempts }) => assert_eq!(attempts, 3),
-            other => panic!("expected exhaustion, got {other:?}"),
-        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   (`ErasureCode::plan_read` / `plan_block_read`, which `carousel`
 //!   overrides with the paper's ladder), this layer caches and executes
 //!   them and never asks which family it serves;
-//! * [`BlockSource`] — what a transport must provide: availability, unit
-//!   fetches, and (optionally pushed-down) helper-side repair reads;
+//! * [`BlockSource`] — what a transport must provide: the unit width,
+//!   availability, and one `fetch` answering a whole plan's
+//!   [`BatchRequest`]s (unit reads, helper-side repair reads) at once;
 //! * [`PlanExecutor`] — the one replanning loop: plan against believed
 //!   availability, fetch, and on mid-read failure shrink the availability
 //!   set and replan, up to a bounded number of attempts;

@@ -2,20 +2,22 @@
 //! that holds encoded blocks.
 //!
 //! A [`BlockSource`] serves one stripe. Implementations in this workspace:
-//! [`MemorySource`] (blocks in RAM — the `filestore` backend), the
-//! simulated datanode store in `dfs`, and the TCP client in `cluster`.
+//! [`MemorySource`] (blocks in RAM — the `filestore` backend and the
+//! reference the other is compared against) and the TCP client's stripe
+//! source in `cluster`. The trait is three methods, and only one of them
+//! moves bytes: [`BlockSource::fetch`] takes every request of one plan at
+//! once, so a transport can fan them out to distinct nodes concurrently,
+//! and a new kind of read is a new [`BatchRequest`] variant, not a new
+//! method every implementer and wrapper must forward.
+//!
 //! The contract that makes replanning work: *expected* failures (a dead
 //! node, a missing block, a truncated payload) are reported as
-//! [`Fetch::Unavailable`], not as `Err` — `Err` is reserved for faults the
-//! executor cannot route around (protocol violations, local I/O errors).
-//!
-//! Fetches come in two shapes: the scalar [`BlockSource::fetch_units`] /
-//! [`BlockSource::repair_read`] calls, and the batched
-//! [`BlockSource::fetch_batch`], which hands a transport *every* request
-//! of one plan at once so it can fan them out to distinct nodes
-//! concurrently. The default batch implementation loops over the scalar
-//! calls, so the two shapes are semantically interchangeable — a property
-//! the consistency proptests pin down.
+//! [`Fetch::Unavailable`] at the request's slot, not as `Err` — `Err` is
+//! reserved for faults the executor cannot route around (protocol
+//! violations, local I/O errors). A source need not check what it hands
+//! back: the executor holds every [`Fetch::Data`] to
+//! [`BatchRequest::payload_bytes`] and treats any other length — or a
+//! slot the source left out — as that node failing.
 
 use erasure::HelperTask;
 
@@ -29,22 +31,25 @@ pub enum Fetch {
     Unavailable,
 }
 
-/// One request of a batched fetch — the unit the executor hands to
-/// [`BlockSource::fetch_batch`]. Each request targets one node; a plan's
-/// batch never addresses the same node twice, so a transport may serve
-/// every request of a batch concurrently.
+/// One request of a fetch — the unit the executor hands to
+/// [`BlockSource::fetch`]. Each request targets one node; a plan's batch
+/// never addresses the same node twice, so a transport may serve every
+/// request of a batch concurrently.
 #[derive(Debug, Clone)]
 pub enum BatchRequest<'a> {
-    /// Fetch the listed stored units of `node`, concatenated in order —
-    /// the batched form of [`BlockSource::fetch_units`].
+    /// Fetch the listed stored units of `node`, concatenated in order;
+    /// each unit is [`BlockSource::unit_bytes`] long.
     Units {
         /// The node (block slot) to read from.
         node: usize,
         /// Stored unit indices, in the order wanted back.
         units: Vec<usize>,
     },
-    /// Helper-side repair read of `node` under `task` — the batched form
-    /// of [`BlockSource::repair_read`].
+    /// Helper-side repair read: `node` applies `task`'s `β × sub`
+    /// coefficient matrix to its block and returns the `β` combined
+    /// units. Transports with compute at the node (the cluster's
+    /// `RepairRead`) push the matrix down so only `β/sub` of a block
+    /// crosses the wire.
     Repair {
         /// The helper node to read from.
         node: usize,
@@ -60,15 +65,22 @@ impl BatchRequest<'_> {
             BatchRequest::Units { node, .. } | BatchRequest::Repair { node, .. } => *node,
         }
     }
+
+    /// The exact payload length that answers this request on a source
+    /// whose units are `unit_bytes` wide.
+    pub fn payload_bytes(&self, unit_bytes: usize) -> usize {
+        let units = match self {
+            BatchRequest::Units { units, .. } => units.len(),
+            BatchRequest::Repair { task, .. } => task.beta(),
+        };
+        units * unit_bytes
+    }
 }
 
 /// One stripe's worth of remotely (or locally) stored blocks.
 pub trait BlockSource {
     /// Transport-fatal error type (never used for a merely-dead node).
     type Error;
-
-    /// Number of block slots in the stripe (`n`).
-    fn block_count(&self) -> usize;
 
     /// Width of one stored unit in bytes (`block_bytes / sub`).
     fn unit_bytes(&self) -> usize;
@@ -77,63 +89,24 @@ pub trait BlockSource {
     /// set and shrinks it as fetches fail.
     fn available(&mut self) -> Vec<usize>;
 
-    /// Fetches the given stored units of `node`, concatenated in order;
-    /// each unit is [`BlockSource::unit_bytes`] long.
+    /// Serves every request of one plan in a single call:
+    ///
+    /// * **ordering** — one [`Fetch`] per request, at the request's index;
+    /// * **partial failure** — a node that cannot serve yields
+    ///   [`Fetch::Unavailable`] *at its slot* without disturbing the other
+    ///   requests; the executor collects every failed slot of the round
+    ///   and replans once around all of them;
+    /// * **fatal failure** — `Err` aborts the whole operation.
+    ///
+    /// Transports whose requests leave the process (the TCP cluster) fan
+    /// the batch out to all nodes concurrently — that is where planned
+    /// parallelism becomes wall-clock parallelism.
     ///
     /// # Errors
     ///
     /// Only for transport-fatal faults; an unreachable node is
-    /// `Ok(Fetch::Unavailable)`.
-    fn fetch_units(&mut self, node: usize, units: &[usize]) -> Result<Fetch, Self::Error>;
-
-    /// Helper-side repair read: applies `task`'s `β × sub` coefficient
-    /// matrix to `node`'s block and returns the `β·w`-byte payload. The
-    /// default fetches the whole block and combines locally; transports
-    /// with compute at the node (the cluster's `RepairRead`) push the
-    /// matrix down so only `β·w` bytes cross the wire.
-    ///
-    /// # Errors
-    ///
-    /// Only for transport-fatal faults.
-    fn repair_read(&mut self, node: usize, task: &HelperTask) -> Result<Fetch, Self::Error> {
-        let sub = task.coeffs.cols();
-        let units: Vec<usize> = (0..sub).collect();
-        match self.fetch_units(node, &units)? {
-            Fetch::Data(block) => Ok(task.run(&block).map_or(Fetch::Unavailable, Fetch::Data)),
-            Fetch::Unavailable => Ok(Fetch::Unavailable),
-        }
-    }
-
-    /// Serves every request of one plan in a single call.
-    ///
-    /// The contract, which the default sequential loop realizes trivially
-    /// and which every override must preserve:
-    ///
-    /// * **ordering** — the result has exactly one [`Fetch`] per request,
-    ///   at the request's index;
-    /// * **partial failure** — a node that cannot serve yields
-    ///   [`Fetch::Unavailable`] *at its slot* without disturbing the other
-    ///   requests; the executor collects every failed slot of the batch
-    ///   and replans once around all of them;
-    /// * **fatal failure** — `Err` aborts the whole batch, exactly as a
-    ///   scalar `Err` aborts the operation.
-    ///
-    /// Transports whose requests leave the process (the TCP cluster)
-    /// override this to fan the batch out to all nodes concurrently —
-    /// that is where planned parallelism becomes wall-clock parallelism.
-    ///
-    /// # Errors
-    ///
-    /// Only for transport-fatal faults.
-    fn fetch_batch(&mut self, requests: &[BatchRequest<'_>]) -> Result<Vec<Fetch>, Self::Error> {
-        requests
-            .iter()
-            .map(|request| match request {
-                BatchRequest::Units { node, units } => self.fetch_units(*node, units),
-                BatchRequest::Repair { node, task } => self.repair_read(*node, task),
-            })
-            .collect()
-    }
+    /// `Ok` with [`Fetch::Unavailable`] at its slot.
+    fn fetch(&mut self, requests: &[BatchRequest<'_>]) -> Result<Vec<Fetch>, Self::Error>;
 }
 
 /// A [`BlockSource`] over blocks already in memory — the `filestore`
@@ -164,7 +137,7 @@ impl<'a> MemorySource<'a> {
         (block.len() == self.sub * self.unit_bytes).then_some(block)
     }
 
-    /// Serves one unit-fetch request without going through `&mut self`.
+    /// Serves one [`BatchRequest::Units`].
     fn serve_units(&self, node: usize, units: &[usize]) -> Fetch {
         let Some(block) = self.whole_block(node) else {
             return Fetch::Unavailable;
@@ -184,10 +157,6 @@ impl<'a> MemorySource<'a> {
 impl BlockSource for MemorySource<'_> {
     type Error = std::convert::Infallible;
 
-    fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     fn unit_bytes(&self) -> usize {
         self.unit_bytes
     }
@@ -198,15 +167,10 @@ impl BlockSource for MemorySource<'_> {
             .collect()
     }
 
-    fn fetch_units(&mut self, node: usize, units: &[usize]) -> Result<Fetch, Self::Error> {
-        Ok(self.serve_units(node, units))
-    }
-
-    /// Native batch entry: every block is already in memory, so the whole
-    /// batch is answered in one pass with no per-request dispatch. Repair
-    /// requests run the helper task directly on the stored block slice,
-    /// skipping the default path's intermediate block copy.
-    fn fetch_batch(&mut self, requests: &[BatchRequest<'_>]) -> Result<Vec<Fetch>, Self::Error> {
+    /// Every block is already in memory, so the whole batch is answered
+    /// in one pass; repair requests run the helper task directly on the
+    /// stored block slice.
+    fn fetch(&mut self, requests: &[BatchRequest<'_>]) -> Result<Vec<Fetch>, Self::Error> {
         Ok(requests
             .iter()
             .map(|request| match request {
@@ -225,48 +189,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memory_source_serves_units_and_reports_losses() {
+    fn memory_source_answers_in_request_order_and_isolates_losses() {
         let a = [1u8, 2, 3, 4];
         let b = [5u8, 6, 7, 8];
         let mut src = MemorySource::new(vec![Some(&a[..]), None, Some(&b[..])], 2);
-        assert_eq!(src.block_count(), 3);
         assert_eq!(src.unit_bytes(), 2);
         assert_eq!(src.available(), vec![0, 2]);
-        assert_eq!(
-            src.fetch_units(0, &[1, 0]).unwrap(),
-            Fetch::Data(vec![3, 4, 1, 2])
-        );
-        assert_eq!(src.fetch_units(1, &[0]).unwrap(), Fetch::Unavailable);
-        assert_eq!(src.fetch_units(2, &[7]).unwrap(), Fetch::Unavailable);
-    }
-
-    #[test]
-    fn batch_preserves_order_and_isolates_failures() {
-        let a = [1u8, 2, 3, 4];
-        let b = [5u8, 6, 7, 8];
-        let mut src = MemorySource::new(vec![Some(&a[..]), None, Some(&b[..])], 2);
-        let requests = vec![
-            BatchRequest::Units {
-                node: 2,
-                units: vec![0],
-            },
-            BatchRequest::Units {
-                node: 1,
-                units: vec![0],
-            },
-            BatchRequest::Units {
-                node: 0,
-                units: vec![1, 0],
-            },
+        let units = |node, units: &[usize]| BatchRequest::Units {
+            node,
+            units: units.to_vec(),
+        };
+        let requests = [
+            units(2, &[0]),
+            units(1, &[0]),
+            units(0, &[1, 0]),
+            units(2, &[7]),
         ];
         assert_eq!(requests[1].node(), 1);
-        let fetches = src.fetch_batch(&requests).unwrap();
+        assert_eq!(requests[2].payload_bytes(2), 4);
         assert_eq!(
-            fetches,
+            src.fetch(&requests).unwrap(),
             vec![
                 Fetch::Data(vec![5, 6]),
                 Fetch::Unavailable,
                 Fetch::Data(vec![3, 4, 1, 2]),
+                Fetch::Unavailable,
             ]
         );
     }

@@ -17,11 +17,14 @@
 //!
 //! Planned parallelism becomes *wall-clock* parallelism in two layers:
 //!
-//! * **fan-out** — every fetch of a plan arrives at the [`StripeSource`]
-//!   as one `fetch_batch`, and the source spreads the per-node requests
-//!   over the client's [`ParallelCtx`] workers, each on its own cached
-//!   connection, so one stripe's `p` unit reads (or `d` helper reads) hit
-//!   all nodes concurrently instead of paying `p` sequential round trips;
+//! * **fan-out** — every multi-node exchange (a plan's fetches arriving
+//!   at the [`StripeSource`] as one batch, a stripe's `PutBlock`s, an
+//!   edit's `WriteDelta`s, a delete's `DeleteBlock`s, repair's `Stat`
+//!   probes) goes through the one `Link::fan_out`, which spreads the
+//!   per-node requests over the client's [`ParallelCtx`] workers, each on
+//!   its own cached connection, so one stripe's `p` unit reads (or `d`
+//!   helper reads) hit all nodes concurrently instead of paying `p`
+//!   sequential round trips;
 //! * **stripe pipelining** — every read touching more than one stripe
 //!   (`get`, a multi-stripe `get_range`) keeps up to two stripes in
 //!   flight, decoding stripe `i` while stripe `i+1` is being fetched, and
@@ -64,7 +67,7 @@ use access::{
     FetchedStripe, ObjectBackend, ObjectError, PackCursor, PlanCache, PlanExecutor, PutOptions,
     ReadMode, Span, StripeGeometry,
 };
-use erasure::{CodeError, ColumnUpdater, ErasureCode as _, HelperTask, SparseEncoder};
+use erasure::{CodeError, ColumnUpdater, ErasureCode as _, SparseEncoder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -186,16 +189,36 @@ struct NodeConn {
     scratch: Vec<u8>,
 }
 
+impl NodeConn {
+    /// Whether an idle cached connection is still open with nothing
+    /// pending on it: a non-blocking `peek` sees neither the peer's EOF
+    /// nor stray bytes. Asked before a request that must not be sent
+    /// twice, where "send and retry on failure" is not available.
+    fn is_idle_and_open(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let quiet = matches!(
+            self.stream.peek(&mut [0u8; 1]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+        );
+        quiet && self.stream.set_nonblocking(false).is_ok()
+    }
+}
+
 /// The connection/accounting half of the client: cached datanode sockets
-/// behind a mutex, with no planning knowledge at all. The mutex guards
-/// only the cache map — a connection is *taken out* for the duration of
-/// an exchange, so concurrent workers talk to different nodes without
-/// ever serializing on each other's I/O.
+/// behind a mutex and the worker pool that fans requests out over them,
+/// with no planning knowledge at all. The mutex guards only the cache map —
+/// a connection is *taken out* for the duration of an exchange, so
+/// concurrent workers talk to different nodes without ever serializing on
+/// each other's I/O.
 #[derive(Debug)]
 struct Link {
     meta: Arc<MetaRouter>,
     conns: Mutex<HashMap<usize, NodeConn>>,
     timeout: Duration,
+    /// Worker pool for per-node request fan-out.
+    ctx: ParallelCtx,
 }
 
 impl Link {
@@ -223,6 +246,14 @@ impl Link {
     /// touching the coordinator's liveness view (a corrupt frame is not
     /// evidence the node is down).
     ///
+    /// Both retries re-send a request the node may already have executed,
+    /// which is harmless only for an idempotent op
+    /// ([`Request::is_idempotent`]; `WriteDelta` is not: a delta XORed
+    /// into a block twice cancels itself). Any other request is put on
+    /// the wire at most once per call — a cached connection is checked
+    /// for staleness *before* the send ([`NodeConn::is_idle_and_open`])
+    /// and any failure after it is returned, not retried.
+    ///
     /// # Errors
     ///
     /// [`ClusterError::NodeDown`] for unreachable nodes,
@@ -241,9 +272,12 @@ impl Link {
             self.meta.mark_dead(node);
             ClusterError::NodeDown { node }
         };
+        let resendable = request.is_idempotent();
         let wire = Some(protocol::WireTrace::from_ctx(&trace));
         for attempt in 0..2u8 {
-            let cached = self.take_conn(node);
+            let cached = self
+                .take_conn(node)
+                .filter(|conn| resendable || conn.is_idle_and_open());
             let had_cached = cached.is_some();
             let mut conn = match cached {
                 Some(conn) => conn,
@@ -273,6 +307,7 @@ impl Link {
                         protocol::read_response_timed(&mut conn.stream, &mut conn.scratch)?,
                     ))
                 });
+            let last = attempt == 1 || !resendable;
             match exchange {
                 Ok((tx, Some((response, rx, timing)))) => {
                     self.put_conn(node, conn);
@@ -291,7 +326,7 @@ impl Link {
                 // A corrupt frame poisons the connection, not the node:
                 // drop the socket and retry once on a fresh one.
                 Err(e @ ClusterError::Protocol { .. }) => {
-                    if attempt == 1 {
+                    if last {
                         return Err(e);
                     }
                 }
@@ -299,7 +334,7 @@ impl Link {
                 // Retry once only if a stale cached connection may be to
                 // blame.
                 Ok((_, None)) | Err(_) => {
-                    if !had_cached || attempt == 1 {
+                    if !had_cached || last {
                         return Err(down());
                     }
                 }
@@ -308,24 +343,44 @@ impl Link {
         unreachable!("loop returns on every path")
     }
 
+    /// The one multi-node exchange: `count` [`Link::call`]s run
+    /// concurrently on the worker pool, every request stamped with
+    /// `trace`. Worker `i` builds its own `(node, request)` with `make(i)`
+    /// and drops it when its exchange ends, so a batch of block-sized
+    /// requests is never resident all at once. The wire bytes of every
+    /// answered slot are added to `tally`; the per-slot outcomes come back
+    /// in index order for the caller to classify.
+    fn fan_out(
+        &self,
+        count: usize,
+        trace: telemetry::trace::TraceCtx,
+        tally: &mut Tally,
+        make: impl Fn(usize) -> (usize, Request) + Sync,
+    ) -> Vec<Result<Response, ClusterError>> {
+        let slots = self.ctx.run(count, |i| {
+            let (node, request) = make(i);
+            self.call(node, &request, trace)
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                let (response, moved) = slot?;
+                *tally += moved;
+                Ok(response)
+            })
+            .collect()
+    }
+
     /// The placement of `name`, straight from its shard (no cache).
     fn placement(&self, name: &str) -> Result<FilePlacement, ClusterError> {
         let unknown = || ClusterError::UnknownFile { name: name.into() };
         self.meta.file(name).ok_or_else(unknown)
     }
+}
 
-    /// [`Link::call`] for the write ops, whose only success is `Done`.
-    fn call_done(
-        &self,
-        node: usize,
-        request: &Request,
-        op: &str,
-        trace: telemetry::trace::TraceCtx,
-    ) -> Result<Tally, ClusterError> {
-        let (response, tally) = self.call(node, request, trace)?;
-        expect_reply(op, response, false)?;
-        Ok(tally)
-    }
+/// [`expect_reply`] for the write ops, whose only success is `Done`.
+fn expect_done(op: &str, response: Response) -> Result<(), ClusterError> {
+    expect_reply(op, response, false).map(drop)
 }
 
 /// The one reply classifier: a request succeeds with `Done` or — when it
@@ -342,33 +397,15 @@ fn expect_reply(op: &str, response: Response, want_data: bool) -> Result<Vec<u8>
     }
 }
 
-/// Performs one exchange and classifies the outcome for the executor:
-/// payloads are data, remote refusals and dead nodes are `Unavailable`
-/// (the executor replans around them), anything else is transport-fatal.
-fn exchange_on(
-    link: &Link,
-    node: usize,
-    request: &Request,
-    trace: telemetry::trace::TraceCtx,
-) -> Result<(Fetch, Tally), ClusterError> {
-    match link.call(node, request, trace) {
-        Ok((Response::Data(bytes), tally)) => Ok((Fetch::Data(bytes), tally)),
-        Ok((_, tally)) => Ok((Fetch::Unavailable, tally)),
-        Err(ClusterError::NodeDown { .. }) => Ok((Fetch::Unavailable, Tally::default())),
-        Err(e) => Err(e),
-    }
-}
-
-/// One stripe's datanodes seen as a [`BlockSource`]: fetches become
+/// One stripe's datanodes seen as a [`BlockSource`]: unit requests become
 /// [`Request::GetUnits`], helper repair reads become
 /// [`Request::RepairRead`], and a node that cannot serve (dead, missing or
 /// corrupt block) answers [`Fetch::Unavailable`] so the executor replans
-/// around it. The batched entry point fans one plan's requests out over
-/// the client's worker pool — this is where the paper's `p`-server data
-/// parallelism turns into concurrent wire traffic.
+/// around it. Each batch fans out over the client's worker pool — this is
+/// where the paper's `p`-server data parallelism turns into concurrent
+/// wire traffic.
 struct StripeSource<'a> {
     link: &'a Link,
-    ctx: &'a ParallelCtx,
     name: &'a str,
     stripe: usize,
     /// Role → datanode id for this stripe.
@@ -392,7 +429,6 @@ impl<'a> StripeSource<'a> {
     /// the coordinator, no fan-in gate. Repair overrides both fields.
     fn new(
         link: &'a Link,
-        ctx: &'a ParallelCtx,
         name: &'a str,
         stripe: usize,
         row: &'a [usize],
@@ -401,7 +437,6 @@ impl<'a> StripeSource<'a> {
     ) -> Self {
         StripeSource {
             link,
-            ctx,
             name,
             stripe,
             row,
@@ -439,20 +474,10 @@ impl<'a> StripeSource<'a> {
             }
         }
     }
-
-    fn exchange(&mut self, role: usize, request: &Request) -> Result<Fetch, ClusterError> {
-        let (fetch, tally) = exchange_on(self.link, self.row[role], request, self.trace)?;
-        self.tally += tally;
-        Ok(fetch)
-    }
 }
 
 impl BlockSource for StripeSource<'_> {
     type Error = ClusterError;
-
-    fn block_count(&self) -> usize {
-        self.row.len()
-    }
 
     fn unit_bytes(&self) -> usize {
         self.geometry.unit_bytes()
@@ -467,27 +492,12 @@ impl BlockSource for StripeSource<'_> {
         }
     }
 
-    fn fetch_units(&mut self, role: usize, units: &[usize]) -> Result<Fetch, ClusterError> {
-        let request = self.wire_request(&BatchRequest::Units {
-            node: role,
-            units: units.to_vec(),
-        });
-        self.exchange(role, &request)
-    }
-
-    fn repair_read(&mut self, role: usize, task: &HelperTask) -> Result<Fetch, ClusterError> {
-        let request = self.wire_request(&BatchRequest::Repair { node: role, task });
-        self.exchange(role, &request)
-    }
-
-    /// Fans one plan's requests out to all their nodes concurrently on
-    /// the client's worker pool. Each request targets a distinct node (the
-    /// executor's contract), so workers never contend for a connection.
-    fn fetch_batch(&mut self, requests: &[BatchRequest<'_>]) -> Result<Vec<Fetch>, ClusterError> {
-        let wire: Vec<(usize, Request)> = requests
-            .iter()
-            .map(|r| (self.row[r.node()], self.wire_request(r)))
-            .collect();
+    /// Fans one plan's requests out to all their nodes concurrently. Each
+    /// request targets a distinct node (the executor's contract), so
+    /// workers never contend for a connection. A payload is data; a remote
+    /// refusal or a dead node is `Unavailable` (the executor replans
+    /// around it); anything else is transport-fatal.
+    fn fetch(&mut self, requests: &[BatchRequest<'_>]) -> Result<Vec<Fetch>, ClusterError> {
         // A gated repair batch takes one permit per helper node (all or
         // nothing, so two workers can't deadlock on overlapping helper
         // sets) before any wire traffic; foreground reads never wait here.
@@ -499,21 +509,25 @@ impl BlockSource for StripeSource<'_> {
                     .any(|r| matches!(r, BatchRequest::Repair { .. }))
             })
             .map(|gate| {
-                let nodes: Vec<usize> = wire.iter().map(|&(node, _)| node).collect();
+                let nodes: Vec<usize> = requests.iter().map(|r| self.row[r.node()]).collect();
                 gate.acquire(&nodes)
             });
-        let link = self.link;
-        let trace = self.trace;
-        let results = self.ctx.run(wire.len(), |i| {
-            exchange_on(link, wire[i].0, &wire[i].1, trace)
-        });
-        let mut fetches = Vec::with_capacity(results.len());
-        for result in results {
-            let (fetch, tally) = result?;
-            self.tally += tally;
-            fetches.push(fetch);
-        }
-        Ok(fetches)
+        let mut tally = Tally::default();
+        let slots = self
+            .link
+            .fan_out(requests.len(), self.trace, &mut tally, |i| {
+                let request = &requests[i];
+                (self.row[request.node()], self.wire_request(request))
+            });
+        self.tally += tally;
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Ok(Response::Data(bytes)) => Ok(Fetch::Data(bytes)),
+                Ok(_) | Err(ClusterError::NodeDown { .. }) => Ok(Fetch::Unavailable),
+                Err(e) => Err(e),
+            })
+            .collect()
     }
 }
 
@@ -538,8 +552,6 @@ struct CachedManifest {
 pub struct ClusterClient {
     link: Link,
     plans: PlanCache,
-    /// Worker pool for per-node request fan-out.
-    ctx: ParallelCtx,
     /// Shared per-node fan-in cap applied to this client's helper repair
     /// reads; set by the repair scheduler on its worker clients.
     repair_gate: Option<Arc<FanInGate>>,
@@ -576,9 +588,9 @@ impl ClusterClient {
                 meta,
                 conns: Mutex::new(HashMap::new()),
                 timeout: Duration::from_secs(10),
+                ctx: ParallelCtx::default(),
             },
             plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            ctx: ParallelCtx::default(),
             repair_gate: None,
             manifests: HashMap::new(),
             manifest_hits: 0,
@@ -637,7 +649,7 @@ impl ClusterClient {
     /// even on few cores.
     #[must_use]
     pub fn with_fanout(mut self, ctx: ParallelCtx) -> Self {
-        self.ctx = ctx;
+        self.link.ctx = ctx;
         self
     }
 
@@ -786,7 +798,6 @@ impl ClusterClient {
                 .expect("recycle channel open");
         }
         let link = &self.link;
-        let ctx = &self.ctx;
         let mut tally = Tally::default();
         let outcome = staged(
             chunks,
@@ -799,15 +810,15 @@ impl ClusterClient {
             |encoded| {
                 let (i, stripe) = encoded?;
                 let row = &rows[i];
-                let sent = ctx.run(row.len(), |role| {
+                let sent = link.fan_out(row.len(), op_ctx, &mut tally, |role| {
                     let request = Request::PutBlock {
                         id: block_id(name, first + i, role),
                         data: stripe.blocks[role].clone(),
                     };
-                    link.call_done(row[role], &request, "PutBlock", op_ctx)
+                    (row[role], request)
                 });
-                for result in sent {
-                    tally += result?;
+                for reply in sent {
+                    expect_done("PutBlock", reply?)?;
                 }
                 let _ = recycle_tx.send(stripe);
                 Ok(())
@@ -891,7 +902,6 @@ impl ClusterClient {
         let name = fp.name.as_str();
         let executor = PlanExecutor::new(&self.plans);
         let link = &self.link;
-        let ctx = &self.ctx;
         let code = &code;
 
         // Fetch one stripe's plan-worth of units (no decode yet).
@@ -899,8 +909,7 @@ impl ClusterClient {
         let fetch = |span: Span| {
             let s = span.index;
             let trace = op_ctx.child("cluster.fetch.stripe_us");
-            let mut source =
-                StripeSource::new(link, ctx, name, s, &fp.nodes[s], geometry, trace.ctx());
+            let mut source = StripeSource::new(link, name, s, &fp.nodes[s], geometry, trace.ctx());
             let fetched = executor
                 .fetch_stripe(code, &mut source)
                 .map_err(|e| read_error(name, s, e));
@@ -1005,36 +1014,28 @@ impl ClusterClient {
         let outcome = (|| -> Result<(), ClusterError> {
             let link = &self.link;
             // Probe which roles are actually present (node up AND block
-            // stored uncorrupted), all roles concurrently.
-            let probes = self.ctx.run(row.len(), |role| {
-                let node = row[role];
-                if !link.meta.is_alive(node) {
-                    return (false, Tally::default());
-                }
-                let request = Request::Stat {
-                    id: block_id(name, s, role),
-                };
-                match link.call(node, &request, op_ctx) {
-                    Ok((Response::Data(_), t)) => (true, t),
-                    Ok((_, t)) => (false, t),
-                    Err(_) => (false, Tally::default()),
-                }
+            // stored uncorrupted), every alive node concurrently.
+            let alive: Vec<usize> = (0..row.len())
+                .filter(|&role| link.meta.is_alive(row[role]))
+                .collect();
+            let probes = link.fan_out(alive.len(), op_ctx, &mut tally, |i| {
+                let id = block_id(name, s, alive[i]);
+                (row[alive[i]], Request::Stat { id })
             });
-            let mut present = Vec::new();
-            let mut missing = Vec::new();
-            for (role, (ok, t)) in probes.into_iter().enumerate() {
-                tally += t;
-                if ok {
-                    present.push(role);
-                } else {
-                    missing.push(role);
-                }
-            }
+            let mut present: Vec<usize> = alive
+                .iter()
+                .zip(probes)
+                .filter(|(_, reply)| matches!(reply, Ok(Response::Data(_))))
+                .map(|(&role, _)| role)
+                .collect();
+            let missing: Vec<usize> = (0..row.len())
+                .filter(|role| !present.contains(role))
+                .collect();
             for failed in missing {
                 let mut source = StripeSource {
                     present: Some(&present),
                     gate: self.repair_gate.as_deref(),
-                    ..StripeSource::new(link, &self.ctx, name, s, &row, geometry, op_ctx)
+                    ..StripeSource::new(link, name, s, &row, geometry, op_ctx)
                 };
                 let outcome = executor
                     .repair_block(&code, failed, &mut source)
@@ -1062,7 +1063,9 @@ impl ClusterClient {
                     id: block_id(name, s, failed),
                     data: outcome.block,
                 };
-                tally += link.call_done(target, &request, "PutBlock", op_ctx)?;
+                let (reply, moved) = link.call(target, &request, op_ctx)?;
+                tally += moved;
+                expect_done("PutBlock", reply)?;
                 // The commit flows through the shard's record log and
                 // bumps its epoch, invalidating every client's cached
                 // manifest of this file.
@@ -1176,7 +1179,6 @@ impl ClusterClient {
         let mut requests = 0u64;
         let outcome = (|| -> Result<(), ClusterError> {
             let link = &self.link;
-            let ctx = &self.ctx;
             for span in geometry.spans(offset, new.len() as u64) {
                 let s = span.index;
                 let delta =
@@ -1186,32 +1188,30 @@ impl ClusterClient {
                 // Ship only to nodes the coordinator believes alive: a
                 // dead node's block is stale either way, and repair
                 // rebuilds it from the updated survivors.
-                let wire: Vec<(usize, Request)> = updates
+                let targets: Vec<_> = updates
                     .iter()
                     .filter(|u| link.meta.is_alive(row[u.node]))
-                    .map(|u| {
-                        let request = Request::WriteDelta {
-                            id: block_id(&fp.name, s, u.node),
-                            unit_bytes: w as u32,
-                            deltas: delta.deltas.clone(),
-                            rows: u
-                                .rows
-                                .iter()
-                                .map(|(unit, coeffs)| {
-                                    (*unit as u32, coeffs.iter().map(|c| c.value()).collect())
-                                })
-                                .collect(),
-                        };
-                        (row[u.node], request)
-                    })
                     .collect();
-                requests += wire.len() as u64;
-                let results = ctx.run(wire.len(), |i| {
-                    link.call_done(wire[i].0, &wire[i].1, "WriteDelta", op_ctx)
+                requests += targets.len() as u64;
+                let sent = link.fan_out(targets.len(), op_ctx, &mut tally, |i| {
+                    let u = targets[i];
+                    let request = Request::WriteDelta {
+                        id: block_id(&fp.name, s, u.node),
+                        unit_bytes: w as u32,
+                        deltas: delta.deltas.clone(),
+                        rows: u
+                            .rows
+                            .iter()
+                            .map(|(unit, coeffs)| {
+                                (*unit as u32, coeffs.iter().map(|c| c.value()).collect())
+                            })
+                            .collect(),
+                    };
+                    (row[u.node], request)
                 });
-                for result in results {
-                    match result {
-                        Ok(t) => tally += t,
+                for reply in sent {
+                    match reply {
+                        Ok(reply) => expect_done("WriteDelta", reply)?,
                         // Died mid-update: already marked dead, repair
                         // heals its block from the updated peers.
                         Err(ClusterError::NodeDown { .. }) => {}
@@ -1295,30 +1295,18 @@ impl ClusterClient {
         };
         let op = telemetry::trace::TraceCtx::root().child("cluster.op.delete_us");
         let op_ctx = op.ctx();
+        let link = &self.link;
+        let targets: Vec<(usize, usize)> = (0..fp.nodes.len())
+            .flat_map(|s| (0..fp.nodes[s].len()).map(move |role| (s, role)))
+            .filter(|&(s, role)| link.meta.is_alive(fp.nodes[s][role]))
+            .collect();
         let mut tally = Tally::default();
-        {
-            let link = &self.link;
-            let targets: Vec<(usize, BlockId)> = fp
-                .nodes
-                .iter()
-                .enumerate()
-                .flat_map(|(s, row)| {
-                    row.iter()
-                        .enumerate()
-                        .map(move |(r, &node)| (node, block_id(name, s, r)))
-                })
-                .filter(|&(node, _)| link.meta.is_alive(node))
-                .collect();
-            let results = self.ctx.run(targets.len(), |i| {
-                let request = Request::DeleteBlock {
-                    id: targets[i].1.clone(),
-                };
-                link.call(targets[i].0, &request, op_ctx)
-            });
-            for (_, t) in results.into_iter().flatten() {
-                tally += t;
-            }
-        }
+        // The replies are not read: reclaiming is best effort.
+        let _ = link.fan_out(targets.len(), op_ctx, &mut tally, |i| {
+            let (s, role) = targets[i];
+            let id = block_id(name, s, role);
+            (fp.nodes[s][role], Request::DeleteBlock { id })
+        });
         self.fold(tally);
         let existed = self.link.meta.delete_file(name)?;
         self.manifests.remove(name);
@@ -1509,12 +1497,17 @@ fn repair_error(name: &str, stripe: usize, d: usize, e: ExecError<ClusterError>)
 mod tests {
     use super::*;
     use crate::testing::LocalCluster;
+    use access::MemorySource;
+    use std::io::Write as _;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc::Receiver;
 
-    /// `StripeSource::fetch_batch` (fanned out over workers) must produce
-    /// exactly the Fetch sequence of the scalar calls it replaces, against
-    /// a real TCP cluster — including the Unavailable slot of a dead node.
+    /// The TCP source answers a batch — unit reads and helper repair
+    /// reads, a dead node's slot included — exactly as [`MemorySource`]
+    /// over the same blocks does.
     #[test]
-    fn stripe_source_batch_matches_scalar_over_tcp() {
+    fn stripe_source_answers_as_memory_source_does() {
         let mut cluster = LocalCluster::start(6).unwrap();
         let mut client = cluster.client();
         let spec = CodeSpec::Carousel {
@@ -1523,46 +1516,194 @@ mod tests {
             d: 3,
             p: 6,
         };
-        let data: Vec<u8> = (0..720).map(|i| (i * 13 + 5) as u8).collect();
+        let (code, geometry) = open(spec, 120).unwrap();
+        let data: Vec<u8> = (0..geometry.stripe_data_bytes())
+            .map(|i| (i * 13 + 5) as u8)
+            .collect();
         let fp = client.put_file("batchfile", &data, spec, 120).unwrap();
-        cluster.fail(fp.nodes[0][2]);
+        let dead = 2;
+        cluster.fail(fp.nodes[0][dead]);
 
-        let (_, geometry) = open_placed(&fp).unwrap();
+        let blocks = code.linear().encode(&data).unwrap().blocks;
         let sub = geometry.sub();
-        let fanout = ParallelCtx::builder().threads(6).build();
-        let root = telemetry::trace::TraceCtx::root();
-        let make = |ctx| {
-            StripeSource::new(
-                &client.link,
-                ctx,
-                "batchfile",
-                0,
-                &fp.nodes[0],
-                geometry,
-                root,
-            )
-        };
+        let mut memory = MemorySource::new(
+            (0..6)
+                .map(|role| (role != dead).then_some(&blocks[role][..]))
+                .collect(),
+            sub,
+        );
+        let mut tcp = StripeSource::new(
+            &client.link,
+            "batchfile",
+            0,
+            &fp.nodes[0],
+            geometry,
+            telemetry::trace::TraceCtx::root(),
+        );
+        assert_eq!(tcp.unit_bytes(), memory.unit_bytes());
+        assert_eq!(tcp.available(), memory.available());
 
-        let requests: Vec<BatchRequest<'_>> = (0..6)
+        let units: Vec<BatchRequest<'_>> = (0..6)
             .map(|role| BatchRequest::Units {
                 node: role,
-                units: vec![0, sub - 1],
+                units: vec![sub - 1, 0],
             })
             .collect();
-        let mut batched = make(&fanout);
-        let got = batched.fetch_batch(&requests).unwrap();
+        let got = tcp.fetch(&units).unwrap();
+        assert_eq!(got, memory.fetch(&units).unwrap());
+        assert_eq!(got[dead], Fetch::Unavailable, "dead node's slot");
+        assert_eq!(got.iter().filter(|f| **f != Fetch::Unavailable).count(), 5);
 
-        let sequential = ParallelCtx::sequential();
-        let mut scalar = make(&sequential);
-        let want: Vec<Fetch> = (0..6)
-            .map(|role| scalar.fetch_units(role, &[0, sub - 1]).unwrap())
+        let plan = code.repair_plan(dead, &[0, 1, 3]).unwrap();
+        let helpers: Vec<BatchRequest<'_>> = plan
+            .helpers
+            .iter()
+            .map(|task| BatchRequest::Repair {
+                node: task.node,
+                task,
+            })
             .collect();
+        let got = tcp.fetch(&helpers).unwrap();
+        assert_eq!(got, memory.fetch(&helpers).unwrap());
+        let payloads: Vec<Vec<u8>> = got
+            .into_iter()
+            .map(|fetch| match fetch {
+                Fetch::Data(bytes) => bytes,
+                Fetch::Unavailable => panic!("a live helper did not serve"),
+            })
+            .collect();
+        assert_eq!(plan.combine_payloads(&payloads).unwrap(), blocks[dead]);
+    }
 
-        assert_eq!(got, want);
-        assert_eq!(got[2], Fetch::Unavailable, "dead node's slot");
-        assert!(got.iter().filter(|f| matches!(f, Fetch::Data(_))).count() == 5);
-        // Both sources moved the same number of payload bytes.
-        assert_eq!(batched.tally.rx, scalar.tally.rx);
-        assert_eq!(batched.tally.tx, scalar.tally.tx);
+    /// What the scripted datanode does with one request frame.
+    #[derive(Clone, Copy)]
+    enum Reply {
+        Done,
+        /// `Done`, then close the connection.
+        DoneAndHangUp,
+        /// A `Done` frame whose CRC does not match.
+        Corrupt,
+        /// Nothing, until the client gives up on the connection.
+        Silence,
+    }
+
+    /// Runs `client` against a fake datanode (node 0 of a one-node
+    /// cluster) that executes nothing: it answers its `i`-th request frame
+    /// as `script[i]` says (`Done` past the script's end) and sends a
+    /// notice down the pipe each time *it* closes a connection. Returns
+    /// what `client` returned and how many frames the node saw.
+    fn against_scripted_node<R>(
+        script: &[Reply],
+        client: impl FnOnce(&Link, &Receiver<()>) -> R,
+    ) -> (R, usize) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let coord = Arc::new(Coordinator::new());
+        coord.register(0, addr);
+        let link = Link {
+            meta: MetaRouter::single(coord),
+            conns: Mutex::default(),
+            timeout: Duration::from_millis(300),
+            ctx: ParallelCtx::sequential(),
+        };
+        let frames = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let serve = |hung_up: std::sync::mpsc::SyncSender<()>| {
+            let mut script = script.iter();
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let mut stream = stream.unwrap();
+                while let Ok(Some(_)) = protocol::read_request(&mut stream) {
+                    frames.fetch_add(1, Ordering::SeqCst);
+                    let mut done = Response::Done.encode();
+                    match script.next().unwrap_or(&Reply::Done) {
+                        Reply::Done => stream.write_all(&done).unwrap(),
+                        Reply::DoneAndHangUp => {
+                            stream.write_all(&done).unwrap();
+                            drop(stream);
+                            hung_up.send(()).unwrap();
+                            break;
+                        }
+                        Reply::Corrupt => {
+                            *done.last_mut().unwrap() ^= 0xFF;
+                            stream.write_all(&done).unwrap();
+                        }
+                        Reply::Silence => {}
+                    }
+                }
+            }
+        };
+        let ((), out) = parallel::pipeline(4, serve, |hung_up| {
+            let out = client(&link, &hung_up);
+            // Hang up, then wake the accept loop so it sees the flag.
+            drop(link);
+            stop.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(addr);
+            out
+        });
+        (out, frames.load(Ordering::SeqCst))
+    }
+
+    /// `Link::call` re-sends after a corrupt response and after a cached
+    /// connection times out — harmless for an idempotent op, but a delta
+    /// XORed into a block twice cancels itself. A `WriteDelta` therefore
+    /// reaches the wire exactly once per call and the failure comes back;
+    /// the same script still sees a `GetUnits` retried. A cached
+    /// connection the node has closed is noticed before the send and
+    /// redialled, so an idle client's next edit is not lost either.
+    #[test]
+    fn a_write_delta_is_never_put_on_the_wire_twice() {
+        let trace = telemetry::trace::TraceCtx::root();
+        let id = block_id("f", 0, 0);
+        let delta = Request::WriteDelta {
+            id: id.clone(),
+            unit_bytes: 4,
+            deltas: vec![vec![1, 2, 3, 4]],
+            rows: vec![(0, vec![1])],
+        };
+        let units = Request::GetUnits {
+            id,
+            sub: 1,
+            units: vec![0],
+        };
+        let done = |reply: Result<(Response, Tally), ClusterError>| {
+            matches!(reply, Ok((Response::Done, _)))
+        };
+
+        // A corrupt response, on a fresh connection.
+        let (reply, frames) =
+            against_scripted_node(&[Reply::Corrupt], |link, _| link.call(0, &delta, trace));
+        assert!(matches!(reply, Err(ClusterError::Protocol { .. })));
+        assert_eq!(frames, 1, "the delta was re-sent after a corrupt reply");
+        let (reply, frames) =
+            against_scripted_node(&[Reply::Corrupt], |link, _| link.call(0, &units, trace));
+        assert!(done(reply));
+        assert_eq!(frames, 2, "an idempotent read is retried");
+
+        // Silence past the timeout, on a cached connection.
+        let script = [Reply::Done, Reply::Silence];
+        let (reply, frames) = against_scripted_node(&script, |link, _| {
+            assert!(done(link.call(0, &delta, trace)));
+            link.call(0, &delta, trace)
+        });
+        assert!(matches!(reply, Err(ClusterError::NodeDown { node: 0 })));
+        assert_eq!(frames, 2, "the delta was re-sent after a timeout");
+        let (reply, frames) = against_scripted_node(&script, |link, _| {
+            assert!(done(link.call(0, &units, trace)));
+            link.call(0, &units, trace)
+        });
+        assert!(done(reply));
+        assert_eq!(frames, 3, "an idempotent read is retried");
+
+        // A cached connection the node closed while the client idled.
+        let (reply, frames) = against_scripted_node(&[Reply::DoneAndHangUp], |link, hung_up| {
+            assert!(done(link.call(0, &delta, trace)));
+            hung_up.recv().unwrap();
+            link.call(0, &delta, trace)
+        });
+        assert!(done(reply), "a stale connection must be redialled");
+        assert_eq!(frames, 2);
     }
 }

@@ -614,6 +614,15 @@ fn read_frame_into(
 // ---------------------------------------------------------------------
 
 impl Request {
+    /// Whether executing this request twice leaves the node as executing
+    /// it once does — what lets a client re-send it when it cannot tell
+    /// whether the first copy was executed. Every op but
+    /// [`Request::WriteDelta`]: a delta XORed into a block a second time
+    /// undoes the first.
+    pub fn is_idempotent(&self) -> bool {
+        !matches!(self, Request::WriteDelta { .. })
+    }
+
     /// Encodes this request as one complete frame in the base layout.
     pub fn encode(&self) -> Vec<u8> {
         self.encode_traced(None)

@@ -28,7 +28,7 @@
 //!   total repair bytes to a global bytes/sec budget.
 //! * **backoff** — a transiently failing stripe (helpers missing, no
 //!   spare target yet) is re-queued with capped exponential backoff and
-//!   abandoned after `max_attempts`.
+//!   abandoned after eight attempts.
 //! * **observability** — gauges/histograms under `repair.*`, JSON event
 //!   lines (`{"type":"repair",...}`) when a sink is installed, and the
 //!   ten `repair.*` totals served over the wire as a
@@ -253,7 +253,7 @@ pub struct RepairStatusReport {
     /// Tasks cancelled or absorbed (flapping node returned, or the
     /// worker's probe found the stripe already healthy).
     pub cancelled: u64,
-    /// Tasks dropped after `max_attempts` consecutive failures.
+    /// Tasks dropped after eight consecutive failures.
     pub abandoned: u64,
     /// Blocks reconstructed and re-stored.
     pub blocks_rebuilt: u64,
@@ -295,19 +295,20 @@ pub struct RepairConfig {
     pub backoff_base: Duration,
     /// Upper bound on the exponential backoff delay.
     pub backoff_cap: Duration,
-    /// Attempts before a stripe is abandoned.
-    pub max_attempts: u32,
     /// When set, a monitor thread expires nodes whose last heartbeat is
     /// older than this, turning silent death into `Down` events.
     pub heartbeat_ttl: Option<Duration>,
-    /// Monitor thread poll interval.
-    pub monitor_tick: Duration,
-    /// Socket timeout of the worker clients.
-    pub client_timeout: Duration,
-    /// Fan-out threads per worker client (helper reads per stripe go out
-    /// concurrently; about the code's `d` is plenty).
-    pub fanout_threads: usize,
 }
+
+/// Attempts before a stripe is abandoned.
+const MAX_ATTEMPTS: u32 = 8;
+/// Monitor thread poll interval.
+const MONITOR_TICK: Duration = Duration::from_millis(50);
+/// Socket timeout of the worker clients.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Fan-out threads per worker client (helper reads per stripe go out
+/// concurrently; about the code's `d` is plenty).
+const FANOUT_THREADS: usize = 8;
 
 impl Default for RepairConfig {
     fn default() -> Self {
@@ -317,11 +318,7 @@ impl Default for RepairConfig {
             bandwidth: None,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
-            max_attempts: 8,
             heartbeat_ttl: None,
-            monitor_tick: Duration::from_millis(50),
-            client_timeout: Duration::from_secs(5),
-            fanout_threads: 8,
         }
     }
 }
@@ -342,7 +339,7 @@ pub struct SchedulerStatus {
     pub requeued: u64,
     /// Tasks cancelled on node revival or absorbed as already healthy.
     pub cancelled: u64,
-    /// Tasks dropped after `max_attempts`.
+    /// Tasks dropped after eight consecutive failures.
     pub abandoned: u64,
     /// Blocks reconstructed and re-stored.
     pub blocks_rebuilt: u64,
@@ -720,7 +717,7 @@ impl RepairScheduler {
                 .spawn(move || {
                     while !inner.stop.load(Ordering::Acquire) {
                         let _ = inner.coord.expire_stale(ttl);
-                        std::thread::sleep(inner.cfg.monitor_tick);
+                        std::thread::sleep(MONITOR_TICK);
                     }
                 })
                 .expect("spawn repair monitor")
@@ -850,12 +847,8 @@ fn permanent(e: &ClusterError) -> bool {
 
 fn worker_loop(inner: &Inner) {
     let mut client = ClusterClient::new(Arc::clone(&inner.coord))
-        .with_timeout(inner.cfg.client_timeout)
-        .with_fanout(
-            ParallelCtx::builder()
-                .threads(inner.cfg.fanout_threads.max(1))
-                .build(),
-        )
+        .with_timeout(CLIENT_TIMEOUT)
+        .with_fanout(ParallelCtx::builder().threads(FANOUT_THREADS).build())
         .with_repair_gate(Arc::clone(&inner.gate));
     while let Some((key, task)) = inner.next_task() {
         WAIT_US.record(task.enqueued_at.elapsed().as_micros() as u64);
@@ -896,7 +889,7 @@ fn worker_loop(inner: &Inner) {
             }
             Err(e) => {
                 let attempts = task.attempts + 1;
-                if attempts >= inner.cfg.max_attempts {
+                if attempts >= MAX_ATTEMPTS {
                     inner.totals.abandoned.fetch_add(1, Ordering::Relaxed);
                     ABANDONED.inc();
                     Inner::emit(&key, "abandon", |obj| {

@@ -147,19 +147,6 @@ impl MetaRouter {
         }
     }
 
-    /// Expires stale nodes on every shard, returning the union of
-    /// expired ids (each id once, ascending).
-    pub fn expire_stale(&self, ttl: Duration) -> Vec<usize> {
-        let mut all: Vec<usize> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.expire_stale(ttl))
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all
-    }
-
     /// Pings dead nodes (on every shard) and revives responders — see
     /// [`Coordinator::verify_nodes`]. Returns the union of revived ids.
     pub fn verify_nodes(&self, timeout: Duration) -> Vec<usize> {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, two layering greps, clippy, rustdoc,
-# the full test suite and the `ext_*` bench smokes. Run from anywhere
-# inside the repo; it takes no arguments.
+# the full test suite, the `ext_*` bench smokes and a compile of the frozen
+# `benchmark/` package. Run from anywhere inside the repo; it takes no
+# arguments.
 #
 # Everything runs --offline: this workspace vendors its few dependencies
 # under crates/vendor/ and must build without network access.
@@ -72,6 +73,17 @@ upd=$(mktemp /tmp/carousel-update.XXXXXX.jsonl)
 cargo run --release --offline -p carousel-bench --bin ext_update -- --smoke --metrics "$upd"
 cargo run --release --offline -p carousel-bench --bin jsonl_check -- "$upd"
 rm -f "$upd"
+
+step "frozen benchmark still compiles"
+# benchmark/ is its own workspace, built unedited from this checkout by
+# the benchmark driver: a PR that renames something it uses must find out
+# here. Cargo rewrites benchmark/Cargo.lock when crate deps have moved;
+# that file is frozen too, so it is copied aside and put back on exit.
+# Output goes to $CARGO_TARGET_DIR when set, else benchmark/target.
+bench_lock=$(mktemp /tmp/carousel-bench-lock.XXXXXX)
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
+cargo check --offline --manifest-path benchmark/Cargo.toml
 
 step "cross-compile gate: aarch64 NEON kernel path"
 # The NEON kernel cannot run on x86 CI, but it must at least keep

@@ -3,8 +3,9 @@
 //! by throttled workers *while foreground reads keep flowing* — and the
 //! foreground never observes a wrong byte. Also covers the two
 //! idempotence layers (a flapping node cancels queued work; a healthy
-//! stripe is absorbed without a rebuild) and the capped exponential
-//! backoff on transient failures.
+//! stripe is absorbed without a rebuild), the capped exponential
+//! backoff on transient failures, and the heartbeat monitor that turns a
+//! silent death into the `Down` event nobody else would raise.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -312,4 +313,63 @@ fn transient_failures_requeue_with_backoff() {
 
     let mut client = ClusterClient::new(coord).with_timeout(Duration::from_secs(5));
     assert_eq!(client.get("storm").expect("get after backoff"), data);
+}
+
+/// A node that stops *silently* — `LocalCluster::kill` tells nobody, and
+/// no client touches the node afterwards — is noticed by the scheduler
+/// itself: its heartbeats age past `heartbeat_ttl`, the monitor thread
+/// raises the `Down` event, and the workers rebuild every block it hosted
+/// onto the spares. The TTL sits well above the 200 ms heartbeat period so
+/// a live node is not expired by a late beat.
+#[test]
+fn silent_death_is_noticed_by_the_heartbeat_monitor() {
+    let mut cluster = LocalCluster::start(6).expect("start cluster");
+    let coord = cluster.coordinator();
+    let spec = CodeSpec::Carousel {
+        n: 4,
+        k: 2,
+        d: 2,
+        p: 4,
+    };
+    let (data, fp) = put_storm_file(&coord, spec, 3, 64);
+    let victim = fp.nodes[0][0];
+    let hosted = fp.nodes.iter().filter(|row| row.contains(&victim)).count() as u64;
+
+    let scheduler = RepairScheduler::spawn(
+        Arc::clone(&coord),
+        RepairConfig {
+            heartbeat_ttl: Some(Duration::from_secs(1)),
+            ..RepairConfig::default()
+        },
+    );
+    cluster.kill(victim);
+    assert!(coord.is_alive(victim), "a silent stop must not be reported");
+
+    // This test sends nothing until the rebuild is over: only the monitor
+    // can have raised the event that starts it.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while scheduler.status().blocks_rebuilt < hosted {
+        assert!(
+            Instant::now() < deadline,
+            "the monitor never turned the silent death into repair work: {:?}",
+            scheduler.status()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        scheduler.wait_idle(Duration::from_secs(30)),
+        "repair queue did not drain"
+    );
+    assert!(!coord.is_alive(victim), "the victim was never expired");
+    assert_eq!(scheduler.status().abandoned, 0, "a stripe was abandoned");
+    scheduler.shutdown();
+
+    let rebuilt = coord.file("storm").expect("placement after rebuild");
+    assert!(
+        rebuilt.nodes.iter().all(|row| !row.contains(&victim)),
+        "a stripe is still homed on the dead node: {:?}",
+        rebuilt.nodes
+    );
+    let mut client = ClusterClient::new(coord).with_timeout(Duration::from_secs(5));
+    assert_eq!(client.get("storm").expect("get after rebuild"), data);
 }
