@@ -120,6 +120,8 @@ impl ParallelCtx {
             return (0..items).map(f).collect();
         }
         let next = AtomicUsize::new(0);
+        // This is the pool every other fan-out is made to use.
+        #[allow(clippy::disallowed_methods)]
         let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
@@ -169,6 +171,7 @@ impl ParallelCtx {
 /// # Panics
 ///
 /// Propagates a panic from the producer (the scope joins it first).
+#[allow(clippy::disallowed_methods)] // the pool's own pipeline stage
 pub fn pipeline<T, P, C, PR, CR>(depth: usize, producer: P, consumer: C) -> (PR, CR)
 where
     T: Send,

@@ -55,6 +55,7 @@
 //! on the hot path.
 
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::net::TcpStream;
 use std::ops::AddAssign;
 use std::sync::{Arc, LazyLock, Mutex};
@@ -273,7 +274,7 @@ impl Link {
             ClusterError::NodeDown { node }
         };
         let resendable = request.is_idempotent();
-        let wire = Some(protocol::WireTrace::from_ctx(&trace));
+        let frame = request.encode(Some(protocol::WireTrace::from_ctx(&trace)));
         for attempt in 0..2u8 {
             let cached = self
                 .take_conn(node)
@@ -299,12 +300,15 @@ impl Link {
                 }
             };
             let sent = Instant::now();
-            let exchange = protocol::write_request_traced(&mut conn.stream, request, wire)
-                .and_then(|tx| {
+            let exchange = conn
+                .stream
+                .write_all(&frame)
+                .map_err(ClusterError::from)
+                .and_then(|()| {
                     PHASE_SEND.record(sent.elapsed().as_micros() as u64);
                     Ok((
-                        tx,
-                        protocol::read_response_timed(&mut conn.stream, &mut conn.scratch)?,
+                        frame.len(),
+                        protocol::read_response_into(&mut conn.stream, &mut conn.scratch)?,
                     ))
                 });
             let last = attempt == 1 || !resendable;
@@ -1083,19 +1087,6 @@ impl ClusterClient {
         Ok(report)
     }
 
-    /// One admin exchange with `node` whose reply must carry a payload.
-    fn scrape(
-        &mut self,
-        node: usize,
-        request: &Request,
-        span: &'static str,
-    ) -> Result<Vec<u8>, ClusterError> {
-        let root = telemetry::trace::TraceCtx::root().child(span);
-        let (response, tally) = self.link.call(node, request, root.ctx())?;
-        self.fold(tally);
-        expect_reply(span, response, true)
-    }
-
     /// Scrapes one datanode's full telemetry registry over the wire via
     /// [`Request::Stats`].
     ///
@@ -1104,45 +1095,22 @@ impl ClusterClient {
     /// [`ClusterError::NodeDown`] for unreachable nodes, or a protocol
     /// error when the reply cannot be decoded.
     pub fn node_stats(&mut self, node: usize) -> Result<NodeStats, ClusterError> {
-        let bytes = self.scrape(node, &Request::Stats, "cluster.op.stats_us")?;
-        protocol::decode_stats(&bytes)
+        const SPAN: &str = "cluster.op.stats_us";
+        let root = telemetry::trace::TraceCtx::root().child(SPAN);
+        let (response, tally) = self.link.call(node, &Request::Stats, root.ctx())?;
+        self.fold(tally);
+        protocol::decode_stats(&expect_reply(SPAN, response, true)?)
     }
 
-    /// Asks one datanode for its process's repair-scheduler totals via
-    /// [`Request::RepairStatus`]: the ten `repair.*` gauges and counters
-    /// of its registry, without shipping the whole `Stats` snapshot.
+    /// One datanode's process-wide repair-scheduler totals: its
+    /// [`ClusterClient::node_stats`] scrape, read as the ten `repair.*`
+    /// gauges and counters.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NodeDown`] for unreachable nodes, or a protocol
-    /// error when the reply cannot be decoded.
+    /// As for [`ClusterClient::node_stats`].
     pub fn repair_status(&mut self, node: usize) -> Result<RepairStatusReport, ClusterError> {
-        let bytes = self.scrape(node, &Request::RepairStatus, "cluster.op.repair_status_us")?;
-        protocol::decode_repair_status(&bytes)
-    }
-
-    /// Fetches one file's manifest *over the wire* from a datanode via
-    /// [`Request::ManifestGet`], returning the owning shard's epoch and
-    /// the placement. A client that can reach the coordinator in-process
-    /// never needs this; it exists for tooling and peers that only see
-    /// datanodes.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NodeDown`] for unreachable nodes,
-    /// [`ClusterError::Remote`] when the node serves no metadata or the
-    /// file is unknown there, or a protocol error for undecodable
-    /// replies and for a placement that does not fit its own code.
-    pub fn manifest_from_node(
-        &mut self,
-        node: usize,
-        name: &str,
-    ) -> Result<(u64, FilePlacement), ClusterError> {
-        let request = Request::ManifestGet { name: name.into() };
-        let bytes = self.scrape(node, &request, "cluster.op.manifest_us")?;
-        let (epoch, fp) = protocol::decode_manifest(&bytes)?;
-        open_placed(&fp)?;
-        Ok((epoch, fp))
+        Ok(RepairStatusReport::from_snapshot(&self.node_stats(node)?))
     }
 
     /// Ships an in-place edit of a placed file's bytes as per-node
@@ -1498,7 +1466,6 @@ mod tests {
     use super::*;
     use crate::testing::LocalCluster;
     use access::MemorySource;
-    use std::io::Write as _;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::mpsc::Receiver;

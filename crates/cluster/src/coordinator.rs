@@ -8,12 +8,19 @@
 //! addresses and placement and reports nodes it finds unreachable, which
 //! is how a mid-read failure becomes a degraded read on the next plan.
 //!
-//! Durability comes from [`crate::metalog`]: a coordinator opened with
-//! [`Coordinator::open_log`] appends every metadata mutation (node
-//! registrations, placements, repair re-homings, deletions) to an
-//! append-only CRC-framed record log and replays it on startup. Replayed
-//! nodes start *dead* — a cold-started coordinator must not plan reads
-//! against nodes that vanished while it was down; the first live
+//! Durability comes from [`crate::metalog`]. Every metadata change —
+//! node registration, placement, repair re-homing, extension, deletion,
+//! packed extent — is one [`MetaRecord`], and one function applies a
+//! record to the in-memory state: `State::apply`. A live change
+//! *commits* its record (write-ahead append to the log when one is
+//! attached, then `apply`, then the compaction check, then an epoch bump
+//! for a placement mutation); [`Coordinator::open_log`] replays the log
+//! through the same `apply`, so live state and replayed state cannot
+//! drift apart. A new record kind costs one variant, one encode arm, one
+//! decode arm and one `apply` arm.
+//!
+//! Replayed nodes start *dead* — a cold-started coordinator must not plan
+//! reads against nodes that vanished while it was down; the first live
 //! heartbeat (or a [`Coordinator::verify_nodes`] ping sweep) revives
 //! them. Every placement mutation also advances the coordinator's
 //! *epoch*, which clients compare to validate cached per-file manifests
@@ -101,27 +108,83 @@ struct State {
 }
 
 impl State {
-    /// Appends to the log when one is attached. Membership records may
-    /// tolerate failure (`required = false`): a lost `NodeRegistered`
-    /// only costs a re-announcement after the next restart, and the
-    /// datanode heartbeat path has no error channel. Placement records
-    /// are `required`: losing one silently would desynchronize
-    /// recovered state from the blocks on disk.
-    fn log_append(&mut self, rec: &MetaRecord, required: bool) -> Result<(), ClusterError> {
-        let Some(log) = self.log.as_mut() else {
-            return Ok(());
-        };
-        match log.append(rec) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                LOG_ERRORS.inc();
-                if required {
-                    Err(e)
-                } else {
-                    Ok(())
+    /// Applies one record — the only code that changes `files`,
+    /// `extents` or a node's address, run for live commits and for replay
+    /// alike. Returns whether the record is a placement mutation (one
+    /// epoch step). A record naming an unknown file changes nothing but
+    /// still counts: a replayed epoch is the log's placement-record count.
+    fn apply(&mut self, rec: &MetaRecord) -> bool {
+        match rec {
+            // Membership: a new node starts dead (only a heartbeat proves
+            // it alive); a known one keeps its liveness and moves address.
+            MetaRecord::NodeRegistered { id, addr } => {
+                if let Ok(addr) = addr.parse::<SocketAddr>() {
+                    let id = *id as usize;
+                    self.nodes
+                        .entry(id)
+                        .or_insert_with(|| NodeEntry {
+                            info: NodeInfo {
+                                id,
+                                addr,
+                                alive: false,
+                            },
+                            last_seen: Instant::now(),
+                        })
+                        .info
+                        .addr = addr;
+                }
+                return false;
+            }
+            MetaRecord::FilePlaced(fp) => {
+                self.files.insert(fp.name.clone(), fp.clone());
+            }
+            MetaRecord::PlacementCommitted {
+                file,
+                stripe,
+                role,
+                node,
+            } => {
+                if let Some(slot) = self
+                    .files
+                    .get_mut(file)
+                    .and_then(|fp| fp.nodes.get_mut(*stripe as usize))
+                    .and_then(|row| row.get_mut(*role as usize))
+                {
+                    *slot = *node as usize;
+                }
+            }
+            MetaRecord::FileDeleted { file } => {
+                self.files.remove(file);
+            }
+            MetaRecord::ObjectPacked {
+                object,
+                pack,
+                offset,
+                len,
+            } => {
+                let extent = Extent {
+                    pack: pack.clone(),
+                    offset: *offset,
+                    len: *len,
+                };
+                self.extents.insert(object.clone(), extent);
+            }
+            MetaRecord::ObjectDeleted { object } => {
+                self.extents.remove(object);
+            }
+            MetaRecord::FileExtended {
+                file,
+                file_len,
+                added,
+            } => {
+                if let Some(fp) = self.files.get_mut(file) {
+                    fp.file_len = *file_len;
+                    fp.stripes += added.len();
+                    fp.nodes.extend(added.iter().cloned());
                 }
             }
         }
+        true
     }
 
     /// Current state collapsed to the minimal record sequence that
@@ -211,98 +274,53 @@ impl Coordinator {
     pub fn open_log(path: &Path) -> Result<Self, ClusterError> {
         let (log, records) = MetaLog::open(path)?;
         let coord = Coordinator::new();
-        let mut mutations = 0u64;
-        {
-            let mut st = coord.state.lock().expect("coordinator lock");
-            let now = Instant::now();
-            for rec in records {
-                match rec {
-                    MetaRecord::NodeRegistered { id, addr } => {
-                        let Ok(addr) = addr.parse::<SocketAddr>() else {
-                            continue;
-                        };
-                        let id = id as usize;
-                        st.nodes.insert(
-                            id,
-                            NodeEntry {
-                                info: NodeInfo {
-                                    id,
-                                    addr,
-                                    alive: false,
-                                },
-                                last_seen: now,
-                            },
-                        );
-                    }
-                    MetaRecord::FilePlaced(fp) => {
-                        mutations += 1;
-                        st.files.insert(fp.name.clone(), fp);
-                    }
-                    MetaRecord::PlacementCommitted {
-                        file,
-                        stripe,
-                        role,
-                        node,
-                    } => {
-                        mutations += 1;
-                        if let Some(slot) = st
-                            .files
-                            .get_mut(&file)
-                            .and_then(|fp| fp.nodes.get_mut(stripe as usize))
-                            .and_then(|row| row.get_mut(role as usize))
-                        {
-                            *slot = node as usize;
-                        }
-                    }
-                    MetaRecord::FileDeleted { file } => {
-                        mutations += 1;
-                        st.files.remove(&file);
-                    }
-                    MetaRecord::ObjectPacked {
-                        object,
-                        pack,
-                        offset,
-                        len,
-                    } => {
-                        mutations += 1;
-                        st.extents.insert(object, Extent { pack, offset, len });
-                    }
-                    MetaRecord::ObjectDeleted { object } => {
-                        mutations += 1;
-                        st.extents.remove(&object);
-                    }
-                    MetaRecord::FileExtended {
-                        file,
-                        file_len,
-                        added,
-                    } => {
-                        mutations += 1;
-                        if let Some(fp) = st.files.get_mut(&file) {
-                            fp.file_len = file_len;
-                            fp.stripes += added.len();
-                            fp.nodes.extend(added);
-                        }
-                    }
-                }
-            }
-            st.log = Some(log);
-        }
-        coord.epoch.store(mutations, Ordering::Relaxed);
+        let mut st = coord.state.lock().expect("coordinator lock");
+        let mutations = records.iter().filter(|rec| st.apply(rec)).count();
+        st.log = Some(log);
+        drop(st);
+        coord.epoch.store(mutations as u64, Ordering::Relaxed);
         Ok(coord)
     }
 
     /// The coordinator's shard epoch: a counter advanced by every
-    /// placement mutation (place, repair re-homing, delete). Clients
-    /// cache per-file manifests tagged with the epoch observed *before*
-    /// the manifest read and refetch on mismatch, so a cached manifest
-    /// can go stale but can never be served stale.
+    /// placement mutation (place, repair re-homing, extension, delete,
+    /// packed extent). Clients cache per-file manifests tagged with the
+    /// epoch observed *before* the manifest read and refetch on mismatch,
+    /// so a cached manifest can go stale but can never be served stale.
+    ///
+    /// A coordinator replayed by [`Coordinator::open_log`] starts at the
+    /// number of placement records in its log. Until the log is first
+    /// compacted that equals the epoch the writer had reached; a
+    /// compaction collapses history into one record per file and extent,
+    /// so replay then restarts the epoch from that snapshot's count.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    fn bump_epoch(&self) {
-        let now = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        SHARD_EPOCH.set(now as i64);
+    /// The one way metadata changes, in order: write-ahead append when a
+    /// log is attached, `State::apply`, the compaction check, and an
+    /// epoch bump for a placement mutation. A failed append of a
+    /// placement record is returned with the state untouched — losing one
+    /// silently would desynchronize recovered state from the blocks on
+    /// disk. A membership record tolerates it: a lost `NodeRegistered`
+    /// only costs a re-announcement after the next restart, and the
+    /// heartbeat path that registers has no error channel.
+    fn commit(&self, st: &mut State, rec: &MetaRecord) -> Result<(), ClusterError> {
+        if let Some(log) = st.log.as_mut() {
+            if let Err(e) = log.append(rec) {
+                LOG_ERRORS.inc();
+                if !matches!(rec, MetaRecord::NodeRegistered { .. }) {
+                    return Err(e);
+                }
+            }
+        }
+        let mutation = st.apply(rec);
+        st.maybe_compact();
+        if mutation {
+            let now = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+            SHARD_EPOCH.set(now as i64);
+        }
+        Ok(())
     }
 
     /// Installs the liveness listener, replacing any previous one. The
@@ -337,24 +355,17 @@ impl Coordinator {
         let was_alive = {
             let mut st = self.state.lock().expect("coordinator lock");
             let prev = st.nodes.get(&id).map(|e| (e.info.alive, e.info.addr));
-            st.nodes.insert(
-                id,
-                NodeEntry {
-                    info: NodeInfo {
-                        id,
-                        addr,
-                        alive: true,
-                    },
-                    last_seen: Instant::now(),
-                },
-            );
             if prev.map(|(_, a)| a) != Some(addr) {
                 let rec = MetaRecord::NodeRegistered {
                     id: id as u64,
                     addr: addr.to_string(),
                 };
-                let _ = st.log_append(&rec, false);
-                st.maybe_compact();
+                // Cannot fail: a membership append is tolerated.
+                let _ = self.commit(&mut st, &rec);
+            }
+            if let Some(entry) = st.nodes.get_mut(&id) {
+                entry.info.alive = true;
+                entry.last_seen = Instant::now();
             }
             prev.is_some_and(|(alive, _)| alive)
         };
@@ -447,8 +458,8 @@ impl Coordinator {
                 continue;
             }
             if matches!(
-                protocol::read_response(&mut stream),
-                Ok(Some((Response::Pong, _)))
+                protocol::read_response_into(&mut stream, &mut Vec::new()),
+                Ok(Some((Response::Pong, ..)))
             ) {
                 self.heartbeat(id);
                 verified.push(id);
@@ -539,10 +550,7 @@ impl Coordinator {
             stripes,
             nodes,
         };
-        st.log_append(&MetaRecord::FilePlaced(fp.clone()), true)?;
-        st.files.insert(name.to_string(), fp.clone());
-        st.maybe_compact();
-        self.bump_epoch();
+        self.commit(&mut st, &MetaRecord::FilePlaced(fp.clone()))?;
         Ok(fp)
     }
 
@@ -550,15 +558,6 @@ impl Coordinator {
     pub fn file(&self, name: &str) -> Option<FilePlacement> {
         let st = self.state.lock().expect("coordinator lock");
         st.files.get(name).cloned()
-    }
-
-    /// The epoch *followed by* the file's placement, in that order —
-    /// the pairing a caching client needs: tagging the manifest with an
-    /// epoch read before it guarantees any concurrent mutation makes
-    /// the cache entry look stale (an extra refetch, never a stale read).
-    pub fn file_with_epoch(&self, name: &str) -> (u64, Option<FilePlacement>) {
-        let epoch = self.epoch();
-        (epoch, self.file(name))
     }
 
     /// Names of all placed files, ascending.
@@ -592,26 +591,13 @@ impl Coordinator {
         if !valid {
             return Ok(());
         }
-        st.log_append(
-            &MetaRecord::PlacementCommitted {
-                file: name.to_string(),
-                stripe: stripe as u32,
-                role: role as u32,
-                node: node as u64,
-            },
-            true,
-        )?;
-        if let Some(slot) = st
-            .files
-            .get_mut(name)
-            .and_then(|fp| fp.nodes.get_mut(stripe))
-            .and_then(|row| row.get_mut(role))
-        {
-            *slot = node;
-        }
-        st.maybe_compact();
-        self.bump_epoch();
-        Ok(())
+        let rec = MetaRecord::PlacementCommitted {
+            file: name.to_string(),
+            stripe: stripe as u32,
+            role: role as u32,
+            node: node as u64,
+        };
+        self.commit(&mut st, &rec)
     }
 
     /// Removes a file from the namespace, logging the deletion and
@@ -627,15 +613,10 @@ impl Coordinator {
         if !st.files.contains_key(name) {
             return Ok(false);
         }
-        st.log_append(
-            &MetaRecord::FileDeleted {
-                file: name.to_string(),
-            },
-            true,
-        )?;
-        st.files.remove(name);
-        st.maybe_compact();
-        self.bump_epoch();
+        let rec = MetaRecord::FileDeleted {
+            file: name.to_string(),
+        };
+        self.commit(&mut st, &rec)?;
         Ok(true)
     }
 
@@ -684,20 +665,12 @@ impl Coordinator {
                     .collect()
             })
             .collect();
-        st.log_append(
-            &MetaRecord::FileExtended {
-                file: name.to_string(),
-                file_len: new_file_len,
-                added: added.clone(),
-            },
-            true,
-        )?;
-        let fp = st.files.get_mut(name).expect("checked above");
-        fp.file_len = new_file_len;
-        fp.stripes += added.len();
-        fp.nodes.extend(added.iter().cloned());
-        st.maybe_compact();
-        self.bump_epoch();
+        let rec = MetaRecord::FileExtended {
+            file: name.to_string(),
+            file_len: new_file_len,
+            added: added.clone(),
+        };
+        self.commit(&mut st, &rec)?;
         Ok(added)
     }
 
@@ -716,19 +689,13 @@ impl Coordinator {
                 reason: format!("file {object:?} already exists"),
             });
         }
-        st.log_append(
-            &MetaRecord::ObjectPacked {
-                object: object.to_string(),
-                pack: extent.pack.clone(),
-                offset: extent.offset,
-                len: extent.len,
-            },
-            true,
-        )?;
-        st.extents.insert(object.to_string(), extent);
-        st.maybe_compact();
-        self.bump_epoch();
-        Ok(())
+        let rec = MetaRecord::ObjectPacked {
+            object: object.to_string(),
+            pack: extent.pack,
+            offset: extent.offset,
+            len: extent.len,
+        };
+        self.commit(&mut st, &rec)
     }
 
     /// Looks up a packed object's extent.
@@ -750,15 +717,10 @@ impl Coordinator {
         if !st.extents.contains_key(object) {
             return Ok(false);
         }
-        st.log_append(
-            &MetaRecord::ObjectDeleted {
-                object: object.to_string(),
-            },
-            true,
-        )?;
-        st.extents.remove(object);
-        st.maybe_compact();
-        self.bump_epoch();
+        let rec = MetaRecord::ObjectDeleted {
+            object: object.to_string(),
+        };
+        self.commit(&mut st, &rec)?;
         Ok(true)
     }
 
@@ -993,42 +955,10 @@ mod tests {
     }
 
     #[test]
-    fn log_roundtrip_recovers_placements() {
-        let path = tmp_log("roundtrip");
-        let _ = std::fs::remove_file(&path);
-        let original = {
-            let c = Coordinator::create_log(&path).unwrap();
-            for i in 0..4 {
-                c.register(i, addr(9200 + i as u16));
-            }
-            let mut rng = StdRng::seed_from_u64(1);
-            c.place_file(
-                "data.bin",
-                CodeSpec::Carousel {
-                    n: 4,
-                    k: 2,
-                    d: 2,
-                    p: 4,
-                },
-                5000,
-                300,
-                3,
-                Placement::Random,
-                &mut rng,
-            )
-            .unwrap();
-            c.set_block_node("data.bin", 1, 0, 3).unwrap();
-            c.file("data.bin").unwrap()
-        };
-        let loaded = Coordinator::open_log(&path).unwrap();
-        assert_eq!(loaded.nodes().len(), 4);
-        assert_eq!(loaded.node_addr(3), Some(addr(9203)));
-        let fp = loaded.file("data.bin").unwrap();
-        assert_eq!(fp, original, "replay reproduces placement + re-homing");
-        assert_eq!(fp.nodes[1][0], 3, "committed re-homing survives replay");
-        assert!(loaded.epoch() > 0, "replay advances the epoch");
-        let _ = std::fs::remove_file(&path);
+    fn log_attachment_edges() {
         assert!(Coordinator::create_log(Path::new("/nonexistent/dir/x")).is_err());
+        // In-memory coordinators have nothing to compact.
+        assert!(!Coordinator::new().compact_log().unwrap());
     }
 
     #[test]
@@ -1062,6 +992,7 @@ mod tests {
         for i in 0..4 {
             c.register(i, addr(9600 + i as u16));
         }
+        c.register(3, addr(9699)); // a move is membership too
         assert_eq!(c.epoch(), 0, "membership does not move the epoch");
         let mut rng = StdRng::seed_from_u64(2);
         c.place_file(
@@ -1075,9 +1006,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.epoch(), 1);
-        let (epoch, fp) = c.file_with_epoch("f");
-        assert_eq!(epoch, 1);
-        let fp = fp.unwrap();
+        let fp = c.file("f").unwrap();
         c.set_block_node("f", 0, 0, fp.nodes[0][1]).unwrap();
         assert_eq!(c.epoch(), 2);
         // No-op re-homings of unknown targets don't bump.
@@ -1094,158 +1023,191 @@ mod tests {
     }
 
     #[test]
-    fn extent_lifecycle_survives_replay_and_compaction() {
-        let path = tmp_log("extents");
-        let _ = std::fs::remove_file(&path);
-        {
-            let c = Coordinator::create_log(&path).unwrap();
-            for i in 0..4 {
-                c.register(i, addr(9750 + i as u16));
-            }
-            let mut rng = StdRng::seed_from_u64(3);
-            c.place_file(
-                ".pack-0000",
-                CodeSpec::Rs { n: 4, k: 2 },
-                600,
-                100,
-                3,
-                Placement::Random,
-                &mut rng,
-            )
-            .unwrap();
-            let ext = |offset, len| Extent {
-                pack: ".pack-0000".to_string(),
-                offset,
-                len,
-            };
-            c.put_extent("small-a", ext(0, 200)).unwrap();
-            c.put_extent("small-b", ext(200, 150)).unwrap();
-            c.put_extent("small-c", ext(350, 250)).unwrap();
-            assert_eq!(c.epoch(), 4, "each extent bumps the epoch");
-            // Extents and files share one namespace, both ways.
-            assert!(c.put_extent("small-a", ext(0, 1)).is_err());
-            assert!(c.put_extent(".pack-0000", ext(0, 1)).is_err());
-            assert!(c
-                .place_file(
-                    "small-b",
-                    CodeSpec::Rs { n: 4, k: 2 },
-                    1,
-                    1,
-                    1,
-                    Placement::Random,
-                    &mut rng
-                )
-                .is_err());
-            assert!(c.delete_extent("small-b").unwrap());
-            assert!(!c.delete_extent("small-b").unwrap());
-            assert_eq!(c.epoch(), 5);
-            assert!(c.compact_log().unwrap());
+    fn extents_share_one_namespace_with_files() {
+        let c = Coordinator::new();
+        for i in 0..4 {
+            c.register(i, addr(9750 + i as u16));
         }
-        let loaded = Coordinator::open_log(&path).unwrap();
-        assert_eq!(loaded.packed_objects(), vec!["small-a", "small-c"]);
-        let a = loaded.extent("small-a").unwrap();
-        assert_eq!((a.pack.as_str(), a.offset, a.len), (".pack-0000", 0, 200));
-        let c3 = loaded.extent("small-c").unwrap();
-        assert_eq!((c3.offset, c3.len), (350, 250));
-        assert!(loaded.extent("small-b").is_none(), "deletion replayed");
-        assert!(loaded.file(".pack-0000").is_some(), "pack file intact");
-        let _ = std::fs::remove_file(&path);
+        let mut rng = StdRng::seed_from_u64(3);
+        c.place_file(
+            ".pack-0000",
+            CodeSpec::Rs { n: 4, k: 2 },
+            600,
+            100,
+            3,
+            Placement::Random,
+            &mut rng,
+        )
+        .unwrap();
+        let ext = |offset, len| Extent {
+            pack: ".pack-0000".to_string(),
+            offset,
+            len,
+        };
+        c.put_extent("small-a", ext(0, 200)).unwrap();
+        c.put_extent("small-b", ext(200, 150)).unwrap();
+        c.put_extent("small-c", ext(350, 250)).unwrap();
+        assert_eq!(c.epoch(), 4, "each extent bumps the epoch");
+        // Extents and files share one namespace, both ways.
+        assert!(c.put_extent("small-a", ext(0, 1)).is_err());
+        assert!(c.put_extent(".pack-0000", ext(0, 1)).is_err());
+        assert!(c
+            .place_file(
+                "small-b",
+                CodeSpec::Rs { n: 4, k: 2 },
+                1,
+                1,
+                1,
+                Placement::Random,
+                &mut rng
+            )
+            .is_err());
+        assert!(c.delete_extent("small-b").unwrap());
+        assert!(!c.delete_extent("small-b").unwrap());
+        assert_eq!(c.epoch(), 5);
+        assert_eq!(c.packed_objects(), vec!["small-a", "small-c"]);
+        assert_eq!(c.extent("small-c"), Some(ext(350, 250)));
     }
 
     #[test]
-    fn extend_file_places_new_rows_and_survives_replay() {
-        let path = tmp_log("extend");
-        let _ = std::fs::remove_file(&path);
-        let (rows, len) = {
-            let c = Coordinator::create_log(&path).unwrap();
-            for i in 0..5 {
-                c.register(i, addr(9780 + i as u16));
-            }
-            let mut rng = StdRng::seed_from_u64(9);
-            c.place_file(
-                "grow.bin",
-                CodeSpec::Rs { n: 4, k: 2 },
-                350,
-                100,
-                2,
-                Placement::Random,
-                &mut rng,
-            )
+    fn extend_file_places_new_rows() {
+        let c = Coordinator::new();
+        for i in 0..5 {
+            c.register(i, addr(9780 + i as u16));
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        c.place_file(
+            "grow.bin",
+            CodeSpec::Rs { n: 4, k: 2 },
+            350,
+            100,
+            2,
+            Placement::Random,
+            &mut rng,
+        )
+        .unwrap();
+        // Tail fill within the last stripe: no new rows.
+        let added = c
+            .extend_file("grow.bin", 400, 0, Placement::Random, &mut rng)
             .unwrap();
-            // Tail fill within the last stripe: no new rows.
-            let added = c
-                .extend_file("grow.bin", 400, 0, Placement::Random, &mut rng)
-                .unwrap();
-            assert!(added.is_empty());
-            assert_eq!(c.epoch(), 2);
-            // Overflow into two fresh stripes.
-            let added = c
-                .extend_file("grow.bin", 780, 2, Placement::Random, &mut rng)
-                .unwrap();
-            assert_eq!(added.len(), 2);
-            for row in &added {
-                assert_eq!(row.len(), 4);
-                let mut sorted = row.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(sorted.len(), 4, "nodes distinct within a stripe");
-            }
-            assert!(matches!(
-                c.extend_file("missing", 1, 1, Placement::Random, &mut rng),
-                Err(ClusterError::Protocol { .. })
-            ));
-            // A 4-wide stripe can't be placed with only 3 alive nodes.
-            c.mark_dead(0);
-            c.mark_dead(1);
-            assert!(matches!(
-                c.extend_file("grow.bin", 900, 1, Placement::Random, &mut rng),
-                Err(ClusterError::Unavailable { .. })
-            ));
-            let fp = c.file("grow.bin").unwrap();
-            (fp.nodes, fp.file_len)
-        };
-        let loaded = Coordinator::open_log(&path).unwrap();
-        let fp = loaded.file("grow.bin").unwrap();
-        assert_eq!(fp.stripes, 4, "two original + two appended stripes");
-        assert_eq!(fp.file_len, len);
-        assert_eq!(fp.file_len, 780);
-        assert_eq!(fp.nodes, rows, "appended rows survive replay");
-        let _ = std::fs::remove_file(&path);
+        assert!(added.is_empty());
+        assert_eq!(c.epoch(), 2);
+        // Overflow into two fresh stripes.
+        let added = c
+            .extend_file("grow.bin", 780, 2, Placement::Random, &mut rng)
+            .unwrap();
+        assert_eq!(added.len(), 2);
+        for row in &added {
+            assert_eq!(row.len(), 4);
+            let mut sorted = row.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), 4, "nodes distinct within a stripe");
+        }
+        let fp = c.file("grow.bin").unwrap();
+        assert_eq!((fp.stripes, fp.file_len), (4, 780));
+        assert_eq!(fp.nodes[2..], added[..], "rows appended in order");
+        assert!(matches!(
+            c.extend_file("missing", 1, 1, Placement::Random, &mut rng),
+            Err(ClusterError::Protocol { .. })
+        ));
+        // A 4-wide stripe can't be placed with only 3 alive nodes.
+        c.mark_dead(0);
+        c.mark_dead(1);
+        assert!(matches!(
+            c.extend_file("grow.bin", 900, 1, Placement::Random, &mut rng),
+            Err(ClusterError::Unavailable { .. })
+        ));
+        assert_eq!(c.file("grow.bin").unwrap(), fp, "a refusal changes nothing");
     }
 
-    #[test]
-    fn log_compaction_is_transparent_to_replay() {
-        let path = tmp_log("compaction");
-        let _ = std::fs::remove_file(&path);
-        let rows = {
-            let c = Coordinator::create_log(&path).unwrap();
-            for i in 0..6 {
-                c.register(i, addr(9700 + i as u16));
+    /// What replay must reproduce: every placement, every extent and
+    /// every node address (liveness is not durable).
+    type Namespace = (
+        Vec<FilePlacement>,
+        Vec<(String, Extent)>,
+        Vec<(usize, SocketAddr)>,
+    );
+
+    fn namespace(c: &Coordinator) -> Namespace {
+        let files = c.files().iter().filter_map(|f| c.file(f)).collect();
+        let extents = c
+            .packed_objects()
+            .into_iter()
+            .filter_map(|o| Some((o.clone(), c.extent(&o)?)))
+            .collect();
+        let nodes = c.nodes().into_iter().map(|n| (n.id, n.addr)).collect();
+        (files, extents, nodes)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Live and replayed state come out of the one `State::apply`, so
+        /// after any interleaving of the six placement mutations,
+        /// registrations (new nodes and moved ones) and compactions,
+        /// replaying the log reproduces the live namespace — and, until
+        /// the first compaction collapses history, the live epoch too.
+        #[test]
+        fn replay_reproduces_every_live_step(
+            seed in 0u64..1 << 32,
+            steps in proptest::collection::vec(
+                (0u8..8, 0usize..6, 0usize..4, 0usize..4, 0usize..7),
+                1..40,
+            ),
+        ) {
+            let path = tmp_log(&format!("replay-{seed}"));
+            let _ = std::fs::remove_file(&path);
+            let live = Coordinator::create_log(&path).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let name = |i: usize| format!("n{i}");
+            let mut compacted = false;
+            for (kind, a, b, c, d) in steps {
+                // Refusals (unknown names, too few alive nodes, taken
+                // names) are part of the interleaving: they must leave
+                // neither the live state nor the log changed.
+                let _ = match kind {
+                    0 => {
+                        live.register(a, addr(9900 + b as u16));
+                        Ok(())
+                    }
+                    1 => live
+                        .place_file(
+                            &name(a),
+                            CodeSpec::Rs { n: 3, k: 2 },
+                            100 * (b as u64 + 1),
+                            50,
+                            c + 1,
+                            Placement::Random,
+                            &mut rng,
+                        )
+                        .map(drop),
+                    2 => live.set_block_node(&name(a), b, c, d),
+                    3 => live.delete_file(&name(a)).map(drop),
+                    4 => live
+                        .extend_file(&name(a), 1000 + b as u64, c % 3, Placement::Random, &mut rng)
+                        .map(drop),
+                    5 => {
+                        let extent = Extent {
+                            pack: name(b),
+                            offset: 10 * c as u64,
+                            len: d as u64 + 1,
+                        };
+                        live.put_extent(&name(a), extent)
+                    }
+                    6 => live.delete_extent(&name(a)).map(drop),
+                    _ => {
+                        compacted = true;
+                        live.compact_log().map(drop)
+                    }
+                };
+                let replayed = Coordinator::open_log(&path).unwrap();
+                proptest::prop_assert_eq!(namespace(&replayed), namespace(&live));
+                if !compacted {
+                    proptest::prop_assert_eq!(replayed.epoch(), live.epoch());
+                }
             }
-            let mut rng = StdRng::seed_from_u64(5);
-            c.place_file(
-                "f",
-                CodeSpec::Rs { n: 4, k: 2 },
-                4000,
-                100,
-                10,
-                Placement::Random,
-                &mut rng,
-            )
-            .unwrap();
-            // Plenty of commits, then a forced compaction.
-            for s in 0..10 {
-                let fp = c.file("f").unwrap();
-                let spare = (0..6).find(|n| !fp.nodes[s].contains(n)).unwrap();
-                c.set_block_node("f", s, 0, spare).unwrap();
-            }
-            assert!(c.compact_log().unwrap());
-            c.file("f").unwrap().nodes
-        };
-        let loaded = Coordinator::open_log(&path).unwrap();
-        assert_eq!(loaded.file("f").unwrap().nodes, rows);
-        // In-memory coordinators have nothing to compact.
-        assert!(!Coordinator::new().compact_log().unwrap());
-        let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

@@ -33,13 +33,14 @@
 //!
 //! The tag byte lives *inside* the checksummed payload, so a flipped tag
 //! cannot silently turn one valid message into another. Integers are
-//! little-endian; strings are length-prefixed UTF-8. A frame header is
-//! parsed in one place, the stream reader behind [`read_request`] /
-//! [`read_response`]; the slice decoders ([`Request::decode`],
-//! [`Response::decode`]) run that reader over the slice and require it
-//! exhausted, so the two can never disagree on magic, version, flags,
-//! length or CRC. The property tests exercise both without ever opening a
-//! socket.
+//! little-endian; strings are length-prefixed UTF-8.
+//!
+//! Six entry points make up the whole codec: [`Request::encode`] and
+//! [`Response::encode`] build frames, [`write_request`] /
+//! [`write_response`] send one, and [`read_request`] /
+//! [`read_response_into`] parse one off any [`Read`] — a socket, or a
+//! byte slice in the tests, which then assert the slice is exhausted. A
+//! frame header is therefore parsed in exactly one place.
 
 use std::io::{Read, Write};
 use std::time::Instant;
@@ -70,14 +71,11 @@ pub const TRACE_EXT_BYTES: usize = 16;
 /// Flags-byte bit marking a trace extension (v2 frames only).
 const FLAG_TRACE: u8 = 0x01;
 
-/// Bytes a payload of `payload_len` occupies on the wire in the base
-/// (untraced) layout.
-pub fn frame_bytes(payload_len: usize) -> usize {
-    payload_len + FRAME_OVERHEAD
-}
-
 // Request tags (0x01..) and response tags (0x81..) share the payload's
-// first byte; the two decoders each reject the other family.
+// first byte; the two decoders each reject the other family. 0x08 and
+// 0x09 are retired (the repair-status and manifest reads, whose data
+// `Stats` and the metadata layer serve): never reuse them, an old peer
+// would misread the new op.
 const TAG_PING: u8 = 0x01;
 const TAG_PUT_BLOCK: u8 = 0x02;
 const TAG_GET_BLOCK: u8 = 0x03;
@@ -85,8 +83,6 @@ const TAG_GET_UNITS: u8 = 0x04;
 const TAG_REPAIR_READ: u8 = 0x05;
 const TAG_STAT: u8 = 0x06;
 const TAG_STATS: u8 = 0x07;
-const TAG_REPAIR_STATUS: u8 = 0x08;
-const TAG_MANIFEST_GET: u8 = 0x09;
 const TAG_WRITE_DELTA: u8 = 0x0A;
 const TAG_DELETE_BLOCK: u8 = 0x0B;
 const TAG_PONG: u8 = 0x81;
@@ -154,37 +150,26 @@ impl BlockId {
     ///
     /// Returns [`ClusterError::Protocol`] describing the violation.
     pub fn validate(&self) -> Result<(), ClusterError> {
-        validate_file_name(&self.file)
+        let f = &self.file;
+        let bad = |why: &str| {
+            Err(ClusterError::Protocol {
+                reason: format!("bad file name {f:?}: {why}"),
+            })
+        };
+        if f.is_empty() {
+            return bad("empty");
+        }
+        if f.len() > 255 {
+            return bad("longer than 255 bytes");
+        }
+        if f.contains(['/', '\\', '\0']) {
+            return bad("contains a path separator or NUL");
+        }
+        if f == "." || f == ".." {
+            return bad("reserved");
+        }
+        Ok(())
     }
-}
-
-/// Validates a wire-carried file name: non-empty, at most 255 bytes, and
-/// free of path separators, NUL, and dot-dot. Shared by [`BlockId`] and
-/// [`Request::ManifestGet`], both of which turn names into lookups (and,
-/// for blocks, on-disk paths) on the serving node.
-///
-/// # Errors
-///
-/// Returns [`ClusterError::Protocol`] describing the violation.
-pub fn validate_file_name(f: &str) -> Result<(), ClusterError> {
-    let bad = |why: &str| {
-        Err(ClusterError::Protocol {
-            reason: format!("bad file name {f:?}: {why}"),
-        })
-    };
-    if f.is_empty() {
-        return bad("empty");
-    }
-    if f.len() > 255 {
-        return bad("longer than 255 bytes");
-    }
-    if f.contains(['/', '\\', '\0']) {
-        return bad("contains a path separator or NUL");
-    }
-    if f == "." || f == ".." {
-        return bad("reserved");
-    }
-    Ok(())
 }
 
 /// A client → datanode message.
@@ -240,24 +225,9 @@ pub enum Request {
     },
     /// Scrape the serving node's full telemetry registry; answered with
     /// [`Response::Data`] holding an [`encode_stats`]-serialized
-    /// snapshot.
+    /// snapshot — the ten `repair.*` totals included (see
+    /// [`RepairStatusReport::from_snapshot`](crate::repair::RepairStatusReport::from_snapshot)).
     Stats,
-    /// Scrape the serving process's background-repair totals; answered
-    /// with [`Response::Data`] holding an
-    /// [`encode_repair_status`]-serialized
-    /// [`RepairStatusReport`](crate::repair::RepairStatusReport).
-    RepairStatus,
-    /// Fetch one file's placement manifest from the serving node's
-    /// attached metadata router; answered with [`Response::Data`]
-    /// holding an [`encode_manifest`]-serialized `(shard epoch,
-    /// placement)` pair, or [`Response::Error`] when the file is
-    /// unknown or the node serves no metadata. The epoch rides in the
-    /// reply so a caching client can tag the manifest and later detect
-    /// staleness with a cheap epoch comparison.
-    ManifestGet {
-        /// The file whose manifest is wanted.
-        name: String,
-    },
     /// In-place delta update of one stored block — the write-path dual of
     /// [`Request::RepairRead`]: instead of shipping the whole rewritten
     /// block, the client ships only the unit-aligned *message deltas* of
@@ -453,8 +423,9 @@ impl<'a> Reader<'a> {
 /// when one does.
 fn frame(payload: &[u8], trace: Option<WireTrace>) -> Vec<u8> {
     debug_assert!(!payload.is_empty() && payload.len() <= MAX_PAYLOAD);
-    let mut out =
-        Vec::with_capacity(frame_bytes(payload.len()) + trace.map_or(0, |_| 1 + TRACE_EXT_BYTES));
+    let mut out = Vec::with_capacity(
+        FRAME_OVERHEAD + payload.len() + trace.map_or(0, |_| 1 + TRACE_EXT_BYTES),
+    );
     out.extend_from_slice(&MAGIC);
     match trace {
         None => out.push(VERSION),
@@ -468,32 +439,6 @@ fn frame(payload: &[u8], trace: Option<WireTrace>) -> Vec<u8> {
     out.extend_from_slice(payload);
     put_u32(&mut out, crc32(payload));
     out
-}
-
-/// Unwraps exactly one frame from `buf`: the stream parser
-/// ([`read_frame_into`], the only code that knows the header layout) run
-/// over the slice, which must then be exhausted. Returns the trace
-/// extension (if any) and the payload.
-fn deframe(buf: &[u8]) -> Result<(Option<WireTrace>, Vec<u8>), ClusterError> {
-    let mut rest = buf;
-    let mut payload = Vec::new();
-    let meta = match read_frame_into(&mut rest, &mut payload) {
-        Ok(Some(meta)) => meta,
-        // A slice has no peer to close the connection or fail the socket:
-        // running dry anywhere, even before the first byte, is truncation.
-        Ok(None) | Err(ClusterError::Io(_)) => {
-            return Err(ClusterError::Protocol {
-                reason: format!("frame of {} bytes is truncated", buf.len()),
-            })
-        }
-        Err(e) => return Err(e),
-    };
-    if !rest.is_empty() {
-        return Err(ClusterError::Protocol {
-            reason: format!("{} bytes trail the {}-byte frame", rest.len(), meta.wire),
-        });
-    }
-    Ok((meta.trace, payload))
 }
 
 /// Per-frame receive timings, split at the first byte: how long the
@@ -520,9 +465,9 @@ struct FrameMeta {
 
 /// Reads one frame into `scratch` (resized to fit, capacity reused across
 /// calls). `Ok(None)` on a clean EOF at a frame boundary (the peer closed
-/// the connection). This is the hot-path reader behind every stream
-/// adapter: a long-lived connection reads each frame into one buffer
-/// instead of allocating a fresh `Vec` per message.
+/// the connection). The only code that knows the header layout, behind
+/// both stream readers: a long-lived connection reads each frame into one
+/// buffer instead of allocating a fresh `Vec` per message.
 fn read_frame_into(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
@@ -623,14 +568,9 @@ impl Request {
         !matches!(self, Request::WriteDelta { .. })
     }
 
-    /// Encodes this request as one complete frame in the base layout.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_traced(None)
-    }
-
     /// Encodes this request as one complete frame, in the v2 layout
     /// carrying `trace` when given, the v1 layout otherwise.
-    pub fn encode_traced(&self, trace: Option<WireTrace>) -> Vec<u8> {
+    pub fn encode(&self, trace: Option<WireTrace>) -> Vec<u8> {
         let mut p = Vec::new();
         match self {
             Request::Ping => p.push(TAG_PING),
@@ -669,11 +609,6 @@ impl Request {
                 put_block_id(&mut p, id);
             }
             Request::Stats => p.push(TAG_STATS),
-            Request::RepairStatus => p.push(TAG_REPAIR_STATUS),
-            Request::ManifestGet { name } => {
-                p.push(TAG_MANIFEST_GET);
-                put_str(&mut p, name);
-            }
             Request::WriteDelta {
                 id,
                 unit_bytes,
@@ -703,28 +638,6 @@ impl Request {
             }
         }
         frame(&p, trace)
-    }
-
-    /// Decodes exactly one framed request from `buf`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::Protocol`] on any framing or payload
-    /// violation: bad magic/version/length/CRC, truncation, unknown tag,
-    /// trailing bytes, or an invalid field.
-    pub fn decode(buf: &[u8]) -> Result<Self, ClusterError> {
-        Ok(Self::decode_traced(buf)?.0)
-    }
-
-    /// [`Request::decode`] that also surfaces the frame's trace-context
-    /// extension (`None` for v1 frames and untraced v2 frames).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Request::decode`].
-    pub fn decode_traced(buf: &[u8]) -> Result<(Self, Option<WireTrace>), ClusterError> {
-        let (trace, payload) = deframe(buf)?;
-        Ok((Self::from_payload(&payload)?, trace))
     }
 
     fn from_payload(payload: &[u8]) -> Result<Self, ClusterError> {
@@ -779,12 +692,6 @@ impl Request {
             }
             TAG_STAT => Request::Stat { id: r.block_id()? },
             TAG_STATS => Request::Stats,
-            TAG_REPAIR_STATUS => Request::RepairStatus,
-            TAG_MANIFEST_GET => {
-                let name = r.str()?;
-                validate_file_name(&name)?;
-                Request::ManifestGet { name }
-            }
             TAG_WRITE_DELTA => {
                 let id = r.block_id()?;
                 let unit_bytes = r.u32()?;
@@ -831,50 +738,30 @@ impl Request {
     }
 }
 
-/// Writes one request to a stream, returning the wire bytes.
+/// Writes one untraced request to a stream, returning the wire bytes. (A
+/// traced frame is [`Request::encode`] with a trace, written as is.)
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
 pub fn write_request(w: &mut impl Write, req: &Request) -> Result<usize, ClusterError> {
-    write_request_traced(w, req, None)
-}
-
-/// [`write_request`] stamping the frame with a trace-context extension
-/// when `trace` is given (the frame then uses the v2 layout).
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_request_traced(
-    w: &mut impl Write,
-    req: &Request,
-    trace: Option<WireTrace>,
-) -> Result<usize, ClusterError> {
-    let bytes = req.encode_traced(trace);
+    let bytes = req.encode(None);
     w.write_all(&bytes)?;
     w.flush()?;
     Ok(bytes.len())
 }
 
 /// Reads one request from a stream; `Ok(None)` means the peer closed the
-/// connection cleanly. On success also returns the wire bytes consumed.
+/// connection cleanly. On success also returns the wire bytes consumed
+/// and the frame's trace-context extension (`None` for v1 frames and
+/// untraced v2 frames), so a server can adopt the caller's trace.
 ///
 /// # Errors
 ///
 /// Returns [`ClusterError::Protocol`] on malformed frames and
-/// [`ClusterError::Io`] on socket failures (including read timeouts).
-pub fn read_request(r: &mut impl Read) -> Result<Option<(Request, usize)>, ClusterError> {
-    Ok(read_request_traced(r)?.map(|(req, wire, _)| (req, wire)))
-}
-
-/// [`read_request`] that also surfaces the frame's trace-context
-/// extension, so a server can adopt the caller's trace.
-///
-/// # Errors
-///
-/// As for [`read_request`].
-pub fn read_request_traced(
+/// [`ClusterError::Io`] on socket failures (including read timeouts and a
+/// frame cut short).
+pub fn read_request(
     r: &mut impl Read,
 ) -> Result<Option<(Request, usize, Option<WireTrace>)>, ClusterError> {
     let mut payload = Vec::new();
@@ -913,16 +800,6 @@ impl Response {
         frame(&p, None)
     }
 
-    /// Decodes exactly one framed response from `buf`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::Protocol`] on any framing or payload
-    /// violation.
-    pub fn decode(buf: &[u8]) -> Result<Self, ClusterError> {
-        Self::from_payload(&deframe(buf)?.1)
-    }
-
     fn from_payload(payload: &[u8]) -> Result<Self, ClusterError> {
         let mut r = Reader::new(payload);
         let resp = match r.u8()? {
@@ -953,41 +830,20 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<usize, Clus
     Ok(bytes.len())
 }
 
-/// Reads one response from a stream; `Ok(None)` means the peer closed the
-/// connection cleanly. On success also returns the wire bytes consumed.
+/// Reads one response from a stream into a caller-owned scratch buffer
+/// for the frame payload, so a long-lived connection (the client's
+/// per-node `Link` entries) reads every response without a fresh
+/// per-frame allocation; the scratch is an opaque workspace, only its
+/// capacity carries over. `Ok(None)` means the peer closed the connection
+/// cleanly. On success also returns the wire bytes consumed and the
+/// wait/receive split of the read ([`RecvTiming`]) — the raw material for
+/// the client's per-phase latency histograms.
 ///
 /// # Errors
 ///
 /// Returns [`ClusterError::Protocol`] on malformed frames and
 /// [`ClusterError::Io`] on socket failures.
-pub fn read_response(r: &mut impl Read) -> Result<Option<(Response, usize)>, ClusterError> {
-    let mut scratch = Vec::new();
-    read_response_into(r, &mut scratch)
-}
-
-/// [`read_response`] with a caller-owned scratch buffer for the frame
-/// payload, so a long-lived connection (the client's per-node `Link`
-/// entries) reads every response without a fresh per-frame allocation.
-/// The scratch is an opaque workspace: only its capacity carries over.
-///
-/// # Errors
-///
-/// As for [`read_response`].
 pub fn read_response_into(
-    r: &mut impl Read,
-    scratch: &mut Vec<u8>,
-) -> Result<Option<(Response, usize)>, ClusterError> {
-    Ok(read_response_timed(r, scratch)?.map(|(resp, wire, _)| (resp, wire)))
-}
-
-/// [`read_response_into`] that also reports the wait/receive split of the
-/// read ([`RecvTiming`]) — the raw material for the client's per-phase
-/// latency histograms.
-///
-/// # Errors
-///
-/// As for [`read_response`].
-pub fn read_response_timed(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
 ) -> Result<Option<(Response, usize, RecvTiming)>, ClusterError> {
@@ -1117,133 +973,6 @@ pub fn decode_stats(buf: &[u8]) -> Result<telemetry::Snapshot, ClusterError> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Repair status on the wire.
-// ---------------------------------------------------------------------
-
-/// Version byte of the repair-status payload, bumped if fields change.
-const REPAIR_STATUS_VERSION: u8 = 1;
-
-/// Serializes the repair progress board as the [`Response::Data`] payload
-/// answering [`Request::RepairStatus`]: a version byte followed by ten
-/// little-endian `u64` fields in declaration order.
-pub fn encode_repair_status(report: &crate::repair::RepairStatusReport) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 10 * 8);
-    out.push(REPAIR_STATUS_VERSION);
-    for v in [
-        report.queue_depth,
-        report.in_flight,
-        report.enqueued,
-        report.completed,
-        report.requeued,
-        report.cancelled,
-        report.abandoned,
-        report.blocks_rebuilt,
-        report.helper_bytes,
-        report.wire_bytes,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes an [`encode_repair_status`] payload.
-///
-/// # Errors
-///
-/// Returns [`ClusterError::Protocol`] on an unknown version, truncation,
-/// or trailing bytes.
-pub fn decode_repair_status(buf: &[u8]) -> Result<crate::repair::RepairStatusReport, ClusterError> {
-    let mut r = Reader::new(buf);
-    let version = r.u8()?;
-    if version != REPAIR_STATUS_VERSION {
-        return Err(ClusterError::Protocol {
-            reason: format!("unknown repair-status version {version}"),
-        });
-    }
-    let report = crate::repair::RepairStatusReport {
-        queue_depth: r.u64()?,
-        in_flight: r.u64()?,
-        enqueued: r.u64()?,
-        completed: r.u64()?,
-        requeued: r.u64()?,
-        cancelled: r.u64()?,
-        abandoned: r.u64()?,
-        blocks_rebuilt: r.u64()?,
-        helper_bytes: r.u64()?,
-        wire_bytes: r.u64()?,
-    };
-    r.finish()?;
-    Ok(report)
-}
-
-// ---------------------------------------------------------------------
-// File manifests on the wire.
-// ---------------------------------------------------------------------
-
-/// Version byte of the manifest payload, bumped if fields change.
-const MANIFEST_VERSION: u8 = 1;
-
-/// Serializes `(shard epoch, placement)` as the [`Response::Data`]
-/// payload answering [`Request::ManifestGet`]: a version byte, the
-/// owning shard's epoch (u64 LE), then the placement — name, code spec
-/// (display form), file length, block bytes, stripe count, and one
-/// length-prefixed node row per stripe.
-pub fn encode_manifest(epoch: u64, fp: &crate::coordinator::FilePlacement) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(MANIFEST_VERSION);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    put_str(&mut out, &fp.name);
-    put_str(&mut out, &fp.spec.to_string());
-    out.extend_from_slice(&fp.file_len.to_le_bytes());
-    out.extend_from_slice(&(fp.block_bytes as u64).to_le_bytes());
-    put_u32(&mut out, fp.stripes as u32);
-    put_rows(&mut out, &fp.nodes);
-    out
-}
-
-/// Decodes an [`encode_manifest`] payload.
-///
-/// # Errors
-///
-/// Returns [`ClusterError::Protocol`] on an unknown version, truncation,
-/// trailing bytes, an invalid name or code spec, or absurd stripe/row
-/// counts.
-pub fn decode_manifest(
-    buf: &[u8],
-) -> Result<(u64, crate::coordinator::FilePlacement), ClusterError> {
-    let mut r = Reader::new(buf);
-    let version = r.u8()?;
-    if version != MANIFEST_VERSION {
-        return Err(ClusterError::Protocol {
-            reason: format!("unknown manifest version {version}"),
-        });
-    }
-    let epoch = r.u64()?;
-    let name = r.str()?;
-    validate_file_name(&name)?;
-    let spec_text = r.str()?;
-    let spec = access::CodeSpec::parse(&spec_text).map_err(|e| ClusterError::Protocol {
-        reason: format!("manifest code spec {spec_text:?}: {e}"),
-    })?;
-    let file_len = r.u64()?;
-    let block_bytes = r.u64()? as usize;
-    let stripes = r.u32()? as usize;
-    let nodes = r.rows(stripes)?;
-    r.finish()?;
-    Ok((
-        epoch,
-        crate::coordinator::FilePlacement {
-            name,
-            spec,
-            file_len,
-            block_bytes,
-            stripes,
-            nodes,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1254,6 +983,37 @@ mod tests {
             file: file.into(),
             stripe,
             block,
+        }
+    }
+
+    /// [`read_request`] over a slice that must hold exactly one frame: a
+    /// slice running dry or trailing bytes is an error.
+    fn decode_request(bytes: &[u8]) -> Result<(Request, Option<WireTrace>), ClusterError> {
+        let mut rest = bytes;
+        let decoded = read_request(&mut rest)?;
+        match decoded {
+            Some((req, wire, trace)) if rest.is_empty() => {
+                assert_eq!(wire, bytes.len(), "wire bytes account the whole frame");
+                Ok((req, trace))
+            }
+            _ => Err(ClusterError::Protocol {
+                reason: format!("not exactly one frame in {} bytes", bytes.len()),
+            }),
+        }
+    }
+
+    /// [`read_response_into`] over a slice that must hold exactly one frame.
+    fn decode_response(bytes: &[u8]) -> Result<Response, ClusterError> {
+        let mut rest = bytes;
+        let decoded = read_response_into(&mut rest, &mut Vec::new())?;
+        match decoded {
+            Some((resp, wire, _)) if rest.is_empty() => {
+                assert_eq!(wire, bytes.len(), "wire bytes account the whole frame");
+                Ok(resp)
+            }
+            _ => Err(ClusterError::Protocol {
+                reason: format!("not exactly one frame in {} bytes", bytes.len()),
+            }),
         }
     }
 
@@ -1278,10 +1038,6 @@ mod tests {
             },
             Request::Stat { id: id("s", 0, 0) },
             Request::Stats,
-            Request::RepairStatus,
-            Request::ManifestGet {
-                name: "data.bin".into(),
-            },
             Request::WriteDelta {
                 id: id("mut.bin", 4, 9),
                 unit_bytes: 4,
@@ -1295,56 +1051,14 @@ mod tests {
     }
 
     #[test]
-    fn manifest_get_validates_names() {
-        for bad in ["", "a/b", "..", &"x".repeat(300)] {
-            let req = Request::ManifestGet { name: bad.into() };
-            assert!(
-                Request::decode(&req.encode()).is_err(),
-                "name {bad:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn manifest_payload_roundtrip_and_validation() {
-        let fp = crate::coordinator::FilePlacement {
-            name: "data.bin".into(),
-            spec: access::CodeSpec::Msr { n: 6, k: 3, d: 5 },
-            file_len: 123_456,
-            block_bytes: 4096,
-            stripes: 3,
-            nodes: vec![
-                vec![0, 1, 2, 3, 4, 5],
-                vec![5, 4, 3, 2, 1, 0],
-                vec![2, 0, 4, 1, 5, 3],
-            ],
-        };
-        let payload = encode_manifest(77, &fp);
-        let (epoch, got) = decode_manifest(&payload).unwrap();
-        assert_eq!(epoch, 77);
-        assert_eq!(got, fp);
-        // Unknown version, truncation, and trailing bytes are rejected.
-        let mut wrong = payload.clone();
-        wrong[0] = 9;
-        assert!(decode_manifest(&wrong).is_err());
-        for cut in 1..payload.len() {
-            assert!(decode_manifest(&payload[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut trailing = payload;
-        trailing.push(0);
-        assert!(decode_manifest(&trailing).is_err());
-    }
-
-    #[test]
     fn request_roundtrip_all_variants() {
         for req in sample_requests() {
-            let bytes = req.encode();
-            assert_eq!(Request::decode(&bytes).unwrap(), req);
-            // Stream adapters agree with the pure layer.
-            let mut cursor = &bytes[..];
-            let (got, wire) = read_request(&mut cursor).unwrap().unwrap();
-            assert_eq!(got, req);
-            assert_eq!(wire, bytes.len());
+            let bytes = req.encode(None);
+            assert_eq!(decode_request(&bytes).unwrap(), (req.clone(), None));
+            // `write_request` writes exactly the untraced frame.
+            let mut written = Vec::new();
+            assert_eq!(write_request(&mut written, &req).unwrap(), bytes.len());
+            assert_eq!(written, bytes);
         }
     }
 
@@ -1357,12 +1071,15 @@ mod tests {
             Response::Error("nope".into()),
         ] {
             let bytes = resp.encode();
-            assert_eq!(Response::decode(&bytes).unwrap(), resp);
+            assert_eq!(decode_response(&bytes).unwrap(), resp);
+            let mut written = Vec::new();
+            assert_eq!(write_response(&mut written, &resp).unwrap(), bytes.len());
+            assert_eq!(written, bytes);
         }
     }
 
     #[test]
-    fn scratch_reads_match_allocating_reads() {
+    fn scratch_is_reused_across_frames() {
         let responses = [
             Response::Pong,
             Response::Data(vec![7u8; 300]),
@@ -1376,7 +1093,7 @@ mod tests {
         let mut scratch = Vec::new();
         let mut cursor = &stream[..];
         for resp in &responses {
-            let (got, wire) = read_response_into(&mut cursor, &mut scratch)
+            let (got, wire, _) = read_response_into(&mut cursor, &mut scratch)
                 .unwrap()
                 .unwrap();
             assert_eq!(&got, resp);
@@ -1388,51 +1105,25 @@ mod tests {
     }
 
     #[test]
-    fn repair_status_roundtrip_and_validation() {
-        let report = crate::repair::RepairStatusReport {
-            queue_depth: 3,
-            in_flight: 2,
-            enqueued: 40,
-            completed: 30,
-            requeued: 7,
-            cancelled: 4,
-            abandoned: 1,
-            blocks_rebuilt: 33,
-            helper_bytes: 123_456,
-            wire_bytes: 130_000,
-        };
-        let bytes = encode_repair_status(&report);
-        assert_eq!(decode_repair_status(&bytes).unwrap(), report);
-        // Unknown version, truncation and trailing bytes are rejected.
-        let mut wrong = bytes.clone();
-        wrong[0] = 99;
-        assert!(decode_repair_status(&wrong).is_err());
-        assert!(decode_repair_status(&bytes[..bytes.len() - 1]).is_err());
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(decode_repair_status(&long).is_err());
-    }
-
-    #[test]
     fn clean_eof_is_none_and_mid_frame_eof_is_error() {
         let mut empty: &[u8] = &[];
         assert!(read_request(&mut empty).unwrap().is_none());
-        let bytes = Request::Ping.encode();
+        let bytes = Request::Ping.encode(None);
         let mut cut = &bytes[..bytes.len() - 1];
         assert!(read_request(&mut cut).is_err(), "truncated frame");
     }
 
     #[test]
     fn version_and_magic_are_enforced() {
-        let mut bytes = Request::Ping.encode();
+        let mut bytes = Request::Ping.encode(None);
         bytes[4] = 3; // future version beyond both supported layouts
-        match Request::decode(&bytes) {
+        match decode_request(&bytes) {
             Err(ClusterError::Protocol { reason }) => assert!(reason.contains("version")),
             other => panic!("expected protocol error, got {other:?}"),
         }
-        let mut bytes = Request::Ping.encode();
+        let mut bytes = Request::Ping.encode(None);
         bytes[0] = b'X';
-        assert!(Request::decode(&bytes).is_err());
+        assert!(decode_request(&bytes).is_err());
     }
 
     #[test]
@@ -1444,17 +1135,11 @@ mod tests {
             sub: 6,
             units: vec![1, 3],
         };
-        let bytes = req.encode();
+        let bytes = req.encode(None);
         assert_eq!(bytes[4], VERSION, "untraced frames keep the v1 layout");
-        assert_eq!(bytes.len(), frame_bytes(bytes.len() - FRAME_OVERHEAD));
-        let (got, trace) = Request::decode_traced(&bytes).unwrap();
-        assert_eq!(got, req);
-        assert_eq!(trace, None);
-        let mut cursor = &bytes[..];
-        let (got, wire, trace) = read_request_traced(&mut cursor).unwrap().unwrap();
-        assert_eq!(got, req);
-        assert_eq!(wire, bytes.len());
-        assert_eq!(trace, None);
+        let payload = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        assert_eq!(bytes.len(), FRAME_OVERHEAD + payload);
+        assert_eq!(decode_request(&bytes).unwrap(), (req, None));
     }
 
     #[test]
@@ -1464,34 +1149,24 @@ mod tests {
             trace: 0x1122_3344_5566_7788,
             span: 42,
         };
-        let bytes = req.encode_traced(Some(wt));
+        let bytes = req.encode(Some(wt));
         assert_eq!(bytes[4], TRACED_VERSION);
         assert_eq!(
             bytes.len(),
-            req.encode().len() + 1 + TRACE_EXT_BYTES,
+            req.encode(None).len() + 1 + TRACE_EXT_BYTES,
             "the extension costs exactly flags + 16 bytes"
         );
-        let (got, trace) = Request::decode_traced(&bytes).unwrap();
-        assert_eq!(got, req);
-        assert_eq!(trace, Some(wt));
-        // The plain decoder accepts the frame too, dropping the trace.
-        assert_eq!(Request::decode(&bytes).unwrap(), req);
-        // Stream adapter agrees, and accounts the extension in wire bytes.
-        let mut cursor = &bytes[..];
-        let (got, wire, trace) = read_request_traced(&mut cursor).unwrap().unwrap();
-        assert_eq!(got, req);
-        assert_eq!(wire, bytes.len());
-        assert_eq!(trace, Some(wt));
+        assert_eq!(decode_request(&bytes).unwrap(), (req, Some(wt)));
         // Unknown flag bits are rejected, not silently skipped: a future
         // extension could change the layout after the flags byte.
         let mut bad = bytes.clone();
         bad[5] |= 0x02;
-        match Request::decode(&bad) {
+        match decode_request(&bad) {
             Err(ClusterError::Protocol { reason }) => assert!(reason.contains("flags")),
             other => panic!("expected protocol error, got {other:?}"),
         }
         // A v2 frame with no flags set parses as untraced.
-        let p = vec![0x01u8]; // TAG_PING
+        let p = vec![TAG_PING];
         let mut v2_plain = Vec::new();
         v2_plain.extend_from_slice(&MAGIC);
         v2_plain.push(TRACED_VERSION);
@@ -1499,9 +1174,7 @@ mod tests {
         v2_plain.extend_from_slice(&(p.len() as u32).to_le_bytes());
         v2_plain.extend_from_slice(&p);
         v2_plain.extend_from_slice(&crc32(&p).to_le_bytes());
-        let (got, trace) = Request::decode_traced(&v2_plain).unwrap();
-        assert_eq!(got, Request::Ping);
-        assert_eq!(trace, None);
+        assert_eq!(decode_request(&v2_plain).unwrap(), (Request::Ping, None));
     }
 
     #[test]
@@ -1526,8 +1199,7 @@ mod tests {
         let bytes = encode_stats(&snap);
         assert_eq!(decode_stats(&bytes).unwrap(), snap);
         // Over the wire as a full exchange.
-        let resp = Response::Data(bytes.clone());
-        match Response::decode(&resp.encode()).unwrap() {
+        match decode_response(&Response::Data(bytes.clone()).encode()).unwrap() {
             Response::Data(d) => assert_eq!(decode_stats(&d).unwrap(), snap),
             other => panic!("unexpected {other:?}"),
         }
@@ -1568,18 +1240,18 @@ mod tests {
 
     #[test]
     fn hostile_fields_rejected() {
-        // Path traversal in the file name.
-        let evil = Request::GetBlock {
-            id: id("../../etc/passwd", 0, 0),
-        };
-        assert!(Request::decode(&evil.encode()).is_err());
+        // Path traversal, empty, reserved and overlong file names.
+        for bad in ["../../etc/passwd", "", "..", &"x".repeat(300)] {
+            let evil = Request::GetBlock { id: id(bad, 0, 0) };
+            assert!(decode_request(&evil.encode(None)).is_err(), "{bad:?}");
+        }
         // Unit index out of range of sub.
         let bad = Request::GetUnits {
             id: id("f", 0, 0),
             sub: 3,
             units: vec![3],
         };
-        assert!(Request::decode(&bad.encode()).is_err());
+        assert!(decode_request(&bad.encode(None)).is_err());
         // Coefficient count disagreeing with the matrix shape.
         let bad = Request::RepairRead {
             id: id("f", 0, 0),
@@ -1587,7 +1259,7 @@ mod tests {
             cols: 2,
             coeffs: vec![1, 2, 3],
         };
-        assert!(Request::decode(&bad.encode()).is_err());
+        assert!(decode_request(&bad.encode(None)).is_err());
         // WriteDelta with zero-width units or no deltas/rows.
         let bad = Request::WriteDelta {
             id: id("f", 0, 0),
@@ -1595,14 +1267,14 @@ mod tests {
             deltas: vec![vec![]],
             rows: vec![(0, vec![1])],
         };
-        assert!(Request::decode(&bad.encode()).is_err());
+        assert!(decode_request(&bad.encode(None)).is_err());
         let bad = Request::WriteDelta {
             id: id("f", 0, 0),
             unit_bytes: 4,
             deltas: vec![],
             rows: vec![],
         };
-        assert!(Request::decode(&bad.encode()).is_err());
+        assert!(decode_request(&bad.encode(None)).is_err());
     }
 
     proptest! {
@@ -1615,8 +1287,7 @@ mod tests {
             data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
         ) {
             let req = Request::PutBlock { id: id("prop.bin", stripe, block), data };
-            let bytes = req.encode();
-            prop_assert_eq!(Request::decode(&bytes).unwrap(), req);
+            prop_assert_eq!(decode_request(&req.encode(None)).unwrap(), (req, None));
         }
 
         #[test]
@@ -1624,8 +1295,7 @@ mod tests {
             data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
         ) {
             let resp = Response::Data(data);
-            let bytes = resp.encode();
-            prop_assert_eq!(Response::decode(&bytes).unwrap(), resp);
+            prop_assert_eq!(decode_response(&resp.encode()).unwrap(), resp);
         }
 
         #[test]
@@ -1633,11 +1303,10 @@ mod tests {
             data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
             cut_frac in 0.0f64..1.0,
         ) {
-            let bytes = Request::PutBlock { id: id("t", 0, 0), data }.encode();
-            // Cut strictly inside the frame: decode must fail, and the
-            // stream reader must not report a clean EOF.
+            let bytes = Request::PutBlock { id: id("t", 0, 0), data }.encode(None);
+            // Cut strictly inside the frame: the reader must fail, never
+            // report a clean EOF or a message.
             let cut = 1 + ((bytes.len() - 2) as f64 * cut_frac) as usize;
-            prop_assert!(Request::decode(&bytes[..cut]).is_err());
             let mut stream = &bytes[..cut];
             prop_assert!(read_request(&mut stream).is_err());
         }
@@ -1649,15 +1318,15 @@ mod tests {
             flip in 1u8..=255,
         ) {
             let req = Request::PutBlock { id: id("c", 3, 1), data };
-            let mut bytes = req.encode();
+            let mut bytes = req.encode(None);
             let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
             bytes[pos] ^= flip;
             // Any single-byte flip lands in the magic/version (explicitly
             // checked), the length (breaks the frame-size equation), or the
             // checksummed payload/CRC — never a silently different message.
-            match Request::decode(&bytes) {
+            match decode_request(&bytes) {
                 Err(_) => {}
-                Ok(decoded) => prop_assert_eq!(decoded, req, "corruption changed the message"),
+                Ok((decoded, _)) => prop_assert_eq!(decoded, req, "corruption changed the message"),
             }
         }
 
@@ -1669,15 +1338,7 @@ mod tests {
         ) {
             let wt = WireTrace { trace: trace.max(1), span };
             let req = Request::PutBlock { id: id("tr", 1, 0), data };
-            let bytes = req.encode_traced(Some(wt));
-            let (got, got_trace) = Request::decode_traced(&bytes).unwrap();
-            prop_assert_eq!(&got, &req);
-            prop_assert_eq!(got_trace, Some(wt));
-            let mut cursor = &bytes[..];
-            let (got, wire, got_trace) = read_request_traced(&mut cursor).unwrap().unwrap();
-            prop_assert_eq!(got, req);
-            prop_assert_eq!(wire, bytes.len());
-            prop_assert_eq!(got_trace, Some(wt));
+            prop_assert_eq!(decode_request(&req.encode(Some(wt))).unwrap(), (req, Some(wt)));
         }
 
         #[test]
@@ -1688,15 +1349,15 @@ mod tests {
         ) {
             let req = Request::PutBlock { id: id("c", 3, 1), data };
             let wt = WireTrace { trace: 0xABCD_EF01_2345_6789, span: 5 };
-            let mut bytes = req.encode_traced(Some(wt));
+            let mut bytes = req.encode(Some(wt));
             let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
             bytes[pos] ^= flip;
             // The trace extension sits outside the CRC, so a flip there may
             // relabel the trace — but the *message* is still protected: it
             // either fails to decode or decodes identically.
-            match Request::decode(&bytes) {
+            match decode_request(&bytes) {
                 Err(_) => {}
-                Ok(decoded) => prop_assert_eq!(decoded, req, "corruption changed the message"),
+                Ok((decoded, _)) => prop_assert_eq!(decoded, req, "corruption changed the message"),
             }
         }
     }

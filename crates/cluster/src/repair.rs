@@ -31,10 +31,9 @@
 //!   abandoned after eight attempts.
 //! * **observability** — gauges/histograms under `repair.*`, JSON event
 //!   lines (`{"type":"repair",...}`) when a sink is installed, and the
-//!   ten `repair.*` totals served over the wire as a
-//!   [`RepairStatusReport`] via
-//!   [`Request::RepairStatus`](crate::protocol::Request::RepairStatus)
-//!   (`carousel-tool repair-status`).
+//!   ten `repair.*` totals read out of any node's
+//!   [`Request::Stats`](crate::protocol::Request::Stats) scrape as a
+//!   [`RepairStatusReport`] (`carousel-tool repair-status`).
 //!
 //! A scheduler binds to **one coordinator** — its liveness feed and its
 //! slice of the namespace. In a sharded deployment
@@ -232,9 +231,9 @@ impl RateLimiter {
     }
 }
 
-/// Point-in-time repair progress served over the wire for
-/// [`Request::RepairStatus`](crate::protocol::Request::RepairStatus): the
-/// process-wide `repair.*` counters (summed over every
+/// Point-in-time repair progress as a node's
+/// [`Request::Stats`](crate::protocol::Request::Stats) scrape reports it:
+/// the process-wide `repair.*` counters (summed over every
 /// [`RepairScheduler`] in the process) and queue gauges (as the scheduler
 /// that last touched its queue set them). Tests wanting per-scheduler
 /// numbers should use [`RepairScheduler::status`] instead.
@@ -264,19 +263,23 @@ pub struct RepairStatusReport {
 }
 
 impl RepairStatusReport {
-    /// Reads the report off the telemetry registry.
-    pub(crate) fn current() -> RepairStatusReport {
+    /// Reads the ten `repair.*` metrics out of a registry snapshot. A name
+    /// the snapshot lacks reads as 0 — a process that never ran a
+    /// scheduler registered none of them.
+    pub fn from_snapshot(snap: &telemetry::Snapshot) -> RepairStatusReport {
+        let gauge = |name| snap.gauge(name).unwrap_or(0).max(0) as u64;
+        let counter = |name| snap.counter(name).unwrap_or(0);
         RepairStatusReport {
-            queue_depth: QUEUE_DEPTH.get().max(0) as u64,
-            in_flight: INFLIGHT.get().max(0) as u64,
-            enqueued: ENQUEUED.get(),
-            completed: COMPLETED.get(),
-            requeued: REQUEUED.get(),
-            cancelled: CANCELLED.get(),
-            abandoned: ABANDONED.get(),
-            blocks_rebuilt: BLOCKS_REBUILT.get(),
-            helper_bytes: HELPER_BYTES.get(),
-            wire_bytes: WIRE_BYTES.get(),
+            queue_depth: gauge("repair.queue.depth"),
+            in_flight: gauge("repair.inflight"),
+            enqueued: counter("repair.stripe.enqueued"),
+            completed: counter("repair.stripe.completed"),
+            requeued: counter("repair.stripe.requeued"),
+            cancelled: counter("repair.stripe.cancelled"),
+            abandoned: counter("repair.stripe.abandoned"),
+            blocks_rebuilt: counter("repair.blocks.rebuilt"),
+            helper_bytes: counter("repair.helper.bytes"),
+            wire_bytes: counter("repair.wire.bytes"),
         }
     }
 }
@@ -701,6 +704,9 @@ impl RepairScheduler {
                 inner.on_node_down(node.id);
             }
         }
+        // The scheduler owns its long-lived worker and monitor threads;
+        // its clients still fan out through `ParallelCtx`.
+        #[allow(clippy::disallowed_methods)]
         let workers = (0..inner.cfg.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -710,6 +716,7 @@ impl RepairScheduler {
                     .expect("spawn repair worker")
             })
             .collect();
+        #[allow(clippy::disallowed_methods)] // the scheduler's monitor thread
         let monitor = inner.cfg.heartbeat_ttl.map(|ttl| {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -1042,6 +1049,7 @@ mod tests {
         // Node 2 is at the cap: a third overlapping acquire must block
         // until a permit drops.
         let blocked = Arc::new(AtomicBool::new(false));
+        #[allow(clippy::disallowed_methods)] // a waiter that must block, not a fan-out
         let handle = {
             let gate = Arc::clone(&gate);
             let blocked = Arc::clone(&blocked);

@@ -210,14 +210,10 @@ impl MetaRouter {
         self.shard(name).file(name)
     }
 
-    /// The owning shard's epoch, then the file's placement — the read
-    /// order a caching client needs (see
-    /// [`Coordinator::file_with_epoch`]).
-    pub fn file_with_epoch(&self, name: &str) -> (u64, Option<FilePlacement>) {
-        self.shard(name).file_with_epoch(name)
-    }
-
-    /// The epoch of the shard owning `name`.
+    /// The epoch of the shard owning `name`. A caching client reads it
+    /// *before* [`MetaRouter::file`]: a manifest tagged with an epoch
+    /// read earlier than itself can only look staler than it is (an extra
+    /// refetch, never a stale read).
     pub fn epoch_of(&self, name: &str) -> u64 {
         self.shard(name).epoch()
     }

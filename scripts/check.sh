@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, two layering greps, clippy, rustdoc,
+# Repo-wide hygiene gate: formatting, a layering grep, clippy, rustdoc,
 # the full test suite, the `ext_*` bench smokes and a compile of the frozen
 # `benchmark/` package. Run from anywhere inside the repo; it takes no
 # arguments.
@@ -26,24 +26,10 @@ if [ -n "$guard_hits" ]; then
   exit 1
 fi
 
-step "concurrency guard: client-side fan-out goes through access::parallel"
-# Wire concurrency on the client/transport side must use the shared
-# ParallelCtx pool (and its pipeline helper), not hand-rolled threads —
-# that is what keeps fan-out width a single knob and tallies race-free.
-# crates/access/src/parallel.rs is the pool itself. In the cluster crate
-# datanode.rs and repair.rs are excluded: a datanode is a *server* and
-# legitimately owns its accept/connection/heartbeat threads, and the
-# background repair scheduler owns its long-lived worker/monitor threads
-# (its *clients* still fan out through ParallelCtx).
-guard_hits=$(grep -rnE "thread::(spawn|scope|Builder)" \
-  crates/cluster/src crates/dfs/src crates/filestore/src crates/access/src \
-  | grep -vE 'crates/access/src/parallel\.rs|crates/cluster/src/(datanode|repair)\.rs' || true)
-if [ -n "$guard_hits" ]; then
-  printf 'use access::parallel (ParallelCtx / pipeline) instead of raw threads:\n%s\n' "$guard_hits" >&2
-  exit 1
-fi
-
 step "cargo clippy (-D warnings)"
+# Also the concurrency rule: clippy.toml bans raw threads workspace-wide
+# (fan-out goes through access::parallel); each legitimate owner of a
+# thread carries an #[allow(clippy::disallowed_methods)] with its reason.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Vendored third-party crates are excluded from the doc gate; only our

@@ -18,7 +18,7 @@
 //! carousel-tool manifest dump <manifest>
 //! carousel-tool manifest compact <manifest>
 //! carousel-tool stats <addr>
-//! carousel-tool repair-status <addr>
+//! carousel-tool repair-status <addr>   (the repair.* part of `stats`)
 //! carousel-tool kernels
 //! ```
 //!
@@ -29,7 +29,8 @@
 //! log and reads the file back (degrading transparently if nodes died),
 //! `stats` scrapes one node's telemetry registry over the wire, and
 //! `repair-status` reads the process-wide background-repair scoreboard
-//! (queue depth, in-flight rebuilds, completion counters). `repair` is
+//! (queue depth, in-flight rebuilds, completion counters) out of that
+//! same scrape. `repair` is
 //! polymorphic: given a block directory it repairs locally, given a
 //! manifest log it rebuilds missing blocks over the network, committing
 //! every re-homed block back to the log. `manifest dump` prints the
@@ -71,7 +72,7 @@ fn main() -> ExitCode {
             eprintln!("  carousel-tool manifest dump <manifest>");
             eprintln!("  carousel-tool manifest compact <manifest>");
             eprintln!("  carousel-tool stats <addr>");
-            eprintln!("  carousel-tool repair-status <addr>");
+            eprintln!("  carousel-tool repair-status <addr>   (the repair.* part of `stats`)");
             eprintln!("  carousel-tool kernels");
             ExitCode::FAILURE
         }
@@ -691,13 +692,15 @@ fn manifest_compact(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Scrapes one datanode's telemetry registry over the wire
-/// ([`cluster::Request::Stats`]) and prints every metric.
-fn stats_cluster(args: &[String]) -> Result<(), String> {
+/// Scrapes the telemetry registry of the datanode at `args[0]` over the
+/// wire ([`cluster::Request::Stats`]); `cmd` names the command in errors.
+fn scrape_stats(cmd: &str, args: &[String]) -> Result<cluster::NodeStats, String> {
     use cluster::protocol;
     use cluster::{Request, Response};
 
-    let addr = args.first().ok_or("stats: missing <addr>")?;
+    let addr = args
+        .first()
+        .ok_or_else(|| format!("{cmd}: missing <addr>"))?;
     let addr: std::net::SocketAddr = addr
         .parse()
         .map_err(|_| format!("invalid node address {addr:?}"))?;
@@ -706,17 +709,21 @@ fn stats_cluster(args: &[String]) -> Result<(), String> {
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
     protocol::write_request(&mut stream, &Request::Stats).map_err(err_str)?;
-    let mut scratch = Vec::new();
-    let reply = protocol::read_response_into(&mut stream, &mut scratch)
+    let reply = protocol::read_response_into(&mut stream, &mut Vec::new())
         .map_err(err_str)?
-        .ok_or("stats: node closed the connection without replying")?;
-    let snap = match reply.0 {
-        Response::Data(bytes) => protocol::decode_stats(&bytes).map_err(err_str)?,
-        Response::Error(message) => return Err(format!("stats: node error: {message}")),
-        other => return Err(format!("stats: unexpected reply {other:?}")),
-    };
+        .ok_or_else(|| format!("{cmd}: node closed the connection without replying"))?;
+    match reply.0 {
+        Response::Data(bytes) => protocol::decode_stats(&bytes).map_err(err_str),
+        Response::Error(message) => Err(format!("{cmd}: node error: {message}")),
+        other => Err(format!("{cmd}: unexpected reply {other:?}")),
+    }
+}
+
+/// Scrapes one datanode's telemetry registry and prints every metric.
+fn stats_cluster(args: &[String]) -> Result<(), String> {
+    let snap = scrape_stats("stats", args)?;
     if snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty() {
-        println!("{addr}: no metrics recorded yet");
+        println!("{}: no metrics recorded yet", args[0]);
         return Ok(());
     }
     for (name, v) in &snap.counters {
@@ -744,32 +751,10 @@ fn stats_cluster(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads the background-repair scoreboard over the wire
-/// ([`cluster::Request::RepairStatus`]) and prints it. Unlike `stats`,
-/// this works even when the node was built without the telemetry
-/// feature: the scoreboard is plain atomics.
+/// Reads the background-repair scoreboard — the ten `repair.*` metrics of
+/// the node's `stats` scrape — and prints it.
 fn repair_status_cluster(args: &[String]) -> Result<(), String> {
-    use cluster::protocol;
-    use cluster::{Request, Response};
-
-    let addr = args.first().ok_or("repair-status: missing <addr>")?;
-    let addr: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|_| format!("invalid node address {addr:?}"))?;
-    let timeout = std::time::Duration::from_secs(5);
-    let mut stream = std::net::TcpStream::connect_timeout(&addr, timeout).map_err(err_str)?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    protocol::write_request(&mut stream, &Request::RepairStatus).map_err(err_str)?;
-    let mut scratch = Vec::new();
-    let reply = protocol::read_response_into(&mut stream, &mut scratch)
-        .map_err(err_str)?
-        .ok_or("repair-status: node closed the connection without replying")?;
-    let report = match reply.0 {
-        Response::Data(bytes) => protocol::decode_repair_status(&bytes).map_err(err_str)?,
-        Response::Error(message) => return Err(format!("repair-status: node error: {message}")),
-        other => return Err(format!("repair-status: unexpected reply {other:?}")),
-    };
+    let report = cluster::RepairStatusReport::from_snapshot(&scrape_stats("repair-status", args)?);
     println!("queue depth:     {}", report.queue_depth);
     println!("in flight:       {}", report.in_flight);
     println!("enqueued:        {}", report.enqueued);

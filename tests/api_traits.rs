@@ -59,6 +59,8 @@ fn parallel_encode_across_threads() {
     // the access pattern of a real storage server.
     use std::sync::Arc;
     let code = Arc::new(carousel::Carousel::new(6, 3, 3, 6).unwrap());
+    // Raw threads on purpose: the property is `Send + Sync`, not the pool.
+    #[allow(clippy::disallowed_methods)]
     let handles: Vec<_> = (0..4)
         .map(|t| {
             let code = Arc::clone(&code);

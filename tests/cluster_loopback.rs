@@ -5,7 +5,7 @@
 
 use access::blockfile::{self, CHUNK};
 use access::{ObjectStore, PutOptions};
-use cluster::protocol::{read_response, write_request};
+use cluster::protocol::{read_response_into, write_request};
 use cluster::testing::LocalCluster;
 use cluster::{BlockId, ClusterError, MetaRecord, Request, Response};
 
@@ -152,7 +152,10 @@ fn bit_rot_is_read_around_and_repaired_in_place() {
         let call = |request: &Request| {
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
             write_request(&mut stream, request).unwrap();
-            read_response(&mut stream).unwrap().unwrap().0
+            read_response_into(&mut stream, &mut Vec::new())
+                .unwrap()
+                .unwrap()
+                .0
         };
         let id = BlockId {
             file: "rot".into(),

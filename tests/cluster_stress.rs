@@ -121,6 +121,8 @@ fn concurrent_clients_read_and_repair_consistently() {
     telemetry::set_event_sink(capture.clone());
 
     let start = Barrier::new(READERS + 1);
+    // Concurrent clients against one cluster: each thread is a user.
+    #[allow(clippy::disallowed_methods)]
     let (reader_results, repair_report) = std::thread::scope(|scope| {
         let readers: Vec<_> = (0..READERS)
             .map(|_| {

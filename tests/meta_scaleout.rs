@@ -1,7 +1,7 @@
 //! Scale-out metadata over real loopback TCP: sharded coordinators
-//! behind the `MetaRouter`, durable record logs, `ManifestGet` on the
-//! wire, client-side manifest caching with epoch invalidation, and
-//! byte-identity through a coordinator crash-and-replay mid-workload.
+//! behind the `MetaRouter`, durable record logs, client-side manifest
+//! caching with epoch invalidation, and byte-identity through a
+//! coordinator crash-and-replay mid-workload.
 
 use std::time::Duration;
 
@@ -57,38 +57,6 @@ fn sharded_namespace_routes_and_reads() {
         used.iter().all(|&c| c > 0),
         "8 files all hashed onto one shard: {used:?}"
     );
-}
-
-/// `ManifestGet` over the wire: a datanode answers with the owning
-/// shard's epoch and a placement identical to the router's, and unknown
-/// files come back as clean remote errors.
-#[test]
-fn manifest_get_serves_placement_and_epoch_over_tcp() {
-    let cluster = LocalCluster::start_sharded(7, 2).unwrap();
-    let router = cluster.router();
-    let mut client = cluster.client().with_fanout(ctx(2)).with_seed(21);
-    let data = payload(900);
-    client.put_opts("wire", &data, &opts(90)).unwrap();
-    let placed = router.file("wire").expect("placement after put");
-
-    let (epoch, fp) = client.manifest_from_node(0, "wire").unwrap();
-    assert_eq!(fp, placed, "wire manifest differs from the placed one");
-    assert_eq!(epoch, router.epoch_of("wire"), "epoch must be the shard's");
-
-    // A re-home advances the epoch served over the wire.
-    let before = epoch;
-    let target = (0..7)
-        .find(|&n| !placed.nodes[0].contains(&n))
-        .expect("a node outside stripe 0");
-    router.set_block_node("wire", 0, 0, target).unwrap();
-    let (after, fp2) = client.manifest_from_node(3, "wire").unwrap();
-    assert!(after > before, "commit must bump the served epoch");
-    assert_eq!(fp2.nodes[0][0], target);
-
-    assert!(matches!(
-        client.manifest_from_node(0, "no-such-file"),
-        Err(ClusterError::Remote { .. })
-    ));
 }
 
 /// The client manifest cache: repeat reads hit, a repair-driven re-home
@@ -209,10 +177,9 @@ fn restart_keeps_vanished_nodes_dead() {
 }
 
 /// Placements are outside input: a CRC-valid `FilePlaced` record whose
-/// numbers do not fit its own code is replayed by the coordinator, served
-/// over `ManifestGet` — and refused by the client's one `open`, by field
-/// name, on every path that would otherwise divide by, index with or
-/// allocate from it. (The parent divided by zero on the first one.)
+/// numbers do not fit its own code is replayed by the coordinator — and
+/// refused by the client's one `open`, by field name, on every path that
+/// would otherwise divide by, index with or allocate from it. (The parent divided by zero on the first one.)
 #[test]
 fn malformed_placements_are_refused_not_trusted() {
     use cluster::{metalog, FilePlacement, MetaRecord};
@@ -285,10 +252,8 @@ fn malformed_placements_are_refused_not_trusted() {
     log.sync_all().unwrap();
     drop(log);
 
-    // Replay the log into fresh coordinators, and restart one datanode so
-    // it serves manifests from them.
+    // Replay the log into fresh coordinators.
     cluster.restart_coordinators().unwrap();
-    cluster.restart(0, false).unwrap();
     let mut client = cluster.client().with_fanout(ctx(2));
     assert_eq!(client.get("good").unwrap(), data);
 
@@ -301,10 +266,6 @@ fn malformed_placements_are_refused_not_trusted() {
             ("write_range", client.write_range(&name, 0, &[1])),
             ("append", client.append(&name, &[1, 2, 3]).map(drop)),
             ("repair_file", client.repair_file(&name).map(drop)),
-            (
-                "manifest_from_node",
-                client.manifest_from_node(0, &name).map(drop),
-            ),
         ];
         for (op, outcome) in outcomes {
             match outcome {

@@ -52,7 +52,7 @@ fn spec_k(spec: CodeSpec) -> usize {
 /// and after the rebuild, the queue drains to empty no faster than the
 /// bandwidth budget allows, the per-node fan-in cap is never exceeded
 /// (from the recorded metric), the coordinator's stats snapshot carries
-/// the repair-queue gauges, and a live node's `RepairStatus` reply
+/// the repair-queue gauges, and a live node's `repair_status` scrape
 /// accounts for the rebuild.
 #[test]
 fn storm_rebuild_is_byte_identical_and_fan_in_capped() {
@@ -80,6 +80,8 @@ fn storm_rebuild_is_byte_identical_and_fan_in_capped() {
 
     let victim = fp.nodes[0][0];
     let stop = Arc::new(AtomicBool::new(false));
+    // Foreground readers running beside the scheduler: each is a user.
+    #[allow(clippy::disallowed_methods)]
     let rebuild_took = std::thread::scope(|scope| {
         let mut readers = Vec::new();
         for _ in 0..2 {
