@@ -2,16 +2,20 @@
 //! (scalar reference, 4-bit split tables, 64-bit SWAR, plus whatever
 //! SIMD kernels runtime CPU-feature detection registered — SSSE3/AVX2
 //! PSHUFB on x86-64, NEON on aarch64) across buffer sizes, plus the
-//! fused multi-row `mul_acc_rows` path across code geometries — the
-//! measurements behind `docs/PERFORMANCE.md`.
+//! fused multi-row `mul_acc_rows` path across code geometries, plus
+//! `gf256::crc32` on the path detection chose against the bytewise loop
+//! it replaced — the measurements behind `docs/PERFORMANCE.md`.
 //!
 //! Writes `results/BENCH_kernels.json`. Knobs: `BENCH_MB` (MiB of data
 //! per timing rep, default 64), `BENCH_REPS` (best-of reps, default 5).
 //! `--smoke` runs tiny buffers in milliseconds, writes the JSON to a
 //! temporary file and asserts every kernel produced plausible numbers
-//! *and* that the detected-best kernel is no slower than `swar` — the
-//! CI-sized sanity pass wired into `scripts/check.sh`.
+//! *and* that the detected-best kernel is no slower than `swar` and the
+//! active CRC-32 path no slower than bytewise — the CI-sized sanity pass
+//! wired into `scripts/check.sh`.
 
+use std::hint::black_box;
+use std::sync::LazyLock;
 use std::time::Instant;
 
 use bench_support::{env_knob, render_table};
@@ -45,6 +49,37 @@ fn measure_mul_acc(kernel: KernelHandle, size: usize, per_rep: usize, reps: usiz
     let iters = (per_rep / size).max(1);
     let c = Gf256::new(0xA7);
     best_gbps(size, reps, iters, || kernel.mul_acc(c, &src, &mut dst))
+}
+
+/// The bytewise table loop `gf256::crc32` ran before slicing-by-8 and the
+/// PCLMULQDQ fold: the baseline the active path is measured against.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    const POLY: u32 = 0xEDB8_8320; // IEEE, reflected
+    static TABLE: LazyLock<[u32; 256]> = LazyLock::new(|| {
+        let mut t = [0u32; 256];
+        for (i, slot) in t.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 == 1 { (c >> 1) ^ POLY } else { c >> 1 };
+            }
+            *slot = c;
+        }
+        t
+    });
+    let mut c = !0u32;
+    for &b in data {
+        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// CRC-32 throughput of `crc` over one buffer size.
+fn measure_crc32(crc: fn(&[u8]) -> u32, size: usize, per_rep: usize, reps: usize) -> f64 {
+    let data: Vec<u8> = (0..size).map(|i| (i * 131 + 7) as u8).collect();
+    let iters = (per_rep / size).max(1);
+    best_gbps(size, reps, iters, || {
+        black_box(crc(black_box(&data)));
+    })
 }
 
 /// Fused-encode throughput: `n - k` parity rows, each a `mul_acc_rows`
@@ -86,7 +121,14 @@ fn measure_fused(
 /// runtime dispatcher picked on this machine, which kernels and CPU
 /// features detection registered, and how much data each rep processed,
 /// so archived results can be compared apples-to-apples.
-fn to_json(reps: usize, smoke: bool, per_rep: usize, raw: &[Sample], fused: &[Sample]) -> String {
+fn to_json(
+    reps: usize,
+    smoke: bool,
+    per_rep: usize,
+    raw: &[Sample],
+    fused: &[Sample],
+    crc: &[Sample],
+) -> String {
     let rows = |samples: &[Sample]| -> String {
         samples
             .iter()
@@ -112,13 +154,16 @@ fn to_json(reps: usize, smoke: bool, per_rep: usize, raw: &[Sample], fused: &[Sa
     format!(
         "{{\n  \"bench\": \"kernels\",\n  \"reps\": {reps},\n  \"smoke\": {smoke},\n  \
          \"config\": {{\"dispatched_kernel\": \"{}\", \"detected_best\": \"{}\", \
-         \"bytes_per_rep\": {per_rep}, \
+         \"bytes_per_rep\": {per_rep}, \"crc32_path\": \"{}\", \
          \"kernels\": [{kernel_names}], \"cpu_features\": {{{features}}}}},\n  \
-         \"mul_acc\": [\n{}\n  ],\n  \"fused_encode\": [\n{}\n  ]\n}}\n",
+         \"mul_acc\": [\n{}\n  ],\n  \"fused_encode\": [\n{}\n  ],\n  \
+         \"crc32\": [\n{}\n  ]\n}}\n",
         gf256::kernel().name(),
         gf256::detected_best().name(),
+        gf256::crc32_path(),
         rows(raw),
-        rows(fused)
+        rows(fused),
+        rows(crc)
     )
 }
 
@@ -170,6 +215,23 @@ fn main() {
         }
     }
 
+    // The block-file chunk and about a bulk block, in smoke runs too: the
+    // fold only starts at 128 bytes.
+    let crc_sizes = [4 << 10, 1 << 20];
+    let mut crc = Vec::new();
+    for (path, f) in [
+        ("bytewise", crc32_bytewise as fn(&[u8]) -> u32),
+        (gf256::crc32_path(), gf256::crc32),
+    ] {
+        for size in crc_sizes {
+            crc.push(Sample {
+                kernel: path,
+                label: format!("{size}B"),
+                gbps: measure_crc32(f, size, per_rep, reps),
+            });
+        }
+    }
+
     println!("== Kernel engine: raw mul_acc throughput (GB/s, best of {reps}) ==");
     let table = |samples: &[Sample]| -> Vec<Vec<String>> {
         samples
@@ -192,6 +254,8 @@ fn main() {
         "{}",
         render_table(&["kernel", "case", "GB/s"], &table(&fused))
     );
+    println!("== crc32: active path vs the bytewise loop (GB/s) ==");
+    println!("{}", render_table(&["path", "case", "GB/s"], &table(&crc)));
 
     let biggest = *sizes.last().expect("sizes nonempty");
     let at = |name: &str| -> f64 {
@@ -211,7 +275,7 @@ fn main() {
         best_gbps / swar.max(1e-9)
     );
 
-    let json = to_json(reps, smoke, per_rep, &raw, &fused);
+    let json = to_json(reps, smoke, per_rep, &raw, &fused, &crc);
     let path = if smoke {
         std::env::temp_dir().join("BENCH_kernels.smoke.json")
     } else {
@@ -239,7 +303,7 @@ fn main() {
                 kernel.name()
             );
         }
-        for s in raw.iter().chain(&fused) {
+        for s in raw.iter().chain(&fused).chain(&crc) {
             assert!(
                 s.gbps.is_finite() && s.gbps > 0.0,
                 "bogus throughput for {} {}",
@@ -258,10 +322,24 @@ fn main() {
                 best.name()
             );
         }
+        // And the CRC path detection chose beats the loop it replaced.
+        let crc_at = |path: &str| -> f64 {
+            crc.iter()
+                .find(|s| s.kernel == path && s.label == format!("{}B", 1 << 20))
+                .map_or(0.0, |s| s.gbps)
+        };
+        let (bytewise, active) = (crc_at("bytewise"), crc_at(gf256::crc32_path()));
+        assert!(
+            active >= bytewise,
+            "crc32 path {} measured {active:.2} GB/s, below bytewise's {bytewise:.2} GB/s",
+            gf256::crc32_path()
+        );
         println!(
-            "smoke: all {} kernels measured, JSON well-formed, best ({}) >= swar",
+            "smoke: all {} kernels measured, JSON well-formed, best ({}) >= swar, \
+             crc32 ({}) >= bytewise",
             gf256::kernels().len(),
-            best.name()
+            best.name(),
+            gf256::crc32_path()
         );
     } else {
         if swar < 2.0 * scalar {

@@ -418,13 +418,20 @@ impl<'a> Reader<'a> {
 // Framing.
 // ---------------------------------------------------------------------
 
-/// Wraps a payload (tag + body) into a complete frame: the v1 layout
+/// Payload room a frame reserves beyond its bulk bytes: the tag, a block
+/// id with the longest file name, and a few `u32` fields. A payload that
+/// outgrows it only costs a reallocation.
+const SMALL_FIELDS: usize = 1 + (4 + 255 + 4 + 4) + 4 * 4;
+
+/// Builds a complete frame in one buffer: the header — the v1 layout
 /// when no trace context rides along, the v2 flags + extension layout
-/// when one does.
-fn frame(payload: &[u8], trace: Option<WireTrace>) -> Vec<u8> {
-    debug_assert!(!payload.is_empty() && payload.len() <= MAX_PAYLOAD);
+/// when one does — then the payload (tag + body) `encode` appends after
+/// it, then the payload length patched in and its CRC appended. `bulk`
+/// is the payload's variable-length bytes, so a block-sized payload is
+/// written once, into a buffer that is not reallocated.
+fn frame(trace: Option<WireTrace>, bulk: usize, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::with_capacity(
-        FRAME_OVERHEAD + payload.len() + trace.map_or(0, |_| 1 + TRACE_EXT_BYTES),
+        FRAME_OVERHEAD + SMALL_FIELDS + bulk + trace.map_or(0, |_| 1 + TRACE_EXT_BYTES),
     );
     out.extend_from_slice(&MAGIC);
     match trace {
@@ -435,9 +442,14 @@ fn frame(payload: &[u8], trace: Option<WireTrace>) -> Vec<u8> {
             out.extend_from_slice(&t.to_bytes());
         }
     }
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    put_u32(&mut out, crc32(payload));
+    put_u32(&mut out, 0); // the length, known once the payload is
+    let start = out.len();
+    encode(&mut out);
+    let len = out.len() - start;
+    debug_assert!(len > 0 && len <= MAX_PAYLOAD);
+    out[start - 4..start].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[start..]);
+    put_u32(&mut out, crc);
     out
 }
 
@@ -571,25 +583,34 @@ impl Request {
     /// Encodes this request as one complete frame, in the v2 layout
     /// carrying `trace` when given, the v1 layout otherwise.
     pub fn encode(&self, trace: Option<WireTrace>) -> Vec<u8> {
-        let mut p = Vec::new();
-        match self {
+        let bulk = match self {
+            Request::PutBlock { data, .. } => data.len(),
+            Request::GetUnits { units, .. } => 4 * units.len(),
+            Request::RepairRead { coeffs, .. } => coeffs.len(),
+            Request::WriteDelta { deltas, rows, .. } => {
+                deltas.iter().map(Vec::len).sum::<usize>()
+                    + rows.iter().map(|(_, c)| 4 + c.len()).sum::<usize>()
+            }
+            _ => 0,
+        };
+        frame(trace, bulk, |p| match self {
             Request::Ping => p.push(TAG_PING),
             Request::PutBlock { id, data } => {
                 p.push(TAG_PUT_BLOCK);
-                put_block_id(&mut p, id);
-                put_bytes(&mut p, data);
+                put_block_id(p, id);
+                put_bytes(p, data);
             }
             Request::GetBlock { id } => {
                 p.push(TAG_GET_BLOCK);
-                put_block_id(&mut p, id);
+                put_block_id(p, id);
             }
             Request::GetUnits { id, sub, units } => {
                 p.push(TAG_GET_UNITS);
-                put_block_id(&mut p, id);
-                put_u32(&mut p, *sub);
-                put_u32(&mut p, units.len() as u32);
+                put_block_id(p, id);
+                put_u32(p, *sub);
+                put_u32(p, units.len() as u32);
                 for &u in units {
-                    put_u32(&mut p, u);
+                    put_u32(p, u);
                 }
             }
             Request::RepairRead {
@@ -599,14 +620,14 @@ impl Request {
                 coeffs,
             } => {
                 p.push(TAG_REPAIR_READ);
-                put_block_id(&mut p, id);
-                put_u32(&mut p, *rows);
-                put_u32(&mut p, *cols);
-                put_bytes(&mut p, coeffs);
+                put_block_id(p, id);
+                put_u32(p, *rows);
+                put_u32(p, *cols);
+                put_bytes(p, coeffs);
             }
             Request::Stat { id } => {
                 p.push(TAG_STAT);
-                put_block_id(&mut p, id);
+                put_block_id(p, id);
             }
             Request::Stats => p.push(TAG_STATS),
             Request::WriteDelta {
@@ -616,28 +637,27 @@ impl Request {
                 rows,
             } => {
                 p.push(TAG_WRITE_DELTA);
-                put_block_id(&mut p, id);
-                put_u32(&mut p, *unit_bytes);
+                put_block_id(p, id);
+                put_u32(p, *unit_bytes);
                 // Deltas and coefficient rows have known widths
                 // (`unit_bytes` and `deltas.len()` respectively), so they
                 // travel raw, without per-item length prefixes — the whole
                 // point of this op is a small wire footprint.
-                put_u32(&mut p, deltas.len() as u32);
+                put_u32(p, deltas.len() as u32);
                 for d in deltas {
                     p.extend_from_slice(d);
                 }
-                put_u32(&mut p, rows.len() as u32);
+                put_u32(p, rows.len() as u32);
                 for (unit, coeffs) in rows {
-                    put_u32(&mut p, *unit);
+                    put_u32(p, *unit);
                     p.extend_from_slice(coeffs);
                 }
             }
             Request::DeleteBlock { id } => {
                 p.push(TAG_DELETE_BLOCK);
-                put_block_id(&mut p, id);
+                put_block_id(p, id);
             }
-        }
-        frame(&p, trace)
+        })
     }
 
     fn from_payload(payload: &[u8]) -> Result<Self, ClusterError> {
@@ -782,22 +802,25 @@ pub fn read_request(
 impl Response {
     /// Encodes this response as one complete frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        match self {
+        let bulk = match self {
+            Response::Data(data) => data.len(),
+            Response::Error(msg) => msg.len(),
+            Response::Pong | Response::Done => 0,
+        };
+        // Responses never carry the trace extension: the client already
+        // holds the context, so echoing it back would be dead weight.
+        frame(None, bulk, |p| match self {
             Response::Pong => p.push(TAG_PONG),
             Response::Done => p.push(TAG_DONE),
             Response::Data(data) => {
                 p.push(TAG_DATA);
-                put_bytes(&mut p, data);
+                put_bytes(p, data);
             }
             Response::Error(msg) => {
                 p.push(TAG_ERROR);
-                put_str(&mut p, msg);
+                put_str(p, msg);
             }
-        }
-        // Responses never carry the trace extension: the client already
-        // holds the context, so echoing it back would be dead weight.
-        frame(&p, None)
+        })
     }
 
     fn from_payload(payload: &[u8]) -> Result<Self, ClusterError> {

@@ -1,4 +1,5 @@
-//! SIMD GF(2⁸) kernels: the vector-shuffle split-table engine.
+//! SIMD kernels: the vector-shuffle GF(2⁸) split-table engine, and the
+//! carry-less-multiply CRC-32 fold.
 //!
 //! All three kernels here are the same algorithm at different lane widths —
 //! the classic ISA-L decomposition the scalar `split` kernel already uses,
@@ -24,9 +25,19 @@
 //! loop, so all length/aliasing contracts of the safe kernels hold
 //! unchanged.
 //!
+//! The same argument covers the CRC-32 fold behind [`crate::crc32`] on
+//! x86-64: `pclmulqdq_crc32` hands out the fold only after
+//! `is_x86_feature_detected!` found `pclmulqdq` and `sse4.1`, and that
+//! function pointer is the fold's only way out of this module. It folds
+//! four 128-bit lanes per 64 bytes with `_mm_clmulepi64_si128`, reduces
+//! to one lane and Barrett-reduces to 32 bits (Intel, "Fast CRC
+//! Computation for Generic Polynomials Using PCLMULQDQ"); inputs under
+//! 128 bytes and tails take the portable slicing-by-8 path.
+//!
 //! This module is the only place in the workspace allowed to contain
 //! `unsafe` (every crate forbids it; this one denies it and allows it back
-//! here); everything it exports is a safe `Kernel` implementation.
+//! here); everything it exports is a safe `Kernel` implementation or a
+//! safe CRC update function.
 
 #![allow(unsafe_code)]
 
@@ -381,8 +392,111 @@ mod x86 {
             unsafe { mul_acc_rows_avx2(terms, dst) }
         }
     }
+
+    // CRC-32 fold constants for the reflected IEEE polynomial, each
+    // `(x^n mod P(x))` bit-reflected and shifted left one bit (the
+    // reflected domain's product offset). A lane is carried 4·128 bits
+    // along by K1/K2 (n = 544, 480), 128 bits by K3/K4 (n = 160, 96), and
+    // from 96 to 64 bits by K5 (n = 64).
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    /// `P(x)`, bit-reflected to 33 bits.
+    const P_X: i64 = 0x1_DB71_0641;
+    /// Barrett's `μ = ⌊x⁶⁴ / P(x)⌋`, bit-reflected to 33 bits.
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Inputs shorter than this take the portable path: below it, the
+    /// fold's fixed reduction costs more than it saves.
+    const FOLD_MIN: usize = 128;
+
+    /// Hands out the carry-less-multiply CRC-32 fold when the CPU has
+    /// `pclmulqdq` and `sse4.1`. The only way to reach [`crc32_fold`]:
+    /// holding the function means detection approved it.
+    pub(crate) fn pclmulqdq_crc32() -> Option<crate::checksum::Update> {
+        let detected = is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        detected.then_some(crc32_fold as crate::checksum::Update)
+    }
+
+    fn crc32_fold(crc: u32, data: &[u8]) -> u32 {
+        // SAFETY: handed out only by `pclmulqdq_crc32`, after
+        // `is_x86_feature_detected!` approved both features.
+        unsafe { crc32_pclmulqdq(crc, data) }
+    }
+
+    /// `b ⊕ a.lo·keys.lo ⊕ a.hi·keys.hi`: lane `a` carried forward by the
+    /// distance `keys` encode and folded into lane `b`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified PCLMULQDQ support.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn fold16(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// Advances the CRC register `crc` over `data` (the
+    /// [`Update`](crate::checksum::Update) contract): four 128-bit lanes
+    /// folded per 64 bytes, then one lane per 16, reduced to 64 bits and
+    /// Barrett-reduced to 32. Short inputs and the `< 16`-byte tail go
+    /// through slicing-by-8.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified PCLMULQDQ and SSE4.1 support. `data` may
+    /// be unaligned: only unaligned loads are used.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    unsafe fn crc32_pclmulqdq(crc: u32, data: &[u8]) -> u32 {
+        let len = data.len();
+        if len < FOLD_MIN {
+            return crate::checksum::slicing_by_8(crc, data);
+        }
+        // Every load is 16 bytes at an `i` the loop conditions keep at or
+        // below `len - 16`.
+        let at = |i: usize| data.as_ptr().add(i) as *const __m128i;
+        let mut x3 = _mm_xor_si128(_mm_loadu_si128(at(0)), _mm_cvtsi32_si128(crc as i32));
+        let mut x2 = _mm_loadu_si128(at(16));
+        let mut x1 = _mm_loadu_si128(at(32));
+        let mut x0 = _mm_loadu_si128(at(48));
+        let mut i = 64;
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while i + 64 <= len {
+            x3 = fold16(x3, _mm_loadu_si128(at(i)), k1k2);
+            x2 = fold16(x2, _mm_loadu_si128(at(i + 16)), k1k2);
+            x1 = fold16(x1, _mm_loadu_si128(at(i + 32)), k1k2);
+            x0 = fold16(x0, _mm_loadu_si128(at(i + 48)), k1k2);
+            i += 64;
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold16(fold16(fold16(x3, x2, k3k4), x1, k3k4), x0, k3k4);
+        while i + 16 <= len {
+            x = fold16(x, _mm_loadu_si128(at(i)), k3k4);
+            i += 16;
+        }
+        // 128 → 96 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (x mod x³²)·μ, T2 = (T1 mod x³²)·P; the register
+        // is the upper half of x ⊕ T2 in the reflected domain.
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let folded = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        crate::checksum::slicing_by_8(folded, &data[i..])
+    }
 }
 
+#[cfg(target_arch = "x86_64")]
+pub(crate) use x86::pclmulqdq_crc32;
 #[cfg(target_arch = "x86_64")]
 pub(super) use x86::{AVX2, SSSE3};
 

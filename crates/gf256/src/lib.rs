@@ -11,11 +11,14 @@
 //! selectable via `CAROUSEL_KERNEL`), and a dense [`Matrix`] type with
 //! Gauss-Jordan inversion plus the structured builders (Vandermonde,
 //! Cauchy, Kronecker) the code constructions need. The [`crc32`] every
-//! stored block and wire frame is guarded with lives here too.
+//! stored block and wire frame is guarded with lives here too: a
+//! PCLMULQDQ fold on x86-64 CPUs that have it, slicing-by-8 elsewhere,
+//! chosen once at first use ([`crc32_path`] says which).
 //!
 //! `unsafe` is denied crate-wide with one carve-out: the intrinsics inside
-//! [`kernel::simd`], each behind a `#[target_feature]` function whose
-//! kernel is only registered after the feature was detected.
+//! [`kernel::simd`], each behind a `#[target_feature]` function that is
+//! only reachable after the feature was detected — a kernel is registered,
+//! or the CRC fold handed out, only then.
 //!
 //! # Examples
 //!
@@ -41,7 +44,7 @@ mod tables;
 pub mod builders;
 pub mod kernel;
 
-pub use checksum::crc32;
+pub use checksum::{crc32, crc32_path};
 pub use field::Gf256;
 pub use kernel::{
     by_name, detected_best, detected_features, kernel, kernels, Kernel, KernelHandle,

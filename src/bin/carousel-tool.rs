@@ -770,8 +770,8 @@ fn repair_status_cluster(args: &[String]) -> Result<(), String> {
 
 /// `kernels` — prints the GF(2⁸) kernel registry: every kernel runtime
 /// CPU-feature detection registered on this machine, the probed features,
-/// which kernel is the active process default, and why (detected best vs a
-/// `CAROUSEL_KERNEL` override).
+/// the CRC-32 path detection chose, which kernel is the active process
+/// default, and why (detected best vs a `CAROUSEL_KERNEL` override).
 fn kernels_cmd(args: &[String]) -> Result<(), String> {
     if let Some(flag) = args.first() {
         return Err(format!("kernels: unknown flag {flag:?}"));
@@ -801,6 +801,7 @@ fn kernels_cmd(args: &[String]) -> Result<(), String> {
     for (feature, on) in gf256::detected_features() {
         println!("  {feature}: {}", if on { "yes" } else { "no" });
     }
+    println!("crc32: {}", gf256::crc32_path());
     match std::env::var("CAROUSEL_KERNEL") {
         Ok(name) if !name.is_empty() => {
             println!(

@@ -309,8 +309,8 @@ fn unknown_commands_fail_with_usage() {
     assert!(String::from_utf8_lossy(&output.stderr).contains("usage"));
 }
 
-/// `kernels` prints every registered kernel, the probed CPU features and
-/// the active default — and honors the `CAROUSEL_KERNEL` override,
+/// `kernels` prints every registered kernel, the probed CPU features, the
+/// CRC-32 path and the active default — and honors the `CAROUSEL_KERNEL` override,
 /// including warn-and-fallback to the detected best for unknown names.
 #[test]
 fn kernels_subcommand_reports_registry_and_dispatch() {
@@ -327,6 +327,10 @@ fn kernels_subcommand_reports_registry_and_dispatch() {
     for feature in ["ssse3", "avx2", "neon"] {
         assert!(text.contains(feature), "feature {feature} missing:\n{text}");
     }
+    assert!(
+        text.contains(&format!("crc32: {}\n", gf256::crc32_path())),
+        "{text}"
+    );
     assert!(text.contains("detected best"), "{text}");
     assert!(
         text.contains(&format!(
