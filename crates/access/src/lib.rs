@@ -11,8 +11,8 @@
 //! * [`ReadPlan`] / [`DegradedPlan`] / [`RepairPlan`] — the pure-data
 //!   plans of `erasure`, re-exported: a code plans its own reads
 //!   (`ErasureCode::plan_read` / `plan_block_read`, which `carousel`
-//!   overrides with the paper's ladder), this layer caches and executes
-//!   them and never asks which family it serves;
+//!   overrides with its one `p`-way read rule), this layer caches and
+//!   executes them and never asks which family it serves;
 //! * [`BlockSource`] — what a transport must provide: the unit width,
 //!   availability, and one `fetch` answering a whole plan's
 //!   [`BatchRequest`]s (unit reads, helper-side repair reads) at once;

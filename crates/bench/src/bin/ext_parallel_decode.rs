@@ -5,8 +5,9 @@
 //! * decode from `k` blocks (the paper's Fig. 6b scenario, half of every
 //!   fetched block is parity that must be multiplied away);
 //! * parallel read from all `p` blocks, no failure (no GF arithmetic);
-//! * parallel read from `p` blocks with one failure (only the affected
-//!   carousel copies are decoded).
+//! * parallel read with one failure: the 11 live blocks serve their data
+//!   regions and one stand-in's units per lost copy, and only the lost
+//!   block's units are decoded.
 //!
 //! Knobs: `BENCH_MB` (default 64), `BENCH_REPS` (default 3).
 

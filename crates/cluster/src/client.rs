@@ -879,7 +879,7 @@ impl ClusterClient {
     /// coordinator believes alive, fetches the whole plan as one
     /// fanned-out batch, and — if any fetch fails mid-read — excludes
     /// *all* failed roles and replans, degrading from the direct parallel
-    /// path to the degraded/fallback paths without surfacing the failure
+    /// path to the degraded path without surfacing the failure
     /// to the caller. With more than one stripe touched, stripe `i`
     /// decodes while stripe `i+1` is being fetched; each decoded stripe's
     /// overlap with the range is copied straight into the output.

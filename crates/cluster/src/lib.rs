@@ -18,10 +18,9 @@
 //!   and snapshot compaction, plus consistent-hash sharding of the
 //!   file namespace across multiple coordinators with per-shard
 //!   epochs that invalidate client-side manifest caches;
-//! * [`ClusterClient`] — the paper's three read paths (direct `p`-way
-//!   parallel, degraded with mid-read replanning, generic `k`-block
-//!   fallback) plus optimal-traffic repair, with every wire byte
-//!   counted;
+//! * [`ClusterClient`] — the paper's read paths (direct `p`-way
+//!   parallel, and degraded with mid-read replanning) plus
+//!   optimal-traffic repair, with every wire byte counted;
 //! * [`repair`] — the background repair scheduler: node deaths become a
 //!   priority queue of degraded stripes drained by throttled workers
 //!   (per-node fan-in cap, global bandwidth budget) while foreground

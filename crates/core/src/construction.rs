@@ -158,8 +158,10 @@ pub(crate) fn build(params: &CarouselParams, base_generator: &Matrix) -> Result<
     debug_assert_eq!(chosen_global.len(), k * alpha * n0);
 
     // Step 3: symbol remapping — G · Ĝ₀⁻¹ turns chosen rows into raw data.
+    // Per copy, Ĝ₀ stacks the base rows of `k` distinct blocks, so an MDS
+    // base makes it invertible.
     let g0 = g_hat.select_rows(&chosen_global);
-    let g0_inv = g0.inverse().ok_or(CodeError::SingularSelection)?;
+    let g0_inv = g0.inverse().expect("k blocks of an MDS base code decode");
     let g_new = &g_hat * &g0_inv;
 
     // Step 4: reordering — data units to the top of each block, file order.

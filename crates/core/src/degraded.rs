@@ -6,9 +6,10 @@
 //! §III discusses degraded reads at length): block `i`'s data units live in
 //! the `K₀` carousel copies chosen for block `i`, and because the remapped
 //! generator is block-diagonal across the `N₀` copies, each affected copy
-//! can be decoded independently from the copy-`t` units of any `k`
-//! available blocks. Total traffic: `k · αK₀` units `= k·(k/p)` block-sizes
-//! — proportionally cheaper than RS's `k` full blocks when `p > k`.
+//! is decoded on its own from `k` live blocks, picked by the same rule as
+//! whole-stripe reads (`Carousel::copy_sources`: the copy's carriers
+//! first). Total traffic: `k · αK₀` units `= k·(k/p)` block-sizes —
+//! proportionally cheaper than RS's `k` full blocks when `p > k`.
 
 use std::sync::LazyLock;
 
@@ -52,7 +53,7 @@ pub(crate) fn plan_block_read(
             got: sources_pool.len(),
         });
     }
-    let (alpha, n0, k0) = (params.alpha, params.n0, params.k0);
+    let (alpha, k0) = (params.alpha, params.k0);
     let sub = params.sub();
     let generator = code.linear().generator();
 
@@ -65,23 +66,9 @@ pub(crate) fn plan_block_read(
     let mut copies = Vec::with_capacity(ts.len());
     for (ti, &t) in ts.iter().enumerate() {
         // Sources: copy-t units (all alpha segments) of k available blocks,
-        // located at their *stored* positions.
-        let mut sources = Vec::with_capacity(k * alpha);
-        let mut rows = Vec::with_capacity(k * alpha);
-        for &node in sources_pool.iter().take(k) {
-            let perm = code.perm(node);
-            for s in 0..alpha {
-                let pre = s * n0 + t;
-                let stored = perm
-                    .iter()
-                    .position(|&orig| orig == pre)
-                    .expect("permutation covers all units");
-                sources.push((node, stored));
-                // The final generator is in stored order, so index the row
-                // by the stored position, not the pre-reorder one.
-                rows.push(node * sub + stored);
-            }
-        }
+        // at their *stored* positions — the final generator's row order.
+        let sources = code.copy_sources(t, &sources_pool);
+        let rows: Vec<usize> = sources.iter().map(|&(node, u)| node * sub + u).collect();
         // The copy-t message columns of the remapped code are the message
         // units whose defining chosen row lives in copy t: for each block
         // i < p, region position u belongs to copy chosen_ts(i)[u % K₀].
@@ -95,8 +82,10 @@ pub(crate) fn plan_block_read(
             }
         }
         debug_assert_eq!(cols.len(), k * alpha, "copy {t} column count");
-        let system = generator.select(&rows, &cols);
-        let inverse = system.inverse().ok_or(CodeError::SingularSelection)?;
+        let inverse = generator
+            .select(&rows, &cols)
+            .inverse()
+            .expect("k blocks of an MDS base code decode");
         // Outputs: the target's region units in copy t are u ≡ ti (mod K₀).
         let mut outputs = Vec::with_capacity(alpha);
         for u in (ti..alpha * k0).step_by(k0) {

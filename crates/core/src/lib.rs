@@ -36,10 +36,12 @@
 //!
 //! # Reads
 //!
-//! [`Carousel`] overrides the two read planners of
-//! [`erasure::ErasureCode`] — `plan_read` with the direct / degraded /
-//! fallback ladder of §VII, `plan_block_read` with per-copy solves of one
-//! block's data region — and returns the same `erasure::ReadPlan` /
+//! The remapped generator is block-diagonal over the `N₀` copies, and each
+//! copy decodes from the copy-`t` units of any `k` blocks. [`Carousel`]
+//! overrides both read planners of [`erasure::ErasureCode`] with that one
+//! rule — `plan_read` reads every copy from `k` live blocks, its carriers
+//! first, `plan_block_read` solves only the copies one block's data region
+//! lives in — and returns the same `erasure::ReadPlan` /
 //! `erasure::DegradedPlan` every other family does, so the layers above
 //! cache and execute them without knowing a Carousel code is underneath.
 //!
@@ -184,10 +186,28 @@ impl Carousel {
         plan.execute(blocks)
     }
 
-    /// The stored-position permutation of block `i` (reordering step):
-    /// `perm[stored] = pre-reorder row`.
-    pub(crate) fn perm(&self, i: usize) -> &[usize] {
-        &self.perms[i]
+    /// Stored positions of block `node`'s `α` copy-`t` units, ascending
+    /// (which is also segment order).
+    fn copy_units(&self, node: usize, t: usize) -> impl Iterator<Item = usize> + '_ {
+        let n0 = self.params.n0;
+        (0..self.sub()).filter(move |&stored| self.perms[node][stored] % n0 == t)
+    }
+
+    /// The `(node, stored unit)` sources copy `t` is read from: the copy-`t`
+    /// units of `k` blocks of `live` — its carriers (data-bearing blocks
+    /// that chose `t`, whose copy-`t` units are verbatim data), then
+    /// parity-only blocks, then the other data-bearing blocks, lowest index
+    /// first within each group. `live` must hold at least `k` blocks.
+    pub(crate) fn copy_sources(&self, t: usize, live: &[usize]) -> Vec<(usize, usize)> {
+        let p = self.params.p;
+        let carries = |i: usize| i < p && self.params.chosen_ts(i).contains(&t);
+        let mut nodes = live.to_vec();
+        nodes.sort_by_cached_key(|&i| (!carries(i), i < p, i));
+        nodes.truncate(self.params.k);
+        nodes
+            .into_iter()
+            .flat_map(|node| self.copy_units(node, t).map(move |u| (node, u)))
+            .collect()
     }
 
     /// Repair plan in the MSR regime: expand the base helper/combine
@@ -208,9 +228,8 @@ impl Carousel {
             .iter()
             .zip(&base_rows)
             .map(|(&h, phi)| {
-                let perm = self.perm(h);
                 let mut coeffs = Matrix::zeros(n0, sub);
-                for (stored, &orig) in perm.iter().enumerate() {
+                for (stored, &orig) in self.perms[h].iter().enumerate() {
                     let (s, t) = (orig / n0, orig % n0);
                     coeffs.set(t, stored, phi[s]);
                 }
@@ -219,43 +238,13 @@ impl Carousel {
             .collect();
         // Newcomer: stored unit q of the failed block is pre-reorder row
         // (s, t); it equals Σ_j C[s][j] · payload_j[t].
-        let perm_f = self.perm(failed);
         let mut combine = Matrix::zeros(sub, d * n0);
-        for (q, &orig) in perm_f.iter().enumerate() {
+        for (q, &orig) in self.perms[failed].iter().enumerate() {
             let (s, t) = (orig / n0, orig % n0);
             for j in 0..d {
                 combine.set(q, j * n0 + t, base_combine.get(s, j));
             }
         }
-        Ok(RepairPlan {
-            failed,
-            helpers: tasks,
-            combine,
-        })
-    }
-
-    /// Repair plan in the RS regime: repair-by-decode over the Carousel
-    /// generator itself (helpers ship whole blocks).
-    fn rs_repair(&self, failed: usize, helpers: &[usize]) -> Result<RepairPlan, CodeError> {
-        let sub = self.sub();
-        let rows: Vec<usize> = helpers
-            .iter()
-            .flat_map(|&h| h * sub..(h + 1) * sub)
-            .collect();
-        let stacked_inv = self
-            .code
-            .generator()
-            .select_rows(&rows)
-            .inverse()
-            .ok_or(CodeError::SingularSelection)?;
-        let combine = &self.code.node_generator(failed) * &stacked_inv;
-        let tasks = helpers
-            .iter()
-            .map(|&node| HelperTask {
-                node,
-                coeffs: Matrix::identity(sub),
-            })
-            .collect();
         Ok(RepairPlan {
             failed,
             helpers: tasks,
@@ -303,14 +292,16 @@ impl ErasureCode for Carousel {
         }
         check_indices(n, helpers)?;
         match &self.base {
-            Base::Rs => self.rs_repair(failed, helpers),
+            // Repair-by-decode over the Carousel generator itself.
+            Base::Rs => RepairPlan::by_decode(&self.code, failed, helpers),
             Base::Msr(msr) => self.msr_repair(msr, failed, helpers),
         }
     }
 
-    /// The paper's read ladder (§VII): direct `p`-way parallel read,
-    /// degraded read with parity stand-ins at the chosen rows, generic
-    /// `k`-block fallback.
+    /// Reads every carousel copy from `k` live blocks, its carriers first
+    /// (§VII): with all `p` data-bearing blocks live that is their data
+    /// regions, `p`-way and undecoded; a lost one costs only its own units'
+    /// decode.
     fn plan_read(&self, available: &[usize]) -> Result<ReadPlan, CodeError> {
         read::plan(self, available)
     }

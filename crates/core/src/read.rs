@@ -1,13 +1,15 @@
-//! Parallel whole-file reads with flexible data parallelism (paper §VII).
+//! Whole-stripe reads with flexible data parallelism (paper §VII).
 //!
-//! With all `p` data-bearing blocks available, the file is read by fetching
-//! only the data regions of those `p` blocks — `k/p` of each block, from
-//! `p` servers in parallel, with no decoding. When `q < p` of them are
-//! available, each missing data-bearing block `i` is *replaced* by a
-//! parity-only block, from which the reader fetches the units at block
-//! `i`'s carousel positions; the paper proves the resulting `p`-block
-//! selection always decodes. If even that is impossible (e.g. `p = n`), the
-//! reader falls back to a generic `k`-block MDS decode.
+//! One rule serves every availability pattern. The remapped generator is
+//! block-diagonal over the `N₀` carousel copies, and each copy decodes from
+//! the copy-`t` units of any `k` blocks, so each copy is read from `k` live
+//! blocks: its carriers (the data-bearing blocks that chose `t`, whose
+//! copy-`t` units are verbatim data) first, then parity-only blocks, then
+//! the other data-bearing blocks. With all `p` data-bearing blocks live the
+//! union is their data regions — `p` servers, no decoding. A lost block
+//! costs one stand-in's copy-`t` units per copy it carried, the same bytes
+//! as its own region, and a decode of only its units; with a parity-only
+//! block live this is the paper's parity replacement.
 
 use std::sync::LazyLock;
 
@@ -19,71 +21,35 @@ static READS_DIRECT: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("carousel.reads.direct"));
 static READS_DEGRADED: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("carousel.reads.degraded"));
-static READS_FALLBACK: LazyLock<&'static telemetry::Counter> =
-    LazyLock::new(|| telemetry::counter("carousel.reads.fallback"));
 static READ_TRAFFIC: LazyLock<&'static telemetry::Histogram> =
     LazyLock::new(|| telemetry::histogram("carousel.read.traffic_units"));
 
-/// Builds a [`ReadPlan`] for the available blocks. See the module docs for
-/// the three paths.
+/// Builds a [`ReadPlan`] for the available blocks: every copy from `k` of
+/// them (see the module docs), sources node-major with units ascending.
+/// The plan is [`ReadMode::Direct`] iff no data-bearing block is lost.
 pub(crate) fn plan(code: &Carousel, available: &[usize]) -> Result<ReadPlan, CodeError> {
     let params = code.params();
-    let (k, p) = (params.k, params.p);
     check_indices(params.n, available)?;
-    if available.len() < k {
+    if available.len() < params.k {
         return Err(CodeError::InsufficientData {
-            needed: k,
+            needed: params.k,
             got: available.len(),
         });
     }
-    let dpb = params.data_units_per_block();
-    let missing: Vec<usize> = (0..p).filter(|i| !available.contains(i)).collect();
-
-    if missing.is_empty() {
-        // Direct parallel read: data regions of all p blocks.
-        let units: Vec<(usize, usize)> =
-            (0..p).flat_map(|i| (0..dpb).map(move |u| (i, u))).collect();
-        let plan = DecodePlan::for_units(code.linear(), &units)?;
-        return Ok(finish(ReadMode::Direct, plan));
-    }
-
-    // Degraded parallel read: replace each missing data-bearing block with a
-    // parity-only block at the same carousel positions.
-    let replacements: Vec<usize> = available.iter().copied().filter(|&a| a >= p).collect();
-    if replacements.len() >= missing.len() {
-        let mut units: Vec<(usize, usize)> = Vec::with_capacity(k * params.sub());
-        for i in 0..p {
-            if available.contains(&i) {
-                units.extend((0..dpb).map(|u| (i, u)));
-            }
-        }
-        for (i, &r) in missing.iter().zip(&replacements) {
-            // Parity-only blocks are never reordered, so pre-reorder rows
-            // are their stored positions.
-            units.extend(params.chosen_rows(*i).into_iter().map(|u| (r, u)));
-        }
-        match DecodePlan::for_units(code.linear(), &units) {
-            Ok(plan) => return Ok(finish(ReadMode::Degraded, plan)),
-            Err(CodeError::SingularSelection) => { /* fall through to generic */ }
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Fallback: plain MDS decode from any k available blocks.
-    let nodes: Vec<usize> = available.iter().copied().take(k).collect();
-    let plan = DecodePlan::for_nodes(code.linear(), &nodes)?;
-    Ok(finish(ReadMode::Fallback, plan))
-}
-
-fn finish(mode: ReadMode, decode: DecodePlan) -> ReadPlan {
-    let plan = ReadPlan::new(mode, decode);
-    match mode {
-        ReadMode::Direct => READS_DIRECT.inc(),
-        ReadMode::Degraded => READS_DEGRADED.inc(),
-        ReadMode::Fallback => READS_FALLBACK.inc(),
-    }
+    let mut units: Vec<(usize, usize)> = (0..params.n0)
+        .flat_map(|t| code.copy_sources(t, available))
+        .collect();
+    units.sort_unstable();
+    let plan = DecodePlan::for_units(code.linear(), &units)?;
+    let plan = if (0..params.p).all(|i| available.contains(&i)) {
+        READS_DIRECT.inc();
+        ReadPlan::new(ReadMode::Direct, plan)
+    } else {
+        READS_DEGRADED.inc();
+        ReadPlan::new(ReadMode::Degraded, plan)
+    };
     READ_TRAFFIC.record(plan.traffic_units() as u64);
-    plan
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -120,7 +86,7 @@ mod tests {
 
     #[test]
     fn degraded_read_replaces_missing_data_block() {
-        // p = 4 < n = 6: blocks 4, 5 are parity-only replacements.
+        // p = 4 < n = 6: blocks 4, 5 are parity-only stand-ins.
         let code = Carousel::new(6, 3, 3, 4).unwrap();
         let (data, stripe) = stripe_for(&code, 96);
         let avail = [0usize, 2, 3, 4, 5];
@@ -133,13 +99,46 @@ mod tests {
         assert_eq!(&out[..data.len()], &data[..]);
     }
 
+    /// A single loss reads the units of the paper's parity replacement: the
+    /// live data regions plus, from the lowest live parity-only block `r`,
+    /// the lost block's chosen rows. Losing a parity-only block reads the
+    /// data regions alone, as a healthy read does. Sources come node-major.
     #[test]
-    fn fallback_when_p_equals_n_and_block_lost() {
+    fn single_loss_reads_the_parity_replacement_units() {
+        for (n, k, d, p) in [(12, 6, 10, 10), (10, 4, 4, 8)] {
+            let code = Carousel::new(n, k, d, p).unwrap();
+            let params = code.params();
+            let dpb = params.data_units_per_block();
+            for lost in 0..n {
+                let live: Vec<usize> = (0..n).filter(|&i| i != lost).collect();
+                let mut expect: Vec<(usize, usize)> = (0..p)
+                    .filter(|&i| i != lost)
+                    .flat_map(|i| (0..dpb).map(move |u| (i, u)))
+                    .collect();
+                if lost < p {
+                    let r = live.iter().copied().find(|&i| i >= p).unwrap();
+                    expect.extend(params.chosen_rows(lost).into_iter().map(|u| (r, u)));
+                }
+                expect.sort_unstable();
+                let plan = code.plan_read(&live).unwrap();
+                assert_eq!(plan.sources(), expect, "({n},{k},{d},{p}) lost {lost}");
+                assert_eq!(plan.mode() == ReadMode::Direct, lost >= p);
+            }
+        }
+    }
+
+    /// With `p = n` no parity-only block exists: a lost block's copies are
+    /// read from one more data-bearing block each, so every live block
+    /// serves and the traffic is still exactly the file.
+    #[test]
+    fn p_equals_n_single_loss_keeps_n_minus_one_way_parallelism() {
         let code = Carousel::new(5, 3, 3, 5).unwrap();
         let (data, stripe) = stripe_for(&code, 90);
         let avail = [0usize, 1, 3, 4];
         let plan = code.plan_read(&avail).unwrap();
-        assert_eq!(plan.mode(), ReadMode::Fallback);
+        assert_eq!(plan.mode(), ReadMode::Degraded);
+        assert_eq!(plan.parallelism(), 4);
+        assert_eq!(plan.traffic_units(), code.linear().message_units());
         let blocks = opts(&stripe, &avail, 5);
         let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| b.as_deref()).collect();
         let out = plan.execute(&refs).unwrap();
@@ -175,10 +174,10 @@ mod tests {
     }
 
     /// Planning through `&dyn ErasureCode` — how the access layer, the file
-    /// codec and the transports plan — reaches this ladder, also behind the
-    /// `Arc` a runtime-selected code lives in.
+    /// codec and the transports plan — reaches this planner, also behind
+    /// the `Arc` a runtime-selected code lives in.
     #[test]
-    fn trait_object_planning_reaches_the_ladder() {
+    fn trait_object_planning_reaches_the_override() {
         use std::sync::Arc;
         let code = Carousel::new(6, 3, 3, 6).unwrap();
         let (data, stripe) = stripe_for(&code, code.linear().message_units() * 4);

@@ -3,7 +3,7 @@
 //! paper's grid.
 
 use carousel::Carousel;
-use erasure::ErasureCode;
+use erasure::{ErasureCode, ReadMode};
 use proptest::prelude::*;
 
 /// Strategy for valid Carousel parameters with small-enough matrices to
@@ -20,6 +20,17 @@ fn params() -> impl Strategy<Value = (usize, usize, usize, usize)> {
             })
         })
         .prop_map(|(k, n, d, p)| (n, k, d, p))
+}
+
+/// Random parameters with a random set of at most `n − k` lost blocks
+/// (drawn with repeats; callers deduplicate).
+fn params_and_losses() -> impl Strategy<Value = ((usize, usize, usize, usize), Vec<usize>)> {
+    params().prop_flat_map(|(n, k, d, p)| {
+        (
+            Just((n, k, d, p)),
+            proptest::collection::vec(0..n, 0..n - k + 1),
+        )
+    })
 }
 
 proptest! {
@@ -65,18 +76,37 @@ proptest! {
         prop_assert!(traffic_blocks <= k as f64 + 1e-9);
     }
 
+    /// One read rule for every loss set the code survives: every copy from
+    /// `k` live blocks, carriers first.
     #[test]
-    fn read_survives_any_single_failure((n, k, d, p) in params(), seed in any::<u64>()) {
+    fn read_survives_any_loss_set(((n, k, d, p), mut lost) in params_and_losses()) {
+        lost.sort_unstable();
+        lost.dedup();
         let code = Carousel::new(n, k, d, p).unwrap();
         let b = code.linear().message_units();
         let data: Vec<u8> = (0..b * 3).map(|i| (i * 13 + 5) as u8).collect();
         let stripe = code.linear().encode(&data).unwrap();
-        let dead = (seed as usize) % n;
+        let live: Vec<usize> = (0..n).filter(|i| !lost.contains(i)).collect();
+        let plan = code.plan_read(&live).unwrap();
         let blocks: Vec<Option<&[u8]>> = (0..n)
-            .map(|i| (i != dead).then(|| &stripe.blocks[i][..]))
+            .map(|i| live.contains(&i).then(|| &stripe.blocks[i][..]))
             .collect();
-        let out = code.read(&blocks).unwrap();
+        let out = plan.execute(&blocks).unwrap();
         prop_assert_eq!(&out[..data.len()], &data[..]);
+        // Exactly the file's units are fetched, and every live
+        // data-bearing block serves its whole data region verbatim.
+        prop_assert_eq!(plan.traffic_units(), b);
+        let live_data: Vec<usize> = live.iter().copied().filter(|&i| i < p).collect();
+        for &i in &live_data {
+            for u in 0..code.params().data_units_per_block() {
+                prop_assert!(plan.sources().contains(&(i, u)), "{lost:?}: ({i}, {u}) not read");
+            }
+        }
+        prop_assert!(plan.parallelism() >= live_data.len());
+        if p == n {
+            prop_assert_eq!(plan.parallelism(), n - lost.len());
+        }
+        prop_assert_eq!(plan.mode() == ReadMode::Direct, lost.iter().all(|&i| i >= p));
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub trait ErasureCode {
     ///
     /// The default is the generic any-`k` read: the first `k` blocks when
     /// all are available ([`ReadMode::Direct`]), otherwise the `k`
-    /// lowest-numbered live blocks ([`ReadMode::Fallback`]).
+    /// lowest-numbered live blocks ([`ReadMode::Degraded`]).
     ///
     /// # Errors
     ///

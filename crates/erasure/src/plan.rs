@@ -18,17 +18,15 @@ use crate::layout::DataLayout;
 use crate::linear::LinearCode;
 use crate::{check_indices, ErasureCode};
 
-/// How a [`ReadPlan`] obtains the stripe (the paper's read ladder).
+/// How a [`ReadPlan`] obtains the stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadMode {
     /// Every data-bearing block is available: the plan reads original data
     /// only, with no GF arithmetic beyond copying.
     Direct,
-    /// Some data-bearing blocks are replaced by parity units at the same
-    /// positions; decoding is needed.
+    /// A data-bearing block is lost: other blocks' units stand in for it
+    /// and decoding is needed.
     Degraded,
-    /// Generic any-`k`-blocks MDS decode.
-    Fallback,
 }
 
 /// A plan to read one whole stripe's original data: a [`ReadMode`] plus the
@@ -245,14 +243,14 @@ impl DegradedPlan {
 
 /// The generic stripe read, default body of [`ErasureCode::plan_read`]: the
 /// first `k` blocks when all are available (direct, for a systematic
-/// code), otherwise the `k` lowest-numbered live blocks (fallback).
+/// code), otherwise the `k` lowest-numbered live blocks (degraded).
 pub(crate) fn any_k_read(code: &LinearCode, available: &[usize]) -> Result<ReadPlan, CodeError> {
     let k = code.k();
     check_indices(code.n(), available)?;
     let (mode, nodes) = if (0..k).all(|i| available.contains(&i)) {
         (ReadMode::Direct, (0..k).collect())
     } else {
-        (ReadMode::Fallback, lowest_k(available.to_vec(), k)?)
+        (ReadMode::Degraded, lowest_k(available.to_vec(), k)?)
     };
     Ok(ReadPlan::new(mode, DecodePlan::for_nodes(code, &nodes)?))
 }

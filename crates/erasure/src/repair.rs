@@ -13,6 +13,8 @@ use std::sync::LazyLock;
 use gf256::Matrix;
 
 use crate::error::CodeError;
+use crate::linear::LinearCode;
+use crate::stack_node_rows;
 
 static REPAIRS: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("erasure.repair.ops"));
@@ -98,6 +100,36 @@ pub struct RepairPlan {
 }
 
 impl RepairPlan {
+    /// Repair-by-decode (paper eq. (2)): the `k` helpers ship their whole
+    /// blocks, and since their stacked generator rows `S` give
+    /// `F = S⁻¹ · (helper units)`, the newcomer combines with
+    /// `g_failed · S⁻¹`. Callers validate the helper set.
+    ///
+    /// # Errors
+    ///
+    /// [`CodeError::SingularSelection`] if the helpers cannot decode (never
+    /// for an MDS code with `k` distinct helpers).
+    pub fn by_decode(
+        code: &LinearCode,
+        failed: usize,
+        helpers: &[usize],
+    ) -> Result<Self, CodeError> {
+        let stacked_inv = stack_node_rows(code, helpers)
+            .inverse()
+            .ok_or(CodeError::SingularSelection)?;
+        Ok(RepairPlan {
+            failed,
+            helpers: helpers
+                .iter()
+                .map(|&node| HelperTask {
+                    node,
+                    coeffs: Matrix::identity(code.sub()),
+                })
+                .collect(),
+            combine: &code.node_generator(failed) * &stacked_inv,
+        })
+    }
+
     /// Number of helpers (`d`).
     pub fn d(&self) -> usize {
         self.helpers.len()

@@ -13,7 +13,7 @@ fn fetch<'a>(blocks: &'a [Vec<u8>], sources: &[(usize, usize)], w: usize) -> Vec
 }
 
 #[test]
-fn generic_read_direct_and_fallback() {
+fn generic_read_direct_and_degraded() {
     let code = ReedSolomon::new(6, 4).unwrap();
     let data: Vec<u8> = (0..64).map(|i| (i * 7 + 3) as u8).collect();
     let stripe = code.linear().encode(&data).unwrap();
@@ -30,7 +30,7 @@ fn generic_read_direct_and_fallback() {
     );
 
     let degraded = ReadPlan::plan(&code, &[5, 1, 2, 4]).unwrap();
-    assert_eq!(degraded.mode(), ReadMode::Fallback);
+    assert_eq!(degraded.mode(), ReadMode::Degraded);
     let units = fetch(&stripe.blocks, degraded.sources(), w);
     assert_eq!(
         &degraded.decode_units(&units).unwrap()[..data.len()],

@@ -220,8 +220,8 @@ impl<C: ErasureCode> FileCodec<C> {
 
     /// Decodes one stripe from its (partially available) blocks, planning
     /// through the shared access layer with the code's own read planner
-    /// (a Carousel code's direct / degraded / fallback ladder, any-`k`
-    /// decode by default).
+    /// (a Carousel code reads every carousel copy from `k` live blocks;
+    /// any-`k` decode by default).
     ///
     /// # Errors
     ///

@@ -28,7 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use erasure::{CodeError, DataLayout, ErasureCode, HelperTask, LinearCode, RepairPlan};
+use erasure::{CodeError, DataLayout, ErasureCode, LinearCode, RepairPlan};
 use gf256::builders::systematize;
 use gf256::Matrix;
 
@@ -101,29 +101,7 @@ impl ErasureCode for ReedSolomon {
                 ),
             });
         }
-        // The failed block is g_failed · F, and from the helpers' stacked
-        // generator rows S we have F = S⁻¹ · (helper units), so the newcomer
-        // combines with g_failed · S⁻¹ while helpers ship whole blocks.
-        let stacked_inv = self
-            .code
-            .generator()
-            .select_rows(helpers)
-            .inverse()
-            .ok_or(CodeError::SingularSelection)?;
-        let g_failed = self.code.node_generator(failed);
-        let combine = &g_failed * &stacked_inv;
-        let tasks = helpers
-            .iter()
-            .map(|&node| HelperTask {
-                node,
-                coeffs: Matrix::identity(1),
-            })
-            .collect();
-        Ok(RepairPlan {
-            failed,
-            helpers: tasks,
-            combine,
-        })
+        RepairPlan::by_decode(&self.code, failed, helpers)
     }
 }
 

@@ -189,10 +189,11 @@ pub fn measure_repair(code: &dyn ErasureCode, data: &[u8], reps: usize) -> Repai
 }
 
 /// Measures whole-file read throughput of a Carousel code using **all `p`
-/// data-bearing blocks** (with `failures` of them dead, replaced by parity
-/// blocks) — the paper's future-work direction of §VIII-B: "a higher
-/// throughput can be achieved with Carousel codes if more than k blocks can
-/// be visited". With zero failures this is a pure parallel read (no GF
+/// data-bearing blocks** (with the first `failures` of them dead and
+/// decoded from stand-in units) — the paper's future-work direction of
+/// §VIII-B: "a higher throughput can be achieved with Carousel codes if
+/// more than k blocks can be visited". With zero failures this is a pure
+/// parallel read (no GF
 /// arithmetic), so it vastly outperforms the `k`-block decode of
 /// [`measure_decode`].
 ///

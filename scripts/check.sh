@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, a layering grep, clippy, rustdoc,
-# the full test suite, the `ext_*` bench smokes and a compile of the frozen
-# `benchmark/` package. Run from anywhere inside the repo; it takes no
+# the full test suite, the degraded-read example, the `ext_*` bench smokes
+# and a compile of the frozen `benchmark/` package. Run from anywhere inside the repo; it takes no
 # arguments.
 #
 # Everything runs --offline: this workspace vendors its few dependencies
@@ -41,6 +41,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${doc_excludes[@]}" 
 
 step "cargo test"
 cargo test --workspace --offline -q
+
+step "degraded read example: bytes at every loss, InsufficientData past n - k"
+cargo run --release --offline --example degraded_read
 
 step "kernel bench smoke + JSONL schema check"
 metrics=$(mktemp /tmp/carousel-metrics.XXXXXX.jsonl)

@@ -51,7 +51,7 @@ impl ErasureCode for LastK {
         }
         let last = live.split_off(live.len() - K);
         let decode = DecodePlan::for_nodes(self.linear(), &last)?;
-        Ok(ReadPlan::new(ReadMode::Fallback, decode))
+        Ok(ReadPlan::new(ReadMode::Degraded, decode))
     }
 }
 
@@ -93,7 +93,7 @@ fn a_family_defined_in_a_test_is_served_by_every_layer() {
     let read = PlanExecutor::new(&cache)
         .read_stripe(&code, &mut MemorySource::new(refs, 1))
         .unwrap();
-    assert_eq!(read.mode, ReadMode::Fallback);
+    assert_eq!(read.mode, ReadMode::Degraded);
     assert_eq!(read.data, data);
 
     // The file codec decodes through the same planner…
@@ -101,7 +101,7 @@ fn a_family_defined_in_a_test_is_served_by_every_layer() {
     let mut stored: Vec<Option<Vec<u8>>> = blocks.into_iter().map(Some).collect();
     assert_eq!(codec.decode_stripe(&stored).unwrap(), data);
     // …and when the last block is lost the choice slides down by one, onto
-    // a poisoned block: the override, not a generic fallback, is planning.
+    // a poisoned block: the override, not the generic planner, is planning.
     stored[N - 1] = None;
     let live: Vec<usize> = (0..N - 1).collect();
     assert_eq!(
@@ -112,9 +112,10 @@ fn a_family_defined_in_a_test_is_served_by_every_layer() {
 }
 
 /// The in-tree families keep producing exactly the plans they produced
-/// before planning moved into `ErasureCode` — same sources, same order,
-/// same mode — so the bytes a read puts on the wire do not change. The
-/// expected values were computed at the commit before the move (PR 13).
+/// before planning moved into `ErasureCode` — same sources, same order —
+/// so the bytes a read puts on the wire do not change. The healthy and RS
+/// rows were computed before that move; the Carousel lost-block rows pin
+/// its one read rule (every copy from `k` live blocks, carriers first).
 #[test]
 fn registry_codes_plan_the_same_sources_as_before_the_move() {
     let units = |nodes: std::ops::Range<usize>, per_node: usize| -> Vec<(usize, usize)> {
@@ -125,7 +126,7 @@ fn registry_codes_plan_the_same_sources_as_before_the_move() {
     let table = [
         // (spec, block 0 present, mode, sources)
         ("rs(12,6)", true, ReadMode::Direct, units(0..6, 1)),
-        ("rs(12,6)", false, ReadMode::Fallback, units(1..7, 1)),
+        ("rs(12,6)", false, ReadMode::Degraded, units(1..7, 1)),
         // p = 12: the data region (5 of 10 units) of every block.
         (
             "carousel(12,6,10,12)",
@@ -133,12 +134,14 @@ fn registry_codes_plan_the_same_sources_as_before_the_move() {
             ReadMode::Direct,
             units(0..12, 5),
         ),
-        // p = n leaves no parity-only stand-in: whole blocks 1..=6.
+        // p = n leaves no parity-only stand-in, so block 1 stands in for
+        // copy 0 (its stored units 5..10) beside the other live data
+        // regions: 11 servers, exactly the file's bytes.
         (
             "carousel(12,6,10,12)",
             false,
-            ReadMode::Fallback,
-            units(1..7, 10),
+            ReadMode::Degraded,
+            units(1..2, 10).into_iter().chain(units(2..12, 5)).collect(),
         ),
     ];
     for (spec, block0, mode, sources) in table {
@@ -149,7 +152,9 @@ fn registry_codes_plan_the_same_sources_as_before_the_move() {
         assert_eq!(plan.sources(), sources, "{spec}, block 0 present: {block0}");
     }
     // Block-region reads of a lost block 0: RS decodes from blocks 1..=6;
-    // Carousel reads only the affected copies — alternating halves.
+    // Carousel reads only copy 0, which block 0 carried: the data regions
+    // of the other even blocks, its carriers, then block 1's copy-0 half.
+    // That is 6·5 units, k·k/p = 3 blocks.
     let rs = access::CodeSpec::parse("rs(12,6)")
         .unwrap()
         .build()
@@ -163,11 +168,12 @@ fn registry_codes_plan_the_same_sources_as_before_the_move() {
         .unwrap()
         .build()
         .unwrap();
-    let halves: Vec<(usize, usize)> = (1..7)
-        .flat_map(|nd| (0..5).map(move |u| (nd, if nd % 2 == 1 { u + 5 } else { u })))
+    let copy0: Vec<(usize, usize)> = [2, 4, 6, 8, 10]
+        .into_iter()
+        .flat_map(|nd| units(nd..nd + 1, 5))
+        .chain((5..10).map(|u| (1, u)))
         .collect();
-    assert_eq!(
-        carousel.plan_block_read(0, &lost0).unwrap().sources(),
-        halves
-    );
+    let region = carousel.plan_block_read(0, &lost0).unwrap();
+    assert_eq!(region.sources(), copy0);
+    assert!((region.traffic_blocks() - 3.0).abs() < 1e-9);
 }
