@@ -1,16 +1,16 @@
 //! Kernel-engine benchmark: GB/s of every registered GF(2⁸) kernel
-//! (scalar reference, 4-bit split tables, 64-bit SWAR, plus whatever
-//! SIMD kernels runtime CPU-feature detection registered — SSSE3/AVX2
-//! PSHUFB on x86-64, NEON on aarch64) across buffer sizes, plus the
-//! fused multi-row `mul_acc_rows` path across code geometries, plus
-//! `gf256::crc32` on the path detection chose against the bytewise loop
-//! it replaced — the measurements behind `docs/PERFORMANCE.md`.
+//! (the scalar oracle, 64-bit SWAR, plus the SIMD kernel runtime
+//! CPU-feature detection registered — AVX2 PSHUFB on x86-64, NEON on
+//! aarch64) across buffer sizes, plus the fused multi-row `mul_acc_rows`
+//! path across code geometries, plus `gf256::crc32` on the path detection
+//! chose against the bytewise loop it replaced — the measurements behind
+//! `docs/PERFORMANCE.md`.
 //!
 //! Writes `results/BENCH_kernels.json`. Knobs: `BENCH_MB` (MiB of data
 //! per timing rep, default 64), `BENCH_REPS` (best-of reps, default 5).
 //! `--smoke` runs tiny buffers in milliseconds, writes the JSON to a
 //! temporary file and asserts every kernel produced plausible numbers
-//! *and* that the detected-best kernel is no slower than `swar` and the
+//! *and* that the dispatched kernel is no slower than `swar` and the
 //! active CRC-32 path no slower than bytewise — the CI-sized sanity pass
 //! wired into `scripts/check.sh`.
 
@@ -117,9 +117,9 @@ fn measure_fused(
 }
 
 /// Serializes the samples as a JSON document (no serde in this workspace).
-/// The `config` block makes the file self-describing: which kernel the
-/// runtime dispatcher picked on this machine, which kernels and CPU
-/// features detection registered, and how much data each rep processed,
+/// The `config` block makes the file self-describing: which kernel CPU
+/// detection dispatched on this machine, which kernels and CPU features
+/// detection registered, and how much data each rep processed,
 /// so archived results can be compared apples-to-apples.
 fn to_json(
     reps: usize,
@@ -153,13 +153,12 @@ fn to_json(
         .join(", ");
     format!(
         "{{\n  \"bench\": \"kernels\",\n  \"reps\": {reps},\n  \"smoke\": {smoke},\n  \
-         \"config\": {{\"dispatched_kernel\": \"{}\", \"detected_best\": \"{}\", \
+         \"config\": {{\"dispatched_kernel\": \"{}\", \
          \"bytes_per_rep\": {per_rep}, \"crc32_path\": \"{}\", \
          \"kernels\": [{kernel_names}], \"cpu_features\": {{{features}}}}},\n  \
          \"mul_acc\": [\n{}\n  ],\n  \"fused_encode\": [\n{}\n  ],\n  \
          \"crc32\": [\n{}\n  ]\n}}\n",
         gf256::kernel().name(),
-        gf256::detected_best().name(),
         gf256::crc32_path(),
         rows(raw),
         rows(fused),
@@ -185,7 +184,7 @@ fn main() {
     };
     // Fused blocks: the L2-resident size the combine loops usually see,
     // plus a full 1 MiB block in the full run (the acceptance-bar case:
-    // detected-best ≥5× swar on 1 MiB `mul_acc_rows`).
+    // avx2 ≥5× swar on 1 MiB `mul_acc_rows`).
     let fused_blocks: &[usize] = if smoke {
         &[4 << 10]
     } else {
@@ -263,16 +262,16 @@ fn main() {
             .find(|s| s.kernel == name && s.label == format!("{biggest}B"))
             .map_or(0.0, |s| s.gbps)
     };
-    let best = gf256::detected_best();
-    let (scalar, swar, best_gbps) = (at("scalar"), at("swar"), at(best.name()));
+    let dispatched = gf256::kernel();
+    let (scalar, swar, dispatched_gbps) = (at("scalar"), at("swar"), at(dispatched.name()));
     println!(
         "swar is {:.2}x scalar on {biggest}-byte buffers ({swar:.2} vs {scalar:.2} GB/s)",
         swar / scalar.max(1e-9)
     );
     println!(
-        "detected best ({}) is {:.2}x swar on {biggest}-byte buffers ({best_gbps:.2} vs {swar:.2} GB/s)",
-        best.name(),
-        best_gbps / swar.max(1e-9)
+        "dispatched kernel ({}) is {:.2}x swar on {biggest}-byte buffers ({dispatched_gbps:.2} vs {swar:.2} GB/s)",
+        dispatched.name(),
+        dispatched_gbps / swar.max(1e-9)
     );
 
     let json = to_json(reps, smoke, per_rep, &raw, &fused, &crc);
@@ -311,15 +310,15 @@ fn main() {
                 s.label
             );
         }
-        // Runtime dispatch must have paid off: the detected-best kernel is
-        // at least as fast as the portable swar baseline. Only asserted
-        // when a SIMD kernel was actually detected — when best *is* swar,
-        // the comparison would be the same measurement twice plus noise.
-        if best.name() != "swar" {
+        // Runtime dispatch must have paid off: the dispatched kernel is at
+        // least as fast as the portable swar baseline. Only asserted when a
+        // SIMD kernel was actually detected — when it *is* swar, the
+        // comparison would be the same measurement twice plus noise.
+        if dispatched.name() != "swar" {
             assert!(
-                best_gbps >= swar,
-                "detected best ({}) measured {best_gbps:.2} GB/s, below swar's {swar:.2} GB/s",
-                best.name()
+                dispatched_gbps >= swar,
+                "dispatched kernel ({}) measured {dispatched_gbps:.2} GB/s, below swar's {swar:.2} GB/s",
+                dispatched.name()
             );
         }
         // And the CRC path detection chose beats the loop it replaced.
@@ -335,10 +334,10 @@ fn main() {
             gf256::crc32_path()
         );
         println!(
-            "smoke: all {} kernels measured, JSON well-formed, best ({}) >= swar, \
+            "smoke: all {} kernels measured, JSON well-formed, dispatched ({}) >= swar, \
              crc32 ({}) >= bytewise",
             gf256::kernels().len(),
-            best.name(),
+            dispatched.name(),
             gf256::crc32_path()
         );
     } else {
@@ -348,26 +347,24 @@ fn main() {
                 swar / scalar.max(1e-9)
             );
         }
-        // The SIMD acceptance bars (full run only): avx2 ≥5× and ssse3 ≥3×
-        // over swar on 1 MiB buffers, raw and fused alike.
+        // The SIMD acceptance bar (full run only): avx2 ≥5× over swar on
+        // 1 MiB buffers, raw and fused alike.
         let fused_at = |name: &str| -> f64 {
             fused
                 .iter()
                 .find(|s| s.kernel == name && s.label == format!("(6,3) x {}B", 1 << 20))
                 .map_or(0.0, |s| s.gbps)
         };
-        for (name, bar) in [("avx2", 5.0), ("ssse3", 3.0)] {
-            if gf256::by_name(name).is_none() {
-                continue;
-            }
-            let ratio = at(name) / swar.max(1e-9);
-            let fused_ratio = fused_at(name) / fused_at("swar").max(1e-9);
+        const AVX2_BAR: f64 = 5.0;
+        if dispatched.name() == "avx2" {
+            let ratio = dispatched_gbps / swar.max(1e-9);
+            let fused_ratio = fused_at("avx2") / fused_at("swar").max(1e-9);
             println!(
-                "{name}: {ratio:.2}x swar raw, {fused_ratio:.2}x swar fused \
-                 (bar: {bar:.0}x) on 1 MiB"
+                "avx2: {ratio:.2}x swar raw, {fused_ratio:.2}x swar fused \
+                 (bar: {AVX2_BAR:.0}x) on 1 MiB"
             );
-            if ratio < bar {
-                eprintln!("warning: {name}/swar raw ratio {ratio:.2} below the {bar:.0}x bar");
+            if ratio < AVX2_BAR {
+                eprintln!("warning: avx2/swar raw ratio {ratio:.2} below the {AVX2_BAR:.0}x bar");
             }
         }
     }

@@ -8,7 +8,6 @@
 //! skipping zero coefficients keeps the per-output-byte cost identical to
 //! the RS/MSR code the Carousel code was constructed from.
 
-use std::borrow::Cow;
 use std::sync::LazyLock;
 
 use gf256::{Gf256, KernelHandle};
@@ -37,19 +36,6 @@ impl EncodedStripe {
     pub fn block_bytes(&self) -> usize {
         self.blocks.first().map_or(0, Vec::len)
     }
-}
-
-/// Zero-pads `data` to a multiple of `units` and returns the padded buffer
-/// together with the resulting unit width `w`. Already-padded input is
-/// borrowed rather than copied.
-pub(crate) fn pad_message(data: &[u8], units: usize) -> (Cow<'_, [u8]>, usize) {
-    let w = data.len().div_ceil(units).max(1);
-    if data.len() == units * w {
-        return (Cow::Borrowed(data), w);
-    }
-    let mut padded = data.to_vec();
-    padded.resize(units * w, 0);
-    (Cow::Owned(padded), w)
 }
 
 /// A reusable encoder that exploits generator-matrix sparsity.
@@ -538,59 +524,6 @@ pub fn apply_block_delta(
     Ok(())
 }
 
-/// A dense reference encoder that does *not* skip zero coefficients.
-///
-/// Exists to benchmark the value of the sparsity optimization (the ablation
-/// in `carousel-bench`); never use it in real code paths.
-#[derive(Debug, Clone)]
-pub struct DenseEncoder {
-    code: LinearCode,
-}
-
-impl DenseEncoder {
-    /// Wraps the code for dense encoding.
-    pub fn new(code: &LinearCode) -> Self {
-        DenseEncoder { code: code.clone() }
-    }
-
-    /// Encodes without exploiting sparsity: every coefficient, zero or not,
-    /// costs one slice multiply-accumulate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::InsufficientData`] if `data` is empty.
-    pub fn encode(&self, data: &[u8]) -> Result<EncodedStripe, CodeError> {
-        if data.is_empty() {
-            return Err(CodeError::InsufficientData { needed: 1, got: 0 });
-        }
-        let units = self.code.message_units();
-        let (padded, w) = pad_message(data, units);
-        let sub = self.code.sub();
-        let g = self.code.generator();
-        let kernel = gf256::kernel();
-        let mut blocks = vec![vec![0u8; sub * w]; self.code.n()];
-        let mut scratch = vec![0u8; w];
-        for (node, block) in blocks.iter_mut().enumerate() {
-            for unit in 0..sub {
-                let row = g.row(node * sub + unit);
-                let out = &mut block[unit * w..(unit + 1) * w];
-                for (j, &c) in row.iter().enumerate() {
-                    // Deliberately do the multiply even for zero: this is the
-                    // "no sparsity" baseline. Use a scratch buffer so zero
-                    // coefficients still cost a full pass.
-                    kernel.mul(c, &padded[j * w..(j + 1) * w], &mut scratch);
-                    kernel.add_assign(out, &scratch);
-                }
-            }
-        }
-        Ok(EncodedStripe {
-            blocks,
-            unit_bytes: w,
-            original_len: data.len(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,21 +533,6 @@ mod tests {
 
     fn code(n: usize, k: usize) -> LinearCode {
         LinearCode::new(n, k, 1, systematize(&Matrix::vandermonde(n, k))).unwrap()
-    }
-
-    #[test]
-    fn pad_message_widths() {
-        assert_eq!(pad_message(b"abcd", 2).1, 2);
-        assert_eq!(pad_message(b"abcde", 2).1, 3);
-        assert_eq!(pad_message(b"", 4).1, 1);
-        let (p, w) = pad_message(b"xyz", 4);
-        assert_eq!(w, 1);
-        assert_eq!(p.as_ref(), [b'x', b'y', b'z', 0]);
-        assert!(matches!(p, Cow::Owned(_)));
-        // Already-padded input is borrowed, not copied.
-        let (p, w) = pad_message(b"abcd", 2);
-        assert_eq!(w, 2);
-        assert!(matches!(p, Cow::Borrowed(_)));
     }
 
     #[test]
@@ -645,23 +563,14 @@ mod tests {
         let data: Vec<u8> = (0..64).map(|i| (i * 37 + 5) as u8).collect();
         let stripe = SparseEncoder::new(&code).encode(&data).unwrap();
         // Reference: per-column symbol arithmetic.
-        let (padded, w) = pad_message(&data, 4);
+        let w = data.len() / 4;
         for col in 0..w {
-            let msg: Vec<Gf256> = (0..4).map(|u| Gf256::new(padded[u * w + col])).collect();
+            let msg: Vec<Gf256> = (0..4).map(|u| Gf256::new(data[u * w + col])).collect();
             let units = code.encode_symbols(&msg).unwrap();
             for (block, unit) in stripe.blocks.iter().zip(&units) {
                 assert_eq!(block[col], unit[0].value());
             }
         }
-    }
-
-    #[test]
-    fn dense_and_sparse_agree() {
-        let code = code(5, 3);
-        let data: Vec<u8> = (0..100).map(|i| (i ^ 0x5A) as u8).collect();
-        let a = SparseEncoder::new(&code).encode(&data).unwrap();
-        let b = DenseEncoder::new(&code).encode(&data).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -694,7 +603,6 @@ mod tests {
     fn empty_data_is_rejected() {
         let code = code(4, 2);
         assert!(SparseEncoder::new(&code).encode(b"").is_err());
-        assert!(DenseEncoder::new(&code).encode(b"").is_err());
     }
 
     #[test]

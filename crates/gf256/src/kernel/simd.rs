@@ -1,28 +1,25 @@
 //! SIMD kernels: the vector-shuffle GF(2⁸) split-table engine, and the
 //! carry-less-multiply CRC-32 fold.
 //!
-//! All three kernels here are the same algorithm at different lane widths —
-//! the classic ISA-L decomposition the scalar `split` kernel already uses,
-//! lifted onto byte-shuffle instructions. For a coefficient `c`, the two
-//! 16-entry tables `SPLIT.lo[c]` and `SPLIT.hi[c]` satisfy
+//! Both kernels here are the classic ISA-L decomposition lifted onto
+//! byte-shuffle instructions. For a coefficient `c`, the two 16-entry
+//! tables `SPLIT.lo[c]` and `SPLIT.hi[c]` satisfy
 //! `lo[x & 0xF] ^ hi[x >> 4] = c·x`; a byte-shuffle instruction
-//! (`pshufb` / `vpshufb` / `tbl`) performs exactly "16 parallel 16-entry
-//! table lookups", so one vector of products costs two shuffles, two masks
-//! and an XOR, with the tables pinned in two registers for the whole slice:
+//! (`vpshufb` / `tbl`) performs exactly "16 parallel 16-entry table
+//! lookups", so one vector of products costs two shuffles, two masks and an
+//! XOR, with the tables pinned in two registers for the whole slice:
 //!
-//! * `ssse3` — 16-byte lanes via `_mm_shuffle_epi8` (any x86-64 made after
-//!   ~2006).
-//! * `avx2` — the identical scheme on 32-byte lanes via
-//!   `_mm256_shuffle_epi8`, tables broadcast to both 128-bit halves
-//!   (`vpshufb` shuffles within each half, which is exactly what a
-//!   broadcast table wants).
+//! * `avx2` — 32-byte lanes via `_mm256_shuffle_epi8`, tables broadcast to
+//!   both 128-bit halves (`vpshufb` shuffles within each half, which is
+//!   exactly what a broadcast table wants).
 //! * `neon` — 16-byte lanes via `vqtbl1q_u8` on aarch64.
 //!
-//! Each kernel is only ever *registered* when the corresponding CPU feature
-//! was detected at startup (see the registry in the parent module), which is
-//! the safety argument for every `#[target_feature]` call site below. Heads
-//! and tails shorter than one vector fall back to the scalar split-table
-//! loop, so all length/aliasing contracts of the safe kernels hold
+//! Each implements `mul_acc` and overrides the fused `mul_acc_rows` with a
+//! register-fused strip loop. A kernel is only ever *registered* when its
+//! CPU feature was detected at startup (see the registry in the parent
+//! module), which is the safety argument for every `#[target_feature]` call
+//! site below. Tails shorter than one vector fall back to a scalar
+//! split-table loop, so the length contract of the safe kernels holds
 //! unchanged.
 //!
 //! The same argument covers the CRC-32 fold behind [`crate::crc32`] on
@@ -44,7 +41,7 @@
 use super::Kernel;
 use crate::tables::SPLIT;
 
-/// Scalar split-table fallback for sub-vector heads/tails.
+/// Scalar split-table fallback for sub-vector tails.
 #[inline]
 fn mul_acc_tail(c: u8, src: &[u8], dst: &mut [u8]) {
     let lo = &SPLIT.lo[c as usize];
@@ -54,28 +51,8 @@ fn mul_acc_tail(c: u8, src: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// Scalar split-table fallback, overwrite variant.
-#[inline]
-fn mul_tail(c: u8, src: &[u8], dst: &mut [u8]) {
-    let lo = &SPLIT.lo[c as usize];
-    let hi = &SPLIT.hi[c as usize];
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = lo[(s & 0xF) as usize] ^ hi[(s >> 4) as usize];
-    }
-}
-
-/// Scalar split-table fallback, in-place variant.
-#[inline]
-fn mul_in_place_tail(c: u8, buf: &mut [u8]) {
-    let lo = &SPLIT.lo[c as usize];
-    let hi = &SPLIT.hi[c as usize];
-    for b in buf.iter_mut() {
-        *b = lo[(*b & 0xF) as usize] ^ hi[(*b >> 4) as usize];
-    }
-}
-
 // ---------------------------------------------------------------------------
-// x86-64: SSSE3 (16-byte) and AVX2 (32-byte) PSHUFB kernels
+// x86-64: the AVX2 (32-byte) PSHUFB kernel
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -83,158 +60,10 @@ mod x86 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// 16-byte-lane PSHUFB kernel. Registered only when SSSE3 is detected.
-    pub(crate) struct Ssse3Kernel;
-
     /// 32-byte-lane VPSHUFB kernel. Registered only when AVX2 is detected.
     pub(crate) struct Avx2Kernel;
 
-    pub(crate) static SSSE3: Ssse3Kernel = Ssse3Kernel;
     pub(crate) static AVX2: Avx2Kernel = Avx2Kernel;
-
-    /// One 16-byte product vector: `lo[x&0xF] ^ hi[x>>4]` for every byte of
-    /// `x`, with the split tables preloaded in `lo_t`/`hi_t`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified SSSE3 support.
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    unsafe fn product16(lo_t: __m128i, hi_t: __m128i, mask: __m128i, x: __m128i) -> __m128i {
-        let lo = _mm_shuffle_epi8(lo_t, _mm_and_si128(x, mask));
-        let hi = _mm_shuffle_epi8(hi_t, _mm_and_si128(_mm_srli_epi64(x, 4), mask));
-        _mm_xor_si128(lo, hi)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified SSSE3 support. `src`/`dst` lengths are
-    /// equal (the handle validates) and may be arbitrarily unaligned:
-    /// only unaligned loads/stores are used.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_acc_ssse3(c: u8, src: &[u8], dst: &mut [u8]) {
-        let lo_t = _mm_loadu_si128(SPLIT.lo[c as usize].as_ptr() as *const __m128i);
-        let hi_t = _mm_loadu_si128(SPLIT.hi[c as usize].as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let len = src.len();
-        let mut i = 0;
-        while i + 16 <= len {
-            let x = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            let p = product16(lo_t, hi_t, mask, x);
-            let d = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, _mm_xor_si128(d, p));
-            i += 16;
-        }
-        mul_acc_tail(c, &src[i..], &mut dst[i..]);
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as [`mul_acc_ssse3`].
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_ssse3(c: u8, src: &[u8], dst: &mut [u8]) {
-        let lo_t = _mm_loadu_si128(SPLIT.lo[c as usize].as_ptr() as *const __m128i);
-        let hi_t = _mm_loadu_si128(SPLIT.hi[c as usize].as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let len = src.len();
-        let mut i = 0;
-        while i + 16 <= len {
-            let x = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            let p = product16(lo_t, hi_t, mask, x);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, p);
-            i += 16;
-        }
-        mul_tail(c, &src[i..], &mut dst[i..]);
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as [`mul_acc_ssse3`]; `buf` is both input and output.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_in_place_ssse3(c: u8, buf: &mut [u8]) {
-        let lo_t = _mm_loadu_si128(SPLIT.lo[c as usize].as_ptr() as *const __m128i);
-        let hi_t = _mm_loadu_si128(SPLIT.hi[c as usize].as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let len = buf.len();
-        let mut i = 0;
-        while i + 16 <= len {
-            let x = _mm_loadu_si128(buf.as_ptr().add(i) as *const __m128i);
-            let p = product16(lo_t, hi_t, mask, x);
-            _mm_storeu_si128(buf.as_mut_ptr().add(i) as *mut __m128i, p);
-            i += 16;
-        }
-        mul_in_place_tail(c, &mut buf[i..]);
-    }
-
-    /// Register-fused multi-row product on 64-byte strips: four 16-byte
-    /// accumulators are loaded from `dst` once, every term's products are
-    /// XORed into them, and they are stored once — `dst` never round-trips
-    /// through memory between terms.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified SSSE3 support; slice lengths all equal.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_acc_rows_ssse3(terms: &[(u8, &[u8])], dst: &mut [u8]) {
-        let mask = _mm_set1_epi8(0x0F);
-        let len = dst.len();
-        let mut i = 0;
-        while i + 64 <= len {
-            let d = dst.as_mut_ptr().add(i);
-            let mut a0 = _mm_loadu_si128(d as *const __m128i);
-            let mut a1 = _mm_loadu_si128(d.add(16) as *const __m128i);
-            let mut a2 = _mm_loadu_si128(d.add(32) as *const __m128i);
-            let mut a3 = _mm_loadu_si128(d.add(48) as *const __m128i);
-            for &(c, src) in terms {
-                let lo_t = _mm_loadu_si128(SPLIT.lo[c as usize].as_ptr() as *const __m128i);
-                let hi_t = _mm_loadu_si128(SPLIT.hi[c as usize].as_ptr() as *const __m128i);
-                let s = src.as_ptr().add(i);
-                let x0 = _mm_loadu_si128(s as *const __m128i);
-                let x1 = _mm_loadu_si128(s.add(16) as *const __m128i);
-                let x2 = _mm_loadu_si128(s.add(32) as *const __m128i);
-                let x3 = _mm_loadu_si128(s.add(48) as *const __m128i);
-                a0 = _mm_xor_si128(a0, product16(lo_t, hi_t, mask, x0));
-                a1 = _mm_xor_si128(a1, product16(lo_t, hi_t, mask, x1));
-                a2 = _mm_xor_si128(a2, product16(lo_t, hi_t, mask, x2));
-                a3 = _mm_xor_si128(a3, product16(lo_t, hi_t, mask, x3));
-            }
-            _mm_storeu_si128(d as *mut __m128i, a0);
-            _mm_storeu_si128(d.add(16) as *mut __m128i, a1);
-            _mm_storeu_si128(d.add(32) as *mut __m128i, a2);
-            _mm_storeu_si128(d.add(48) as *mut __m128i, a3);
-            i += 64;
-        }
-        for &(c, src) in terms {
-            mul_acc_ssse3(c, &src[i..], &mut dst[i..]);
-        }
-    }
-
-    impl Kernel for Ssse3Kernel {
-        fn name(&self) -> &'static str {
-            "ssse3"
-        }
-
-        fn mul_acc_raw(&self, c: u8, src: &[u8], dst: &mut [u8]) {
-            // Safety: this kernel is only registered after
-            // `is_x86_feature_detected!("ssse3")` returned true.
-            unsafe { mul_acc_ssse3(c, src, dst) }
-        }
-
-        fn mul_raw(&self, c: u8, src: &[u8], dst: &mut [u8]) {
-            // Safety: as above — registration implies detection.
-            unsafe { mul_ssse3(c, src, dst) }
-        }
-
-        fn mul_in_place_raw(&self, c: u8, buf: &mut [u8]) {
-            // Safety: as above — registration implies detection.
-            unsafe { mul_in_place_ssse3(c, buf) }
-        }
-
-        fn mul_acc_rows_raw(&self, terms: &[(u8, &[u8])], dst: &mut [u8]) {
-            // Safety: as above — registration implies detection.
-            unsafe { mul_acc_rows_ssse3(terms, dst) }
-        }
-    }
 
     /// One 32-byte product vector; the tables are broadcast to both 128-bit
     /// halves, matching `vpshufb`'s per-half shuffle semantics.
@@ -282,44 +111,6 @@ mod x86 {
             i += 32;
         }
         mul_acc_tail(c, &src[i..], &mut dst[i..]);
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as [`mul_acc_avx2`].
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_avx2(c: u8, src: &[u8], dst: &mut [u8]) {
-        let lo_t = broadcast_table(&SPLIT.lo[c as usize]);
-        let hi_t = broadcast_table(&SPLIT.hi[c as usize]);
-        let mask = _mm256_set1_epi8(0x0F);
-        let len = src.len();
-        let mut i = 0;
-        while i + 32 <= len {
-            let x = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let p = product32(lo_t, hi_t, mask, x);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, p);
-            i += 32;
-        }
-        mul_tail(c, &src[i..], &mut dst[i..]);
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as [`mul_acc_avx2`]; `buf` is both input and output.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_in_place_avx2(c: u8, buf: &mut [u8]) {
-        let lo_t = broadcast_table(&SPLIT.lo[c as usize]);
-        let hi_t = broadcast_table(&SPLIT.hi[c as usize]);
-        let mask = _mm256_set1_epi8(0x0F);
-        let len = buf.len();
-        let mut i = 0;
-        while i + 32 <= len {
-            let x = _mm256_loadu_si256(buf.as_ptr().add(i) as *const __m256i);
-            let p = product32(lo_t, hi_t, mask, x);
-            _mm256_storeu_si256(buf.as_mut_ptr().add(i) as *mut __m256i, p);
-            i += 32;
-        }
-        mul_in_place_tail(c, &mut buf[i..]);
     }
 
     /// Register-fused multi-row product on 128-byte strips: four 32-byte
@@ -375,16 +166,6 @@ mod x86 {
             // Safety: this kernel is only registered after
             // `is_x86_feature_detected!("avx2")` returned true.
             unsafe { mul_acc_avx2(c, src, dst) }
-        }
-
-        fn mul_raw(&self, c: u8, src: &[u8], dst: &mut [u8]) {
-            // Safety: as above — registration implies detection.
-            unsafe { mul_avx2(c, src, dst) }
-        }
-
-        fn mul_in_place_raw(&self, c: u8, buf: &mut [u8]) {
-            // Safety: as above — registration implies detection.
-            unsafe { mul_in_place_avx2(c, buf) }
         }
 
         fn mul_acc_rows_raw(&self, terms: &[(u8, &[u8])], dst: &mut [u8]) {
@@ -498,7 +279,7 @@ mod x86 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::pclmulqdq_crc32;
 #[cfg(target_arch = "x86_64")]
-pub(super) use x86::{AVX2, SSSE3};
+pub(super) use x86::AVX2;
 
 // ---------------------------------------------------------------------------
 // aarch64: NEON vqtbl1q_u8 kernel
@@ -554,42 +335,6 @@ mod arm {
         mul_acc_tail(c, &src[i..], &mut dst[i..]);
     }
 
-    /// # Safety
-    ///
-    /// Same contract as [`mul_acc_neon`].
-    #[target_feature(enable = "neon")]
-    unsafe fn mul_neon(c: u8, src: &[u8], dst: &mut [u8]) {
-        let lo_t = vld1q_u8(SPLIT.lo[c as usize].as_ptr());
-        let hi_t = vld1q_u8(SPLIT.hi[c as usize].as_ptr());
-        let mask = vdupq_n_u8(0x0F);
-        let len = src.len();
-        let mut i = 0;
-        while i + 16 <= len {
-            let x = vld1q_u8(src.as_ptr().add(i));
-            vst1q_u8(dst.as_mut_ptr().add(i), product16(lo_t, hi_t, mask, x));
-            i += 16;
-        }
-        mul_tail(c, &src[i..], &mut dst[i..]);
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as [`mul_acc_neon`]; `buf` is both input and output.
-    #[target_feature(enable = "neon")]
-    unsafe fn mul_in_place_neon(c: u8, buf: &mut [u8]) {
-        let lo_t = vld1q_u8(SPLIT.lo[c as usize].as_ptr());
-        let hi_t = vld1q_u8(SPLIT.hi[c as usize].as_ptr());
-        let mask = vdupq_n_u8(0x0F);
-        let len = buf.len();
-        let mut i = 0;
-        while i + 16 <= len {
-            let x = vld1q_u8(buf.as_ptr().add(i));
-            vst1q_u8(buf.as_mut_ptr().add(i), product16(lo_t, hi_t, mask, x));
-            i += 16;
-        }
-        mul_in_place_tail(c, &mut buf[i..]);
-    }
-
     /// Register-fused multi-row product on 64-byte strips: four 16-byte
     /// accumulators stay in `q` registers across every term, so the
     /// destination is loaded and stored exactly once per strip.
@@ -637,16 +382,6 @@ mod arm {
             // Safety: this kernel is only registered after
             // `is_aarch64_feature_detected!("neon")` returned true.
             unsafe { mul_acc_neon(c, src, dst) }
-        }
-
-        fn mul_raw(&self, c: u8, src: &[u8], dst: &mut [u8]) {
-            // Safety: as above — registration implies detection.
-            unsafe { mul_neon(c, src, dst) }
-        }
-
-        fn mul_in_place_raw(&self, c: u8, buf: &mut [u8]) {
-            // Safety: as above — registration implies detection.
-            unsafe { mul_in_place_neon(c, buf) }
         }
 
         fn mul_acc_rows_raw(&self, terms: &[(u8, &[u8])], dst: &mut [u8]) {

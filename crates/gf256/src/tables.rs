@@ -46,12 +46,12 @@ const fn build_log() -> [u8; 256] {
     table
 }
 
-/// Split multiplication tables for the slice kernels: for every coefficient
+/// Split multiplication tables for the SIMD kernels: for every coefficient
 /// `c`, `MUL_LO[c][x & 0xF] ^ MUL_HI[c][x >> 4] = c * x`.
 ///
-/// This is the classic ISA-L / vector-shuffle decomposition; even without
-/// SIMD it replaces a log/exp round-trip per byte with two indexed loads and
-/// an XOR.
+/// This is the classic ISA-L / vector-shuffle decomposition: a byte-shuffle
+/// instruction does both 16-entry lookups for a whole vector at once, and
+/// the kernels' sub-vector tails do them one byte at a time.
 pub(crate) struct SplitTables {
     pub lo: [[u8; 16]; 256],
     pub hi: [[u8; 16]; 256],

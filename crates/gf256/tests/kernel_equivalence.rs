@@ -1,15 +1,18 @@
 //! Every registered kernel must be byte-identical to the scalar log/exp
-//! reference — across random lengths, unaligned slice offsets (the SWAR
-//! kernel reads `u64` words and the SIMD kernels 16/32-byte vectors, so
-//! word-boundary handling matters), and the aliasing in-place entry point.
-//! The registry is detection-dependent, so whatever SIMD kernels this host
-//! supports are swept automatically alongside the portable three.
+//! oracle (`kernels()[0]`) — across random lengths and unaligned slice
+//! offsets (the SWAR kernel reads `u64` words and the SIMD kernels
+//! 16/32-byte vectors, so word-boundary handling matters), through both
+//! operations, `mul_acc` and `mul_acc_rows`. The registry is
+//! detection-dependent, so whatever SIMD kernel this host supports is swept
+//! automatically alongside the portable two.
 
-use gf256::{by_name, kernels, Gf256, KernelHandle};
+use gf256::{kernels, Gf256, KernelHandle};
 use proptest::prelude::*;
 
 fn scalar() -> KernelHandle {
-    by_name("scalar").expect("scalar reference is registered")
+    let oracle = kernels()[0];
+    assert_eq!(oracle.name(), "scalar", "the oracle leads the registry");
+    oracle
 }
 
 /// Strategy: a buffer of up to 4096 + 8 bytes plus an offset 0..8, so the
@@ -45,44 +48,6 @@ proptest! {
     }
 
     #[test]
-    fn mul_matches_scalar_reference(
-        c in any::<u8>(),
-        (data, off) in unaligned_data(),
-    ) {
-        let src = &data[off..];
-        let reference = {
-            let mut dst = vec![0u8; src.len()];
-            scalar().mul(Gf256::new(c), src, &mut dst[..]);
-            dst
-        };
-        for k in kernels() {
-            let mut dst = vec![0xEEu8; src.len()];
-            k.mul(Gf256::new(c), src, &mut dst[..]);
-            prop_assert_eq!(&dst, &reference, "kernel {} c={}", k.name(), c);
-        }
-    }
-
-    #[test]
-    fn in_place_aliasing_matches_out_of_place(
-        c in any::<u8>(),
-        (data, off) in unaligned_data(),
-    ) {
-        // The aliasing case: input and output are the same buffer.
-        for k in kernels() {
-            let src = &data[off..];
-            let mut out_of_place = vec![0u8; src.len()];
-            k.mul(Gf256::new(c), src, &mut out_of_place[..]);
-            let mut aliased = src.to_vec();
-            k.mul_in_place(Gf256::new(c), &mut aliased[..]);
-            prop_assert_eq!(&aliased, &out_of_place, "kernel {} c={}", k.name(), c);
-            // And it must agree with the scalar reference run in place.
-            let mut reference = src.to_vec();
-            scalar().mul_in_place(Gf256::new(c), &mut reference[..]);
-            prop_assert_eq!(&aliased, &reference, "kernel {} c={}", k.name(), c);
-        }
-    }
-
-    #[test]
     fn fused_rows_match_scalar_term_by_term(
         coeffs in proptest::collection::vec(any::<u8>(), 1..6),
         len in 0usize..=1024,
@@ -112,9 +77,9 @@ proptest! {
 }
 
 /// Explicit vector-width boundary sweep: every length 0..=96 at every
-/// offset 0..8, per kernel and per entry point. The SIMD kernels step in
+/// offset 0..8, per kernel and per operation. The SIMD kernels step in
 /// 16/32-byte vectors (with 64/128-byte fused strips) and hand sub-vector
-/// heads/tails to a scalar loop, so every split point around those widths
+/// tails to a scalar loop, so every split point around those widths
 /// is exercised deterministically — not just whenever the proptest sampler
 /// happens to land there.
 #[test]
@@ -135,21 +100,6 @@ fn unaligned_head_tail_boundaries() {
                     let mut dst = vec![0x5Au8; len];
                     k.mul_acc(Gf256::new(c), src, &mut dst[..]);
                     assert_eq!(dst, reference, "{} mul_acc len={len} off={off}", k.name());
-
-                    let mut ref_mul = vec![0u8; len];
-                    scalar().mul(Gf256::new(c), src, &mut ref_mul[..]);
-                    let mut out = vec![0xEEu8; len];
-                    k.mul(Gf256::new(c), src, &mut out[..]);
-                    assert_eq!(out, ref_mul, "{} mul len={len} off={off}", k.name());
-
-                    let mut buf = src.to_vec();
-                    k.mul_in_place(Gf256::new(c), &mut buf[..]);
-                    assert_eq!(
-                        buf,
-                        ref_mul,
-                        "{} mul_in_place len={len} off={off}",
-                        k.name()
-                    );
 
                     // The fused entry point with several general terms, so
                     // the register-fused strip loop and its tail both run.
@@ -177,16 +127,17 @@ fn unaligned_head_tail_boundaries() {
     }
 }
 
-/// Exhaustive single-byte check: for every (c, x) pair, every kernel agrees
-/// with the field's own scalar multiply. 65 536 cases per kernel — cheap,
-/// and it pins down any table error a random sweep could miss.
+/// Exhaustive single-byte check: for every (c, x) pair, every kernel's
+/// `mul_acc` into a zeroed buffer agrees with the field's own scalar
+/// multiply. 65 536 cases per kernel — cheap, and it pins down any table
+/// error a random sweep could miss.
 #[test]
 fn exhaustive_single_byte_products() {
     for k in kernels() {
         for c in 0..=255u8 {
             let src: Vec<u8> = (0..=255).collect();
             let mut dst = vec![0u8; 256];
-            k.mul(Gf256::new(c), &src, &mut dst[..]);
+            k.mul_acc(Gf256::new(c), &src, &mut dst[..]);
             for x in 0..=255u8 {
                 let want = (Gf256::new(c) * Gf256::new(x)).value();
                 assert_eq!(dst[x as usize], want, "kernel {} c={c} x={x}", k.name());

@@ -34,7 +34,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Vendored third-party crates are excluded from the doc gate; only our
 # own crates must document cleanly.
-doc_excludes=(--exclude rand --exclude proptest --exclude criterion)
+doc_excludes=(--exclude rand --exclude proptest)
 
 step "cargo doc (warnings as errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${doc_excludes[@]}" --offline -q

@@ -769,51 +769,29 @@ fn repair_status_cluster(args: &[String]) -> Result<(), String> {
 }
 
 /// `kernels` — prints the GF(2⁸) kernel registry: every kernel runtime
-/// CPU-feature detection registered on this machine, the probed features,
-/// the CRC-32 path detection chose, which kernel is the active process
-/// default, and why (detected best vs a `CAROUSEL_KERNEL` override).
+/// CPU-feature detection registered on this machine, the features that
+/// choose a kernel, the CRC-32 path detection chose, and the kernel that
+/// runs.
 fn kernels_cmd(args: &[String]) -> Result<(), String> {
     if let Some(flag) = args.first() {
         return Err(format!("kernels: unknown flag {flag:?}"));
     }
-    let active = gf256::kernel();
-    let best = gf256::detected_best();
+    let dispatched = gf256::kernel();
     println!("registered kernels (ascending speed order):");
     for k in gf256::kernels() {
-        let mut notes = Vec::new();
-        if k.name() == "scalar" {
-            notes.push("reference");
-        }
-        if k.name() == best.name() {
-            notes.push("detected best");
-        }
-        if k.name() == active.name() {
-            notes.push("active default");
-        }
-        let notes = if notes.is_empty() {
-            String::new()
-        } else {
-            format!("  ({})", notes.join(", "))
+        let note = match k.name() {
+            "scalar" => "  (test oracle)",
+            name if name == dispatched.name() => "  (dispatched)",
+            _ => "",
         };
-        println!("  {}{notes}", k.name());
+        println!("  {}{note}", k.name());
     }
     println!("detected CPU features:");
     for (feature, on) in gf256::detected_features() {
         println!("  {feature}: {}", if on { "yes" } else { "no" });
     }
     println!("crc32: {}", gf256::crc32_path());
-    match std::env::var("CAROUSEL_KERNEL") {
-        Ok(name) if !name.is_empty() => {
-            println!(
-                "CAROUSEL_KERNEL={name:?} -> active kernel {:?}",
-                active.name()
-            );
-        }
-        _ => println!(
-            "CAROUSEL_KERNEL unset -> active kernel {:?} (detected best)",
-            active.name()
-        ),
-    }
+    println!("dispatched kernel: {}", dispatched.name());
     Ok(())
 }
 

@@ -157,20 +157,12 @@ fn fixed_pattern_degraded_read_hits_cache_ninety_percent() {
     assert_eq!(uncached.plan_cache().hits(), 0);
 }
 
-/// The fixed two-stack scenario run by
-/// [`both_stacks_bytes_identical_for_every_kernel`] in a child process with
-/// `CAROUSEL_KERNEL` pinned to one registered kernel. Marked `#[ignore]`
-/// so it only ever runs with that variable set by the parent test.
+/// A fixed two-stack scenario on the dispatched kernel: a Carousel file
+/// with `n − k` blocks lost per stripe reads back byte-identically through
+/// the filestore and through the TCP cluster.
 #[test]
-#[ignore = "spawned per kernel by both_stacks_bytes_identical_for_every_kernel"]
-fn stack_scenario_for_pinned_kernel() {
-    let kernel = std::env::var("CAROUSEL_KERNEL").expect("parent pins CAROUSEL_KERNEL");
-    assert_eq!(
-        gf256::kernel().name(),
-        kernel,
-        "pinned kernel must win dispatch"
-    );
-
+fn both_stacks_bytes_identical_on_the_dispatched_kernel() {
+    let kernel = gf256::kernel().name();
     let (n, k, d, p) = (6, 3, 3, 6);
     let code = Carousel::new(n, k, d, p).unwrap();
     let block_bytes = code.linear().sub() * 16;
@@ -208,33 +200,4 @@ fn stack_scenario_for_pinned_kernel() {
         data,
         "cluster under kernel {kernel}"
     );
-}
-
-/// One two-stack byte-identity case per registered kernel: re-runs
-/// [`stack_scenario_for_pinned_kernel`] in a child process with
-/// `CAROUSEL_KERNEL` set, so every kernel — not just the process default —
-/// drives the filestore and TCP-cluster read paths end to end, including
-/// the env-override dispatch itself.
-#[test]
-fn both_stacks_bytes_identical_for_every_kernel() {
-    let exe = std::env::current_exe().expect("test binary path");
-    for kernel in gf256::kernels() {
-        let output = std::process::Command::new(&exe)
-            .args([
-                "--exact",
-                "stack_scenario_for_pinned_kernel",
-                "--ignored",
-                "--test-threads=1",
-            ])
-            .env("CAROUSEL_KERNEL", kernel.name())
-            .output()
-            .expect("spawn child test process");
-        assert!(
-            output.status.success(),
-            "two-stack identity failed under kernel {}:\n{}\n{}",
-            kernel.name(),
-            String::from_utf8_lossy(&output.stdout),
-            String::from_utf8_lossy(&output.stderr),
-        );
-    }
 }

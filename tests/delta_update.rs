@@ -5,9 +5,8 @@
 //! (`erasure::ColumnUpdater`). These tests prove the two are exactly
 //! equivalent — for random edit ranges over all four families
 //! (RS, LRC, MSR, Carousel), through both the local apply path and the
-//! wire path (`node_updates` + `apply_block_delta`), and under every
-//! registered GF(2⁸) kernel via the child-process `CAROUSEL_KERNEL`
-//! matrix.
+//! wire path (`node_updates` + `apply_block_delta`), on the GF(2⁸)
+//! kernel CPU detection dispatches.
 
 use carousel::Carousel;
 use erasure::{apply_block_delta, ColumnUpdater, ErasureCode, SparseEncoder};
@@ -137,19 +136,10 @@ fn noop_edit_ships_nothing() {
     }
 }
 
-/// The fixed four-family scenario run by
-/// [`delta_identity_holds_for_every_kernel`] in a child process with
-/// `CAROUSEL_KERNEL` pinned to one registered kernel. Marked `#[ignore]`
-/// so it only ever runs with that variable set by the parent test.
+/// A fixed four-family scenario on the dispatched kernel: three edit
+/// shapes per family, each through both delta paths.
 #[test]
-#[ignore = "spawned per kernel by delta_identity_holds_for_every_kernel"]
-fn delta_scenario_for_pinned_kernel() {
-    let kernel = std::env::var("CAROUSEL_KERNEL").expect("parent pins CAROUSEL_KERNEL");
-    assert_eq!(
-        gf256::kernel().name(),
-        kernel,
-        "pinned kernel must win dispatch"
-    );
+fn delta_identity_holds_on_the_dispatched_kernel() {
     let data: Vec<u8> = (0..1024usize).map(|i| (i * 151 + 13) as u8).collect();
     for idx in 0..4 {
         let (label, code) = family(idx);
@@ -159,33 +149,5 @@ fn delta_scenario_for_pinned_kernel() {
             let patch: Vec<u8> = (0..len).map(|i| (i * 83 + 29) as u8).collect();
             assert_delta_matches_reencode(label, code.as_ref(), &data, offset, &patch);
         }
-    }
-}
-
-/// One delta-identity pass per registered kernel: re-runs
-/// [`delta_scenario_for_pinned_kernel`] in a child process with
-/// `CAROUSEL_KERNEL` set, so every kernel — not just the process
-/// default — drives the coefficient products on both delta paths.
-#[test]
-fn delta_identity_holds_for_every_kernel() {
-    let exe = std::env::current_exe().expect("test binary path");
-    for kernel in gf256::kernels() {
-        let output = std::process::Command::new(&exe)
-            .args([
-                "--exact",
-                "delta_scenario_for_pinned_kernel",
-                "--ignored",
-                "--test-threads=1",
-            ])
-            .env("CAROUSEL_KERNEL", kernel.name())
-            .output()
-            .expect("spawn child test process");
-        assert!(
-            output.status.success(),
-            "delta identity failed under kernel {}:\n{}\n{}",
-            kernel.name(),
-            String::from_utf8_lossy(&output.stdout),
-            String::from_utf8_lossy(&output.stderr),
-        );
     }
 }
