@@ -1,4 +1,5 @@
-//! Memoized plans keyed by availability pattern.
+//! Memoized plans keyed by availability pattern, and the built codes they
+//! are planned over.
 //!
 //! Building a decode or repair plan runs a Gaussian elimination; a
 //! 1000-stripe degraded file read under one failure pattern needs exactly
@@ -6,12 +7,21 @@
 //! degraded clusters see a handful of live-set combinations, so anything
 //! smarter buys little — and shared behind `Arc` so parallel decode workers
 //! hit the same entries.
+//!
+//! Building the code itself is not free either: a Carousel generator is a
+//! `Ĝ·Ĝ₀⁻¹` product, hundreds of microseconds against a 16 KiB range
+//! read's millisecond. A [`CodeCache`] keeps each built code and its
+//! stripe geometry by `(CodeSpec, block size)`, FIFO-evicting the same
+//! way.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 
 use erasure::{CodeError, DegradedPlan, ErasureCode, ReadPlan, RepairPlan};
+
+use crate::geometry::StripeGeometry;
+use crate::spec::{AnyCode, CodeSpec};
 
 static CACHE_HITS: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("access.plan.cache.hit"));
@@ -245,6 +255,91 @@ impl PlanCache {
     }
 }
 
+/// A bounded, thread-safe store of built codes and their stripe
+/// geometries, keyed by `(CodeSpec, block_bytes)`: one
+/// [`CodeSpec::build`] per distinct code a session opens, not one per
+/// operation.
+///
+/// # Examples
+///
+/// ```
+/// use access::{CodeCache, CodeSpec};
+///
+/// let codes = CodeCache::new(4);
+/// let spec = CodeSpec::Carousel { n: 6, k: 3, d: 3, p: 6 };
+/// let (a, geometry) = codes.open(spec, 120)?;
+/// let (b, _) = codes.open(spec, 120)?; // built once
+/// assert!(std::sync::Arc::ptr_eq(&a, &b));
+/// assert_eq!(geometry.block_bytes(), 120);
+/// # Ok::<(), erasure::CodeError>(())
+/// ```
+pub struct CodeCache {
+    capacity: usize,
+    entries: Mutex<VecDeque<CodeEntry>>,
+}
+
+/// One cached code: its key, then what it opened to.
+type CodeEntry = ((CodeSpec, usize), (AnyCode, StripeGeometry));
+
+impl std::fmt::Debug for CodeCache {
+    /// The cached keys; a built code has no `Debug` of its own.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let entries = self.entries.lock().expect("code cache poisoned");
+        f.debug_struct("CodeCache")
+            .field("capacity", &self.capacity)
+            .field("keys", &entries.iter().map(|(k, _)| k).collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+impl CodeCache {
+    /// Creates a cache holding at most `capacity` codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "cache capacity must be positive");
+        CodeCache {
+            capacity,
+            entries: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    /// The code `spec` names and its geometry at `block_bytes`, built on a
+    /// miss.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CodeSpec::build`] and [`StripeGeometry::new`]
+    /// failures (never cached).
+    pub fn open(
+        &self,
+        spec: CodeSpec,
+        block_bytes: usize,
+    ) -> Result<(AnyCode, StripeGeometry), CodeError> {
+        let key = (spec, block_bytes);
+        let cached = {
+            let entries = self.entries.lock().expect("code cache poisoned");
+            entries
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+        };
+        if let Some(opened) = cached {
+            return Ok(opened);
+        }
+        let code = spec.build()?;
+        let geometry = StripeGeometry::new(&code, block_bytes)?;
+        let mut entries = self.entries.lock().expect("code cache poisoned");
+        if entries.len() == self.capacity {
+            entries.pop_front();
+        }
+        entries.push_back((key, (Arc::clone(&code), geometry)));
+        Ok((code, geometry))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,6 +402,32 @@ mod tests {
         let nodes_a: Vec<usize> = a.helpers.iter().map(|t| t.node).collect();
         let nodes_b: Vec<usize> = b.helpers.iter().map(|t| t.node).collect();
         assert_eq!(nodes_a, nodes_b);
+    }
+
+    #[test]
+    fn codes_are_built_once_per_spec_and_block_size() {
+        let codes = CodeCache::new(2);
+        let rs = CodeSpec::Rs { n: 6, k: 3 };
+        let carousel = CodeSpec::Carousel {
+            n: 6,
+            k: 3,
+            d: 3,
+            p: 6,
+        };
+        let (a, _) = codes.open(carousel, 120).unwrap();
+        let (b, _) = codes.open(carousel, 120).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let (c, geometry) = codes.open(carousel, 240).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c), "block size is part of the key");
+        assert_eq!(geometry.block_bytes(), 240);
+        let (r, _) = codes.open(rs, 120).unwrap(); // evicts the first
+        let (d, _) = codes.open(carousel, 120).unwrap(); // evicts the second
+        assert!(!Arc::ptr_eq(&a, &d));
+        // Failures are not cached, so they evict nothing.
+        assert!(codes.open(carousel, 121).is_err());
+        assert!(codes.open(CodeSpec::Rs { n: 3, k: 6 }, 120).is_err());
+        assert!(Arc::ptr_eq(&r, &codes.open(rs, 120).unwrap().0));
+        assert!(Arc::ptr_eq(&d, &codes.open(carousel, 120).unwrap().0));
     }
 
     #[test]

@@ -112,7 +112,8 @@ impl FetchedStripe {
 
     /// Decodes the fetched units into the stripe's original data
     /// (padding included) — the deferred half of
-    /// [`PlanExecutor::read_stripe`].
+    /// [`PlanExecutor::read_stripe`]; the whole-stripe window of
+    /// [`FetchedStripe::decode_into`].
     ///
     /// # Errors
     ///
@@ -125,6 +126,30 @@ impl FetchedStripe {
             ..
         } = &self.0;
         plan.decode_units(&layout.slices(payloads))
+    }
+
+    /// Appends bytes `[within, within + take)` of the stripe's original
+    /// data to `out`, straight from the fetched payloads: a copy per
+    /// planned unit on the direct path, GF(2⁸) work only for the units a
+    /// degraded plan must combine ([`erasure::DecodePlan::decode_into`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates decode failures from the plan, and a window past the
+    /// stripe's end.
+    pub fn decode_into(
+        &self,
+        within: usize,
+        take: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        let Round {
+            plan,
+            payloads,
+            layout,
+            ..
+        } = &self.0;
+        plan.decode_into(&layout.slices(payloads), within, take, out)
     }
 }
 

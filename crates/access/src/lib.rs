@@ -21,7 +21,8 @@
 //!   set and replan, up to a bounded number of attempts;
 //! * [`PlanCache`] — memoizes the Gaussian eliminations behind decode and
 //!   repair plans, keyed by the availability pattern, with
-//!   `access.plan.cache.{hit,miss}` telemetry counters;
+//!   `access.plan.cache.{hit,miss}` telemetry counters; [`CodeCache`]
+//!   beside it keeps the built codes those plans run over;
 //! * [`ObjectStore`] / [`PutOptions`] — the mutable-object API
 //!   (put/get/get_range/write_range/append/delete) and its single
 //!   implementation: the naming, packing and extent policy is written
@@ -61,7 +62,7 @@ mod placement;
 mod source;
 mod spec;
 
-pub use cache::PlanCache;
+pub use cache::{CodeCache, PlanCache};
 pub use erasure::{DegradedPlan, ReadMode, ReadPlan, RepairPlan};
 pub use executor::{
     ExecError, FetchedStripe, PlanExecutor, RegionRead, RepairOutcome, StripeRead,

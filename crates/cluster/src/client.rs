@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 use access::parallel::{self, ParallelCtx};
 use access::Placement;
 use access::{
-    check_range, AnyCode, BatchRequest, BlockSource, CodeSpec, ExecError, Extent, Fetch,
+    check_range, AnyCode, BatchRequest, BlockSource, CodeCache, CodeSpec, ExecError, Extent, Fetch,
     FetchedStripe, ObjectBackend, ObjectError, PackCursor, PlanCache, PlanExecutor, PutOptions,
     ReadMode, Span, StripeGeometry,
 };
@@ -134,7 +134,7 @@ static DELETES: LazyLock<&'static telemetry::Counter> =
 pub type NodeStats = telemetry::Snapshot;
 
 /// Decode plans cached per client (more than enough for the handful of
-/// distinct failure patterns a session sees).
+/// distinct failure patterns a session sees), and built codes likewise.
 const PLAN_CACHE_CAPACITY: usize = 64;
 
 /// Stripes in flight between the two stages of the get/put pipelines:
@@ -182,8 +182,9 @@ impl AddAssign for Tally {
 }
 
 /// One cached datanode connection plus its frame-payload scratch buffer
-/// (reused by `read_response_into`, so steady-state reads allocate
-/// nothing for framing).
+/// (reused by `read_response_into` for everything but a `Data` reply's
+/// bytes, which land straight in the payload they become, so
+/// steady-state reads allocate nothing for framing).
 #[derive(Debug)]
 struct NodeConn {
     stream: TcpStream,
@@ -556,6 +557,9 @@ struct CachedManifest {
 pub struct ClusterClient {
     link: Link,
     plans: PlanCache,
+    /// Built codes by `(spec, block size)`, so an op does not rebuild its
+    /// file's code.
+    codes: CodeCache,
     /// Shared per-node fan-in cap applied to this client's helper repair
     /// reads; set by the repair scheduler on its worker clients.
     repair_gate: Option<Arc<FanInGate>>,
@@ -595,6 +599,7 @@ impl ClusterClient {
                 ctx: ParallelCtx::default(),
             },
             plans: PlanCache::new(PLAN_CACHE_CAPACITY),
+            codes: CodeCache::new(PLAN_CACHE_CAPACITY),
             repair_gate: None,
             manifests: HashMap::new(),
             manifest_hits: 0,
@@ -758,7 +763,7 @@ impl ClusterClient {
         if data.is_empty() {
             return Err(ObjectError::EmptyObject.into());
         }
-        let (code, geometry) = open(spec, block_bytes)?;
+        let (code, geometry) = self.codes.open(spec, block_bytes)?;
         let fp = self.link.meta.place_file(
             name,
             spec,
@@ -881,8 +886,9 @@ impl ClusterClient {
     /// *all* failed roles and replans, degrading from the direct parallel
     /// path to the degraded path without surfacing the failure
     /// to the caller. With more than one stripe touched, stripe `i`
-    /// decodes while stripe `i+1` is being fetched; each decoded stripe's
-    /// overlap with the range is copied straight into the output.
+    /// decodes while stripe `i+1` is being fetched; each stripe decodes
+    /// only its overlap with the range, straight onto the output — on the
+    /// direct path one copy per unit from the payload it arrived in.
     ///
     /// # Errors
     ///
@@ -901,7 +907,7 @@ impl ClusterClient {
         if len == 0 {
             return Ok((Vec::new(), false));
         }
-        let (code, geometry) = open_placed(fp)?;
+        let (code, geometry) = open_placed(&self.codes, fp)?;
         let spans: Vec<Span> = geometry.spans(offset, len).collect();
         let name = fp.name.as_str();
         let executor = PlanExecutor::new(&self.plans);
@@ -921,9 +927,10 @@ impl ClusterClient {
             (span, fetched)
         };
 
-        // Decode a fetched stripe and copy its overlap with the range
-        // straight into the output.
-        let mut out = vec![0u8; len as usize];
+        // Decode a fetched stripe's overlap with the range straight onto
+        // the end of the output: stripes arrive in order, so each one's
+        // window is the next `take` bytes.
+        let mut out = Vec::with_capacity(len as usize);
         let mut degraded = false;
         let decode = |(span, fetched): (Span, Result<FetchedStripe, ClusterError>)| {
             let fetched = fetched?;
@@ -932,9 +939,11 @@ impl ClusterClient {
             }
             let _span = op_ctx.child("cluster.decode.stripe_us");
             let decoded_at = Instant::now();
-            let data = fetched.decode().map_err(|_| unreadable(name, span.index))?;
+            debug_assert_eq!(out.len(), span.range().start, "stripes arrive in order");
+            fetched
+                .decode_into(span.within, span.take, &mut out)
+                .map_err(|_| unreadable(name, span.index))?;
             PHASE_DECODE.record(decoded_at.elapsed().as_micros() as u64);
-            out[span.range()].copy_from_slice(&data[span.within..span.within + span.take]);
             Ok(())
         };
 
@@ -1007,7 +1016,7 @@ impl ClusterClient {
                 reason: format!("file {name:?} has {} stripes, no stripe {s}", fp.stripes),
             });
         };
-        let (code, geometry) = open_placed(&fp)?;
+        let (code, geometry) = open_placed(&self.codes, &fp)?;
         let d = code.d();
         let executor = PlanExecutor::new(&self.plans);
         let mut report = RepairReport::default();
@@ -1140,7 +1149,7 @@ impl ClusterClient {
         if new.is_empty() {
             return Ok(());
         }
-        let (code, geometry) = open_placed(fp)?;
+        let (code, geometry) = open_placed(&self.codes, fp)?;
         let updater = ColumnUpdater::new(code.linear());
         let w = geometry.unit_bytes();
         let mut tally = Tally::default();
@@ -1227,7 +1236,7 @@ impl ClusterClient {
         if tail.is_empty() {
             return Ok(fp.file_len);
         }
-        let (code, geometry) = open_placed(&fp)?;
+        let (code, geometry) = open_placed(&self.codes, &fp)?;
         let old_len = fp.file_len;
         let fill = (geometry.padding(old_len) as usize).min(tail.len());
         let overflow = &tail[fill..];
@@ -1382,21 +1391,18 @@ fn staged<I: Send, T: Send>(
     taken
 }
 
-/// The one place the client turns a recorded `(code, block size)` into a
-/// code it can plan with and the geometry it walks files by.
-fn open(spec: CodeSpec, block_bytes: usize) -> Result<(AnyCode, StripeGeometry), CodeError> {
-    let code = spec.build()?;
-    let geometry = StripeGeometry::new(&code, block_bytes)?;
-    Ok((code, geometry))
-}
-
-/// [`open`] for a placed file. A placement reaches the client from a log
-/// record or a manifest payload — outside input — so one that does not fit
-/// its own code is refused here, naming the field, before anything divides
-/// by, indexes with or allocates from it.
-fn open_placed(fp: &FilePlacement) -> Result<(AnyCode, StripeGeometry), ClusterError> {
+/// [`CodeCache::open`] for a placed file: the code it was written with
+/// and the geometry it walks files by. A placement reaches the client
+/// from a log record or a manifest payload — outside input — so one that
+/// does not fit its own code is refused here, naming the field, before
+/// anything divides by, indexes with or allocates from it; a cached code
+/// skips only the build, never these checks.
+fn open_placed(
+    codes: &CodeCache,
+    fp: &FilePlacement,
+) -> Result<(AnyCode, StripeGeometry), ClusterError> {
     let fit = || {
-        let (code, geometry) = open(fp.spec, fp.block_bytes)?;
+        let (code, geometry) = codes.open(fp.spec, fp.block_bytes)?;
         geometry.check_file(fp.file_len, fp.stripes)?;
         let rows = fp.nodes.len();
         if rows != fp.stripes {
@@ -1483,7 +1489,7 @@ mod tests {
             d: 3,
             p: 6,
         };
-        let (code, geometry) = open(spec, 120).unwrap();
+        let (code, geometry) = client.codes.open(spec, 120).unwrap();
         let data: Vec<u8> = (0..geometry.stripe_data_bytes())
             .map(|i| (i * 13 + 5) as u8)
             .collect();
@@ -1550,19 +1556,27 @@ mod tests {
         DoneAndHangUp,
         /// A `Done` frame whose CRC does not match.
         Corrupt,
+        /// `Data(DATA)`.
+        Data,
+        /// `Data(DATA)` with one byte of the data part flipped.
+        CorruptData,
         /// Nothing, until the client gives up on the connection.
         Silence,
     }
+
+    /// What the scripted node's `Data` replies carry.
+    const DATA: &[u8] = b"the bytes a GetUnits asked for";
 
     /// Runs `client` against a fake datanode (node 0 of a one-node
     /// cluster) that executes nothing: it answers its `i`-th request frame
     /// as `script[i]` says (`Done` past the script's end) and sends a
     /// notice down the pipe each time *it* closes a connection. Returns
-    /// what `client` returned and how many frames the node saw.
+    /// what `client` returned, how many frames the node saw and on how
+    /// many connections.
     fn against_scripted_node<R>(
         script: &[Reply],
         client: impl FnOnce(&Link, &Receiver<()>) -> R,
-    ) -> (R, usize) {
+    ) -> (R, usize, usize) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let coord = Arc::new(Coordinator::new());
@@ -1574,6 +1588,7 @@ mod tests {
             ctx: ParallelCtx::sequential(),
         };
         let frames = AtomicUsize::new(0);
+        let conns = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let serve = |hung_up: std::sync::mpsc::SyncSender<()>| {
             let mut script = script.iter();
@@ -1582,6 +1597,7 @@ mod tests {
                     break;
                 }
                 let mut stream = stream.unwrap();
+                conns.fetch_add(1, Ordering::SeqCst);
                 while let Ok(Some(_)) = protocol::read_request(&mut stream) {
                     frames.fetch_add(1, Ordering::SeqCst);
                     let mut done = Response::Done.encode();
@@ -1597,6 +1613,16 @@ mod tests {
                             *done.last_mut().unwrap() ^= 0xFF;
                             stream.write_all(&done).unwrap();
                         }
+                        Reply::Data => {
+                            protocol::write_response(&mut stream, &Response::Data(DATA.into()))
+                                .unwrap();
+                        }
+                        Reply::CorruptData => {
+                            let mut frame = Response::Data(DATA.into()).encode();
+                            let at = frame.len() - 4 - DATA.len() / 2;
+                            frame[at] ^= 0x10;
+                            stream.write_all(&frame).unwrap();
+                        }
                         Reply::Silence => {}
                     }
                 }
@@ -1610,7 +1636,40 @@ mod tests {
             let _ = TcpStream::connect(addr);
             out
         });
-        (out, frames.load(Ordering::SeqCst))
+        (
+            out,
+            frames.load(Ordering::SeqCst),
+            conns.load(Ordering::SeqCst),
+        )
+    }
+
+    /// A `Data` frame damaged in its data part fails the CRC the reader
+    /// continues over the data: the client drops that connection, asks
+    /// again on a fresh one and returns the bytes the node meant to send.
+    #[test]
+    fn a_corrupt_data_frame_is_retried_on_a_fresh_connection() {
+        let trace = telemetry::trace::TraceCtx::root();
+        let units = Request::GetUnits {
+            id: block_id("f", 0, 0),
+            sub: 1,
+            units: vec![0],
+        };
+        let script = [Reply::CorruptData, Reply::Data];
+        let (reply, frames, conns) =
+            against_scripted_node(&script, |link, _| link.call(0, &units, trace));
+        assert!(matches!(reply, Ok((Response::Data(ref bytes), _)) if bytes == DATA));
+        assert_eq!((frames, conns), (2, 2), "one retry, on a fresh connection");
+
+        // Twice in a row is the connection's last chance: a protocol error,
+        // and the node is not reported dead for it.
+        let script = [Reply::CorruptData, Reply::CorruptData];
+        let (reply, frames, _) = against_scripted_node(&script, |link, _| {
+            let reply = link.call(0, &units, trace);
+            assert!(link.meta.is_alive(0), "a corrupt frame is not a dead node");
+            reply
+        });
+        assert!(matches!(reply, Err(ClusterError::Protocol { .. })));
+        assert_eq!(frames, 2);
     }
 
     /// `Link::call` re-sends after a corrupt response and after a cached
@@ -1640,24 +1699,24 @@ mod tests {
         };
 
         // A corrupt response, on a fresh connection.
-        let (reply, frames) =
+        let (reply, frames, _) =
             against_scripted_node(&[Reply::Corrupt], |link, _| link.call(0, &delta, trace));
         assert!(matches!(reply, Err(ClusterError::Protocol { .. })));
         assert_eq!(frames, 1, "the delta was re-sent after a corrupt reply");
-        let (reply, frames) =
+        let (reply, frames, _) =
             against_scripted_node(&[Reply::Corrupt], |link, _| link.call(0, &units, trace));
         assert!(done(reply));
         assert_eq!(frames, 2, "an idempotent read is retried");
 
         // Silence past the timeout, on a cached connection.
         let script = [Reply::Done, Reply::Silence];
-        let (reply, frames) = against_scripted_node(&script, |link, _| {
+        let (reply, frames, _) = against_scripted_node(&script, |link, _| {
             assert!(done(link.call(0, &delta, trace)));
             link.call(0, &delta, trace)
         });
         assert!(matches!(reply, Err(ClusterError::NodeDown { node: 0 })));
         assert_eq!(frames, 2, "the delta was re-sent after a timeout");
-        let (reply, frames) = against_scripted_node(&script, |link, _| {
+        let (reply, frames, _) = against_scripted_node(&script, |link, _| {
             assert!(done(link.call(0, &units, trace)));
             link.call(0, &units, trace)
         });
@@ -1665,7 +1724,7 @@ mod tests {
         assert_eq!(frames, 3, "an idempotent read is retried");
 
         // A cached connection the node closed while the client idled.
-        let (reply, frames) = against_scripted_node(&[Reply::DoneAndHangUp], |link, hung_up| {
+        let (reply, frames, _) = against_scripted_node(&[Reply::DoneAndHangUp], |link, hung_up| {
             assert!(done(link.call(0, &delta, trace)));
             hung_up.recv().unwrap();
             link.call(0, &delta, trace)

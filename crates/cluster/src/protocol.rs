@@ -42,10 +42,10 @@
 //! byte slice in the tests, which then assert the slice is exhausted. A
 //! frame header is therefore parsed in exactly one place.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::time::Instant;
 
-use gf256::crc32;
+use gf256::{crc32, crc32_continue};
 
 use crate::error::ClusterError;
 
@@ -433,16 +433,7 @@ fn frame(trace: Option<WireTrace>, bulk: usize, encode: impl FnOnce(&mut Vec<u8>
     let mut out = Vec::with_capacity(
         FRAME_OVERHEAD + SMALL_FIELDS + bulk + trace.map_or(0, |_| 1 + TRACE_EXT_BYTES),
     );
-    out.extend_from_slice(&MAGIC);
-    match trace {
-        None => out.push(VERSION),
-        Some(t) => {
-            out.push(TRACED_VERSION);
-            out.push(FLAG_TRACE);
-            out.extend_from_slice(&t.to_bytes());
-        }
-    }
-    put_u32(&mut out, 0); // the length, known once the payload is
+    put_header(&mut out, trace, 0); // the length, known once the payload is
     let start = out.len();
     encode(&mut out);
     let len = out.len() - start;
@@ -452,6 +443,27 @@ fn frame(trace: Option<WireTrace>, bulk: usize, encode: impl FnOnce(&mut Vec<u8>
     put_u32(&mut out, crc);
     out
 }
+
+/// Appends a frame header: the magic, then the v1 version byte when no
+/// trace context rides along, or the v2 version, flags and extension when
+/// one does, then the payload length. The one place the header layout is
+/// written.
+fn put_header(out: &mut Vec<u8>, trace: Option<WireTrace>, payload_len: usize) {
+    out.extend_from_slice(&MAGIC);
+    match trace {
+        None => out.push(VERSION),
+        Some(t) => {
+            out.push(TRACED_VERSION);
+            out.push(FLAG_TRACE);
+            out.extend_from_slice(&t.to_bytes());
+        }
+    }
+    put_u32(out, payload_len as u32);
+}
+
+/// Bytes a `Data` payload spends before its data: the tag and the `u32`
+/// data length.
+const DATA_PREFIX: usize = 1 + 4;
 
 /// Per-frame receive timings, split at the first byte: how long the
 /// reader *waited* for the peer to start answering vs how long the body
@@ -464,26 +476,39 @@ pub struct RecvTiming {
     pub recv_ns: u64,
 }
 
-/// Everything `read_frame_into` learns about one frame besides the
-/// payload, which it leaves as the whole of the scratch buffer.
-struct FrameMeta {
-    /// Total wire bytes consumed (header + extension + payload + CRC).
+/// A frame header as read off a stream: everything before the payload.
+struct Header {
+    /// Payload length, already bounded to `1 ..= MAX_PAYLOAD`.
+    len: usize,
+    /// Wire bytes of the header (magic through length).
     wire: usize,
     /// Trace extension, if the frame carried one.
     trace: Option<WireTrace>,
-    /// Wait/receive split of the read.
-    timing: RecvTiming,
+    /// When the read was entered, and when its first byte arrived.
+    entered: Instant,
+    first_byte_at: Instant,
 }
 
-/// Reads one frame into `scratch` (resized to fit, capacity reused across
-/// calls). `Ok(None)` on a clean EOF at a frame boundary (the peer closed
-/// the connection). The only code that knows the header layout, behind
-/// both stream readers: a long-lived connection reads each frame into one
-/// buffer instead of allocating a fresh `Vec` per message.
-fn read_frame_into(
-    r: &mut impl Read,
-    scratch: &mut Vec<u8>,
-) -> Result<Option<FrameMeta>, ClusterError> {
+impl Header {
+    /// Wait/receive split of a frame whose last byte was just read.
+    fn timing(&self) -> RecvTiming {
+        let nanos = |d: std::time::Duration| d.as_nanos().min(u64::MAX as u128) as u64;
+        RecvTiming {
+            wait_ns: nanos(self.first_byte_at.duration_since(self.entered)),
+            recv_ns: nanos(self.first_byte_at.elapsed()),
+        }
+    }
+
+    /// Total wire bytes of the frame: header, payload and CRC.
+    fn frame_bytes(&self) -> usize {
+        self.wire + self.len + 4
+    }
+}
+
+/// Reads one frame header. `Ok(None)` on a clean EOF at a frame boundary
+/// (the peer closed the connection). The only code that knows the header
+/// layout on the read side, behind both stream readers.
+fn read_header(r: &mut impl Read) -> Result<Option<Header>, ClusterError> {
     let entered = Instant::now();
     // Read the first byte separately to distinguish clean EOF from a
     // truncated frame.
@@ -541,29 +566,26 @@ fn read_frame_into(
             reason: format!("bad payload length {len}"),
         });
     }
-    scratch.resize(len, 0);
-    let payload = &mut scratch[..len];
-    r.read_exact(payload)?;
-    let mut crc = [0u8; 4];
-    r.read_exact(&mut crc)?;
-    wire += len + 4;
-    if crc32(payload) != u32::from_le_bytes(crc) {
+    Ok(Some(Header {
+        len,
+        wire,
+        trace,
+        entered,
+        first_byte_at,
+    }))
+}
+
+/// Reads the frame's trailing CRC and holds it to `crc`, the checksum of
+/// the payload as received.
+fn check_crc(r: &mut impl Read, crc: u32) -> Result<(), ClusterError> {
+    let mut sent = [0u8; 4];
+    r.read_exact(&mut sent)?;
+    if crc != u32::from_le_bytes(sent) {
         return Err(ClusterError::Protocol {
             reason: "payload CRC mismatch".into(),
         });
     }
-    let timing = RecvTiming {
-        wait_ns: first_byte_at
-            .duration_since(entered)
-            .as_nanos()
-            .min(u64::MAX as u128) as u64,
-        recv_ns: first_byte_at.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-    };
-    Ok(Some(FrameMeta {
-        wire,
-        trace,
-        timing,
-    }))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -784,15 +806,14 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> Result<usize, Cluster
 pub fn read_request(
     r: &mut impl Read,
 ) -> Result<Option<(Request, usize, Option<WireTrace>)>, ClusterError> {
-    let mut payload = Vec::new();
-    match read_frame_into(r, &mut payload)? {
-        None => Ok(None),
-        Some(meta) => Ok(Some((
-            Request::from_payload(&payload)?,
-            meta.wire,
-            meta.trace,
-        ))),
-    }
+    let Some(head) = read_header(r)? else {
+        return Ok(None);
+    };
+    let mut payload = vec![0u8; head.len];
+    r.read_exact(&mut payload)?;
+    check_crc(r, crc32(&payload))?;
+    let request = Request::from_payload(&payload)?;
+    Ok(Some((request, head.frame_bytes(), head.trace)))
 }
 
 // ---------------------------------------------------------------------
@@ -841,23 +862,59 @@ impl Response {
     }
 }
 
-/// Writes one response to a stream, returning the wire bytes.
+/// Writes one response to a stream, returning the wire bytes — exactly
+/// the bytes of [`Response::encode`]. A [`Response::Data`] is not framed
+/// into a buffer first: its header and payload prefix, its data (borrowed
+/// from the response) and its CRC, computed over the prefix and then
+/// continued over the data, go out as one vectored write.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<usize, ClusterError> {
-    let bytes = resp.encode();
-    w.write_all(&bytes)?;
+    let Response::Data(data) = resp else {
+        let bytes = resp.encode();
+        w.write_all(&bytes)?;
+        w.flush()?;
+        return Ok(bytes.len());
+    };
+    let payload_len = DATA_PREFIX + data.len();
+    debug_assert!(payload_len <= MAX_PAYLOAD);
+    let mut head = Vec::with_capacity(FRAME_OVERHEAD + DATA_PREFIX);
+    put_header(&mut head, None, payload_len);
+    let prefix_at = head.len();
+    head.push(TAG_DATA);
+    put_u32(&mut head, data.len() as u32);
+    let crc = crc32_continue(crc32(&head[prefix_at..]), data).to_le_bytes();
+    let mut parts = [IoSlice::new(&head), IoSlice::new(data), IoSlice::new(&crc)];
+    write_all_vectored(w, &mut parts)?;
     w.flush()?;
-    Ok(bytes.len())
+    Ok(head.len() + data.len() + crc.len())
 }
 
-/// Reads one response from a stream into a caller-owned scratch buffer
+/// `write_all` over several buffers: `write_vectored` until every byte of
+/// `parts` is written, resuming mid-buffer after a short write.
+fn write_all_vectored(w: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Reads one response from a stream, using a caller-owned scratch buffer
 /// for the frame payload, so a long-lived connection (the client's
-/// per-node `Link` entries) reads every response without a fresh
+/// per-node `Link` entries) reads small responses without a fresh
 /// per-frame allocation; the scratch is an opaque workspace, only its
-/// capacity carries over. `Ok(None)` means the peer closed the connection
+/// capacity carries over. A `Data` payload's bytes bypass it: they are
+/// read once, into the `Vec` the response returns, and the frame CRC is
+/// continued over them from the payload prefix that went through the
+/// scratch. `Ok(None)` means the peer closed the connection
 /// cleanly. On success also returns the wire bytes consumed and the
 /// wait/receive split of the read ([`RecvTiming`]) — the raw material for
 /// the client's per-phase latency histograms.
@@ -870,14 +927,37 @@ pub fn read_response_into(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
 ) -> Result<Option<(Response, usize, RecvTiming)>, ClusterError> {
-    match read_frame_into(r, scratch)? {
-        None => Ok(None),
-        Some(meta) => Ok(Some((
-            Response::from_payload(scratch)?,
-            meta.wire,
-            meta.timing,
-        ))),
-    }
+    let Some(head) = read_header(r)? else {
+        return Ok(None);
+    };
+    // The payload's first bytes say whether it is a well-formed `Data`
+    // (`tag ‖ u32 data length`, the length filling the payload): then
+    // the data lands once, in the exactly-sized `Vec` it is returned in,
+    // and the CRC is continued over it. Anything else — a small reply, or
+    // a malformed `Data` the parser must reject as before — is read whole
+    // into the scratch.
+    let prefix = DATA_PREFIX.min(head.len);
+    scratch.resize(prefix, 0);
+    r.read_exact(scratch)?;
+    let data_len = head.len - prefix;
+    let response = if scratch[0] == TAG_DATA
+        && prefix == DATA_PREFIX
+        && scratch[1..] == (data_len as u32).to_le_bytes()
+    {
+        let mut data = Vec::with_capacity(data_len);
+        r.take(data_len as u64).read_to_end(&mut data)?;
+        if data.len() != data_len {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+        }
+        check_crc(r, crc32_continue(crc32(scratch), &data))?;
+        Response::Data(data)
+    } else {
+        scratch.resize(head.len, 0);
+        r.read_exact(&mut scratch[prefix..])?;
+        check_crc(r, crc32(scratch))?;
+        Response::from_payload(scratch)?
+    };
+    Ok(Some((response, head.frame_bytes(), head.timing())))
 }
 
 // ---------------------------------------------------------------------
@@ -1300,8 +1380,125 @@ mod tests {
         assert!(decode_request(&bad.encode(None)).is_err());
     }
 
+    /// A writer that takes at most three bytes per call, so every
+    /// vectored write comes back short and must be resumed mid-buffer.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `write_response`'s bytes, through a plain buffer and through a
+    /// short-writing one, both held to `Response::encode`.
+    fn assert_written_as_encoded(resp: &Response) {
+        let want = resp.encode();
+        let mut whole = Vec::new();
+        assert_eq!(write_response(&mut whole, resp).unwrap(), want.len());
+        assert_eq!(whole, want, "{resp:?}");
+        let mut trickle = Trickle(Vec::new());
+        assert_eq!(write_response(&mut trickle, resp).unwrap(), want.len());
+        assert_eq!(trickle.0, want, "{resp:?} in short writes");
+    }
+
+    #[test]
+    fn vectored_data_writer_matches_encode() {
+        for len in [0, 1, 4, 5, 6, 4096] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            assert_written_as_encoded(&Response::Data(data));
+        }
+        for resp in [
+            Response::Pong,
+            Response::Done,
+            Response::Error("no such block".into()),
+        ] {
+            assert_written_as_encoded(&resp);
+        }
+    }
+
+    /// A `Data` payload whose inner length field says `inner`, framed with
+    /// a valid CRC.
+    fn data_frame_claiming(inner: u32, data: &[u8]) -> Vec<u8> {
+        frame(None, data.len(), |p| {
+            p.push(TAG_DATA);
+            put_u32(p, inner);
+            p.extend_from_slice(data);
+        })
+    }
+
+    #[test]
+    fn data_inner_length_must_fill_the_payload() {
+        let data = [9u8; 40];
+        assert_eq!(
+            decode_response(&data_frame_claiming(40, &data)).unwrap(),
+            Response::Data(data.to_vec())
+        );
+        for inner in [0, 1, 39, 41, 45, u32::MAX] {
+            let frame = data_frame_claiming(inner, &data);
+            assert!(
+                matches!(decode_response(&frame), Err(ClusterError::Protocol { .. })),
+                "inner length {inner} of a 40-byte data part accepted"
+            );
+        }
+        // A payload too short to hold the length field at all.
+        let stub = frame(None, 0, |p| p.extend_from_slice(&[TAG_DATA, 0, 0]));
+        assert!(matches!(
+            decode_response(&stub),
+            Err(ClusterError::Protocol { .. })
+        ));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_vectored_data_writer_matches_encode(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3000),
+        ) {
+            assert_written_as_encoded(&Response::Data(data));
+        }
+
+        #[test]
+        fn prop_data_part_crc_flip_rejected(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..2048),
+            pos_frac in 0.0f64..1.0,
+            flip in 1u8..=255,
+        ) {
+            let mut bytes = Response::Data(data.clone()).encode();
+            // Past the 9-byte header and the 5-byte payload prefix, up to
+            // and including the trailing CRC.
+            let data_at = FRAME_OVERHEAD - 4 + DATA_PREFIX;
+            let pos = data_at + ((bytes.len() - 1 - data_at) as f64 * pos_frac) as usize;
+            bytes[pos] ^= flip;
+            let rejected = matches!(
+                decode_response(&bytes),
+                Err(ClusterError::Protocol { reason }) if reason.contains("CRC")
+            );
+            prop_assert!(rejected, "flip at {} of {} accepted", pos, bytes.len());
+        }
+
+        #[test]
+        fn prop_data_truncated_mid_data_is_an_io_error(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..2048),
+            cut_frac in 0.0f64..1.0,
+        ) {
+            let bytes = Response::Data(data).encode();
+            let data_at = FRAME_OVERHEAD - 4 + DATA_PREFIX;
+            let cut = data_at + ((bytes.len() - data_at) as f64 * cut_frac) as usize;
+            let mut stream = &bytes[..cut.min(bytes.len() - 1)];
+            let truncated = matches!(
+                read_response_into(&mut stream, &mut Vec::new()),
+                Err(ClusterError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+            );
+            prop_assert!(truncated, "a frame cut at {} of {} bytes", cut, bytes.len());
+        }
 
         #[test]
         fn prop_put_block_roundtrips(

@@ -4,10 +4,19 @@
 //! the available units, invert, and multiply. A [`DecodePlan`] caches the
 //! inverse so that decoding many stripes (or many byte columns) pays the
 //! Gauss-Jordan cost once.
+//!
+//! It also decides, once, which rows of the inverse are plain copies: a
+//! unit vector with coefficient 1 means the message unit *is* one of the
+//! fetched units. A systematic read (the paper's "without decoding", and
+//! every row of a healthy Carousel read after §V's remapping) is all such
+//! rows, so [`DecodePlan::decode_into`] moves each of its bytes with one
+//! `copy_from_slice` and runs GF(2⁸) arithmetic only for the rows that
+//! need it — a degraded plan copies its surviving data units and combines
+//! only its lost ones.
 
 use std::sync::LazyLock;
 
-use gf256::Matrix;
+use gf256::{Gf256, Matrix};
 
 use crate::error::CodeError;
 use crate::linear::LinearCode;
@@ -32,6 +41,9 @@ pub struct DecodePlan {
     nodes: Vec<usize>,
     /// `b × b` matrix mapping selected units to message units.
     inverse: Matrix,
+    /// Per message unit, the source it is a plain copy of: `Some(i)` when
+    /// row `r` of `inverse` is the unit vector `e_i` (coefficient 1).
+    copies: Vec<Option<usize>>,
     sub: usize,
     message_units: usize,
 }
@@ -77,6 +89,7 @@ impl DecodePlan {
         Ok(DecodePlan {
             sources,
             nodes: nodes.to_vec(),
+            copies: copy_sources(&inverse),
             inverse,
             sub,
             message_units: b,
@@ -115,6 +128,7 @@ impl DecodePlan {
         Ok(DecodePlan {
             sources: units.to_vec(),
             nodes: Vec::new(),
+            copies: copy_sources(&inverse),
             inverse,
             sub: code.sub(),
             message_units: b,
@@ -129,6 +143,15 @@ impl DecodePlan {
     /// Units per block of the code this plan was built for.
     pub fn sub(&self) -> usize {
         self.sub
+    }
+
+    /// Per message unit, the index into [`DecodePlan::sources`] it is a
+    /// plain copy of (its inverse row is a unit vector with coefficient
+    /// 1), or `None` when it is a combination. A healthy systematic read
+    /// is `Some` throughout; a plan that sources a parity unit has at
+    /// least one `None`.
+    pub fn copy_sources(&self) -> &[Option<usize>] {
+        &self.copies
     }
 
     /// The coefficients over [`DecodePlan::sources`] that produce message
@@ -159,46 +182,146 @@ impl DecodePlan {
     }
 
     /// Decodes from individual unit slices, one per planned source, each of
-    /// the same width.
+    /// the same width: the whole stripe, through
+    /// [`DecodePlan::decode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`CodeError::InsufficientData`] on a count mismatch and
     /// [`CodeError::BlockSizeMismatch`] on ragged widths.
     pub fn decode_units(&self, units: &[&[u8]]) -> Result<Vec<u8>, CodeError> {
+        let stripe = self.message_units * self.unit_width(units)?;
+        let mut out = Vec::with_capacity(stripe);
+        self.decode_into(units, 0, stripe, &mut out)?;
+        Ok(out)
+    }
+
+    /// Appends bytes `[within, within + take)` of the decoded stripe to
+    /// `out` — the one decode routine. `units[i]` is
+    /// [`sources`](DecodePlan::sources)`()[i]`, all of one width `w`, and
+    /// message unit `r` is stripe bytes `[r·w, (r+1)·w)`.
+    ///
+    /// A copy row ([`DecodePlan::copy_sources`]) is one `extend_from_slice`
+    /// of its overlap with the window. Any other row is combined with
+    /// `mul_acc_rows` into a zeroed stretch of `out`, over the sources'
+    /// sub-slices at the same offsets — GF(2⁸) arithmetic is bytewise, so
+    /// a window of the combination is the combination of the windows.
+    ///
+    /// # Errors
+    ///
+    /// [`CodeError::InsufficientData`] on a count mismatch,
+    /// [`CodeError::BlockSizeMismatch`] on ragged widths, and
+    /// [`CodeError::InvalidParameters`] for a window past the stripe's end.
+    pub fn decode_into(
+        &self,
+        units: &[&[u8]],
+        within: usize,
+        take: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        let w = self.unit_width(units)?;
+        let end = within
+            .checked_add(take)
+            .filter(|&end| end <= self.message_units * w)
+            .ok_or_else(|| CodeError::InvalidParameters {
+                reason: format!(
+                    "window {within}+{take} past a {}-byte stripe",
+                    self.message_units * w
+                ),
+            })?;
+        DECODE_OPS.inc();
+        DECODE_BYTES.add(take as u64);
+        if take == 0 {
+            return Ok(());
+        }
+        let _timer = telemetry::span("erasure.decode.ns");
+        let kernel = gf256::kernel();
+        out.reserve(take);
+        let mut terms = Vec::new();
+        for r in within / w..end.div_ceil(w) {
+            let unit = r * w;
+            let (a, b) = (within.max(unit) - unit, end.min(unit + w) - unit);
+            match self.copies[r] {
+                Some(i) => out.extend_from_slice(&units[i][a..b]),
+                None => {
+                    let at = out.len();
+                    out.resize(at + (b - a), 0);
+                    terms.clear();
+                    terms.extend(
+                        self.inverse
+                            .row(r)
+                            .iter()
+                            .zip(units)
+                            .map(|(&c, src)| (c, &src[a..b])),
+                    );
+                    kernel.mul_acc_rows(&terms, &mut out[at..]);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The zero-then-combine decode [`DecodePlan::decode_into`] replaced: a
+    /// zeroed stripe, then one `mul_acc_rows` per message unit over every
+    /// source, copy rows included. Kept only as the oracle the decode
+    /// tests hold `decode_into` to; nothing on a read path calls it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`DecodePlan::decode_units`].
+    #[doc(hidden)]
+    pub fn combine_oracle(&self, units: &[&[u8]]) -> Result<Vec<u8>, CodeError> {
+        let w = self.unit_width(units)?;
+        let kernel = gf256::kernel();
+        let mut out = vec![0u8; self.message_units * w];
+        for (r, chunk) in out.chunks_exact_mut(w.max(1)).enumerate() {
+            let terms: Vec<(Gf256, &[u8])> = self
+                .inverse
+                .row(r)
+                .iter()
+                .zip(units)
+                .map(|(&c, &src)| (c, src))
+                .collect();
+            kernel.mul_acc_rows(&terms, chunk);
+        }
+        Ok(out)
+    }
+
+    /// The common width of `units`, one per planned source.
+    fn unit_width(&self, units: &[&[u8]]) -> Result<usize, CodeError> {
         if units.len() != self.sources.len() {
             return Err(CodeError::InsufficientData {
                 needed: self.sources.len(),
                 got: units.len(),
             });
         }
-        let w = units[0].len();
-        for u in units {
-            if u.len() != w {
-                return Err(CodeError::BlockSizeMismatch {
-                    expected: w,
-                    actual: u.len(),
-                });
-            }
+        let w = units.first().map_or(0, |u| u.len());
+        match units.iter().find(|u| u.len() != w) {
+            Some(bad) => Err(CodeError::BlockSizeMismatch {
+                expected: w,
+                actual: bad.len(),
+            }),
+            None => Ok(w),
         }
-        Ok(self.combine(units, w))
     }
+}
 
-    fn combine(&self, unit_slices: &[&[u8]], w: usize) -> Vec<u8> {
-        DECODE_OPS.inc();
-        DECODE_BYTES.add((self.message_units * w) as u64);
-        let _timer = telemetry::span("erasure.decode.ns");
-        let kernel = gf256::kernel();
-        let mut out = vec![0u8; self.message_units * w];
-        let mut terms = Vec::with_capacity(unit_slices.len());
-        for (r, chunk) in out.chunks_exact_mut(w).enumerate() {
-            let row = self.inverse.row(r);
-            terms.clear();
-            terms.extend(row.iter().zip(unit_slices).map(|(&c, &src)| (c, src)));
-            kernel.mul_acc_rows(&terms, chunk);
-        }
-        out
-    }
+/// Which rows of `inverse` are unit vectors with coefficient 1, and the
+/// column each one copies.
+fn copy_sources(inverse: &Matrix) -> Vec<Option<usize>> {
+    (0..inverse.rows())
+        .map(|r| {
+            let mut nonzero = inverse
+                .row(r)
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !c.is_zero());
+            match (nonzero.next(), nonzero.next()) {
+                (Some((i, &c)), None) if c == Gf256::ONE => Some(i),
+                _ => None,
+            }
+        })
+        .collect()
 }
 
 /// Slices the planned `(node, unit)` sources out of whole per-node blocks
@@ -293,6 +416,25 @@ mod tests {
             .collect();
         let out = plan.decode_units(&slices).unwrap();
         assert_eq!(&out[..data.len()], &data[..]);
+    }
+
+    #[test]
+    fn only_coefficient_one_unit_rows_are_copies() {
+        // Node 2 stores 2·m0: a single-term row that is not a copy.
+        let g = Matrix::from_fn(3, 2, |r, c| match (r, c) {
+            (0, 0) | (1, 1) => Gf256::ONE,
+            (2, 0) => Gf256::new(2),
+            _ => Gf256::ZERO,
+        });
+        let code = LinearCode::new(3, 2, 1, g).unwrap();
+        let data: Vec<u8> = (0..10).map(|i| (i * 29 + 3) as u8).collect();
+        let stripe = code.encode(&data).unwrap();
+        let plan = DecodePlan::for_units(&code, &[(2, 0), (1, 0)]).unwrap();
+        assert_eq!(plan.copy_sources(), &[None, Some(1)]);
+        let units = [&stripe.blocks[2][..], &stripe.blocks[1][..]];
+        assert_eq!(plan.decode_units(&units).unwrap(), data);
+        let healthy = DecodePlan::for_units(&code, &[(1, 0), (0, 0)]).unwrap();
+        assert_eq!(healthy.copy_sources(), &[Some(1), Some(0)]);
     }
 
     #[test]

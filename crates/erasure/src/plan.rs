@@ -22,7 +22,7 @@ use crate::{check_indices, ErasureCode};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadMode {
     /// Every data-bearing block is available: the plan reads original data
-    /// only, with no GF arithmetic beyond copying.
+    /// only, and every row of its decode is a copy.
     Direct,
     /// A data-bearing block is lost: other blocks' units stand in for it
     /// and decoding is needed.
@@ -87,6 +87,11 @@ impl ReadPlan {
         self.traffic_units() as f64 / self.decode.sub() as f64
     }
 
+    /// The decode this plan runs: its sources, inverse and copy rows.
+    pub fn decode_plan(&self) -> &DecodePlan {
+        &self.decode
+    }
+
     /// Combines fetched unit payloads (`units[i]` is `sources()[i]`, all of
     /// equal width) into the stripe's original data, padding included.
     ///
@@ -95,6 +100,23 @@ impl ReadPlan {
     /// Count and width mismatches surface as [`CodeError`]s.
     pub fn decode_units(&self, units: &[&[u8]]) -> Result<Vec<u8>, CodeError> {
         self.decode.decode_units(units)
+    }
+
+    /// Appends bytes `[within, within + take)` of the stripe's original data
+    /// to `out`: [`DecodePlan::decode_into`], which copies a
+    /// [`ReadMode::Direct`] plan's units and combines nothing.
+    ///
+    /// # Errors
+    ///
+    /// Count, width and window errors surface as [`CodeError`]s.
+    pub fn decode_into(
+        &self,
+        units: &[&[u8]],
+        within: usize,
+        take: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        self.decode.decode_into(units, within, take, out)
     }
 
     /// Executes the plan against per-node blocks (`None` = unavailable),

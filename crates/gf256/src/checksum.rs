@@ -27,6 +27,11 @@
 //!
 //! Both produce the same value; the tests hold each path this host can
 //! run to the bytewise table loop they replaced.
+//!
+//! [`crc32_continue`] resumes a finished CRC over further bytes, so a
+//! checksum over `a ‖ b` needs no buffer holding both: the wire codec
+//! checks a `Data` frame over its 5-byte payload prefix and its bulk
+//! bytes that way, on both the sending and the receiving side.
 
 use std::sync::LazyLock;
 
@@ -103,7 +108,16 @@ static ACTIVE: LazyLock<(&'static str, Update)> = LazyLock::new(|| {
 
 /// Computes the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    !(ACTIVE.1)(!0, data)
+    crc32_continue(0, data)
+}
+
+/// Extends a finished CRC-32 over more bytes: when `prev = crc32(a)`,
+/// `crc32_continue(prev, b) == crc32(a ‖ b)`, and `crc32_continue(0, b)`
+/// is `crc32(b)`. One checksum can so cover bytes that sit in separate
+/// buffers — a wire frame's small payload prefix and its bulk data —
+/// without copying them together. Runs the same path as [`crc32`].
+pub fn crc32_continue(prev: u32, data: &[u8]) -> u32 {
+    !(ACTIVE.1)(!prev, data)
 }
 
 /// Which implementation [`crc32`] runs on this host: `"pclmulqdq"` or
@@ -231,6 +245,59 @@ mod tests {
             let want = bytewise(data);
             for (name, update) in paths() {
                 prop_assert_eq!(!update(!0, data), want, "{} len={}", name, data.len());
+            }
+        }
+    }
+
+    /// `crc32_continue` on one path: resume the finished CRC `prev`.
+    fn resume(update: Update, prev: u32, data: &[u8]) -> u32 {
+        !update(!prev, data)
+    }
+
+    /// Every split point of inputs long enough to cross the fold's
+    /// 128-byte short-input cut-over and leave 1..=63-byte tails on both
+    /// sides, on every path, plus the active path behind the public entry.
+    #[test]
+    fn continuing_equals_the_whole_at_every_split() {
+        let backing = pattern(4096 + 300);
+        for len in [0, 1, 7, 8, 15, 16, 63, 64, 127, 128, 129, 191, 255, 300] {
+            let data = &backing[..len];
+            let want = bytewise(data);
+            for split in 0..=len {
+                let (a, b) = data.split_at(split);
+                assert_eq!(crc32_continue(crc32(a), b), want, "len={len} split={split}");
+                for (name, update) in paths() {
+                    let first = resume(update, 0, a);
+                    assert_eq!(
+                        resume(update, first, b),
+                        want,
+                        "{name} len={len} split={split}"
+                    );
+                }
+            }
+        }
+        let long = &backing[..4096 + 300];
+        for split in [1, 5, 64, 127, 128, 129, 4095, 4096, 4097, 4300] {
+            let (a, b) = long.split_at(split);
+            assert_eq!(crc32_continue(crc32(a), b), bytewise(long), "split={split}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn continuing_matches_bytewise_on_every_path(
+            data in proptest::collection::vec(any::<u8>(), 0..(8 << 10)),
+            cut in any::<usize>(),
+        ) {
+            let split = cut % (data.len() + 1);
+            let (a, b) = data.split_at(split);
+            let want = bytewise(&data);
+            prop_assert_eq!(crc32_continue(crc32(a), b), want);
+            for (name, update) in paths() {
+                let first = resume(update, 0, a);
+                prop_assert_eq!(resume(update, first, b), want, "{} split={}", name, split);
             }
         }
     }

@@ -13,7 +13,8 @@
 //! (Vandermonde, Cauchy, Kronecker) the code constructions need. The
 //! [`crc32`] every stored block and wire frame is guarded with lives here
 //! too: a PCLMULQDQ fold on x86-64 CPUs that have it, slicing-by-8
-//! elsewhere, chosen once at first use ([`crc32_path`] says which).
+//! elsewhere, chosen once at first use ([`crc32_path`] says which) — and
+//! [`crc32_continue`], which resumes it over bytes in a second buffer.
 //!
 //! `unsafe` is denied crate-wide with one carve-out: the intrinsics inside
 //! the private `kernel::simd` module, each behind a `#[target_feature]`
@@ -44,7 +45,7 @@ mod tables;
 pub mod builders;
 pub mod kernel;
 
-pub use checksum::{crc32, crc32_path};
+pub use checksum::{crc32, crc32_continue, crc32_path};
 pub use field::Gf256;
 pub use kernel::{detected_features, kernel, kernels, KernelHandle};
 pub use matrix::Matrix;
