@@ -44,6 +44,13 @@ static NODE_TX: LazyLock<&'static telemetry::Counter> =
 static NODE_ERRORS: LazyLock<&'static telemetry::Counter> =
     LazyLock::new(|| telemetry::counter("cluster.node.request_errors"));
 
+/// Per-connection socket read timeout; an idle connection past it is
+/// closed (the client reconnects transparently).
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Heartbeat period when a metadata layer is attached.
+const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
+
 /// Configuration of one datanode.
 #[derive(Debug, Clone)]
 pub struct DataNodeConfig {
@@ -51,27 +58,20 @@ pub struct DataNodeConfig {
     pub id: usize,
     /// Directory for the node's [`BlockStore`].
     pub root: PathBuf,
-    /// Per-connection socket read timeout; an idle connection past it is
-    /// closed (the client reconnects transparently).
-    pub read_timeout: Duration,
-    /// Metadata layer to register with and heartbeat to, if any. A plain
-    /// coordinator attaches as a 1-shard router via
+    /// Metadata layer to register with and heartbeat to (every 200 ms),
+    /// if any. A plain coordinator attaches as a 1-shard router via
     /// [`DataNodeConfig::with_coordinator`].
     pub meta: Option<Arc<MetaRouter>>,
-    /// Heartbeat period when a coordinator is attached.
-    pub heartbeat_every: Duration,
 }
 
 impl DataNodeConfig {
-    /// A config with the defaults used by the loopback harness: 30 s read
-    /// timeout, 200 ms heartbeats.
+    /// A config for node `id` storing its blocks under `root`, with no
+    /// metadata layer attached.
     pub fn new(id: usize, root: impl Into<PathBuf>) -> Self {
         DataNodeConfig {
             id,
             root: root.into(),
-            read_timeout: Duration::from_secs(30),
             meta: None,
-            heartbeat_every: Duration::from_millis(200),
         }
     }
 
@@ -132,7 +132,6 @@ impl DataNode {
         let accept_thread = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
-            let read_timeout = config.read_timeout;
             let node_id = config.id;
             std::thread::Builder::new()
                 .name(format!("datanode-{node_id}-accept"))
@@ -143,7 +142,7 @@ impl DataNode {
                             break;
                         }
                         let Ok(stream) = incoming else { continue };
-                        let _ = stream.set_read_timeout(Some(read_timeout));
+                        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                         let _ = stream.set_nodelay(true);
                         if let Ok(clone) = stream.try_clone() {
                             conns.lock().expect("conn list lock").push(clone);
@@ -170,14 +169,15 @@ impl DataNode {
         let heartbeat_thread = config.meta.as_ref().map(|meta| {
             let meta = Arc::clone(meta);
             let stop = Arc::clone(&stop);
-            let every = config.heartbeat_every;
             let node_id = config.id;
             std::thread::Builder::new()
                 .name(format!("datanode-{node_id}-heartbeat"))
                 .spawn(move || {
                     while !stop.load(Ordering::SeqCst) {
                         meta.heartbeat(node_id);
-                        std::thread::sleep(every);
+                        // `shutdown` unparks the thread, so a stop does
+                        // not wait out the period.
+                        std::thread::park_timeout(HEARTBEAT_EVERY);
                     }
                 })
                 .expect("spawn heartbeat thread")
@@ -217,6 +217,7 @@ impl DataNode {
             let _ = t.join();
         }
         if let Some(t) = self.heartbeat_thread.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
     }

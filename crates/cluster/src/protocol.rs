@@ -110,11 +110,6 @@ impl WireTrace {
         WireTrace { trace, span }
     }
 
-    /// Adopts this extension as a trace context for server-side spans.
-    pub fn to_ctx(self) -> telemetry::trace::TraceCtx {
-        telemetry::trace::TraceCtx::adopt(Some((self.trace, self.span)))
-    }
-
     fn to_bytes(self) -> [u8; TRACE_EXT_BYTES] {
         let mut b = [0u8; TRACE_EXT_BYTES];
         b[..8].copy_from_slice(&self.trace.to_le_bytes());

@@ -741,18 +741,6 @@ impl RepairScheduler {
         &self.inner.coord
     }
 
-    /// The shared per-node fan-in gate (for tests and extra clients).
-    pub fn fan_in_gate(&self) -> &Arc<FanInGate> {
-        &self.inner.gate
-    }
-
-    /// Manually enqueues every stripe hosted on `node`, as if it had just
-    /// been reported dead — the hook for benches that kill processes
-    /// without waiting out the heartbeat TTL, and for scrub-style sweeps.
-    pub fn enqueue_node(&self, node: usize) {
-        self.inner.on_node_down(node);
-    }
-
     /// Manually enqueues one stripe with its current erasure count (a
     /// healthy stripe is absorbed by the worker's presence probe, which
     /// also catches wiped-but-alive nodes liveness can't see).

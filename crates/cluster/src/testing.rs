@@ -143,29 +143,6 @@ impl LocalCluster {
         self.meta.mark_dead(id);
     }
 
-    /// Scrapes every running node over the wire and merges the snapshots
-    /// into one cluster-wide view (counters and histogram buckets sum,
-    /// gauges sum, min/max widen). In this in-process harness all nodes
-    /// share one registry, so the merged values scale with the number of
-    /// running nodes — the point is to exercise the same scrape-and-merge
-    /// path a multi-process deployment would use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scrape failures from any running node.
-    pub fn cluster_stats(
-        &self,
-        client: &mut ClusterClient,
-    ) -> Result<telemetry::Snapshot, ClusterError> {
-        let mut merged = telemetry::Snapshot::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            if node.is_some() {
-                merged = merged.merge(&client.node_stats(id)?);
-            }
-        }
-        Ok(merged)
-    }
-
     /// Restarts node `id` on a fresh ephemeral port, re-registering it.
     /// With `wipe`, its block store is emptied first — a replacement
     /// machine rather than a reboot.

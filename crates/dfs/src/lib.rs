@@ -28,10 +28,8 @@ mod namenode;
 mod policy;
 mod topology;
 
-pub mod durability;
 pub mod reader;
 pub mod repairer;
-pub mod writer;
 
 pub use access::Placement;
 pub use namenode::{MapSplit, Namenode, PlacedBlock, StoredFile, Stripe};

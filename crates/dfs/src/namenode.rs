@@ -50,11 +50,6 @@ pub struct StoredFile {
 }
 
 impl StoredFile {
-    /// Physical bytes stored, MB.
-    pub fn stored_mb(&self) -> f64 {
-        self.size_mb * self.policy.storage_overhead()
-    }
-
     /// MapReduce input splits with their candidate *nodes* (locality).
     ///
     /// Splits whose every holder is dead become *degraded*: the task still
@@ -233,16 +228,6 @@ impl Namenode {
         }
     }
 
-    /// Fails every node of one rack under a rack-aware layout of `racks`
-    /// racks (node `nd` belongs to rack `nd % racks`).
-    pub fn fail_rack(&mut self, rack: usize, racks: usize) {
-        for nd in 0..self.nodes {
-            if nd % racks == rack {
-                self.fail_node(nd);
-            }
-        }
-    }
-
     /// Marks one specific block dead (the paper's Fig. 11 "randomly
     /// removing one block that contains original data").
     ///
@@ -309,7 +294,6 @@ mod tests {
         );
         assert_eq!(f.stripes.len(), 6, "one stripe per 512 MB block");
         assert_eq!(f.stripes[0].blocks.len(), 3);
-        assert_eq!(f.stored_mb(), 3.0 * 3072.0);
     }
 
     #[test]
@@ -373,8 +357,11 @@ mod tests {
             Placement::RackAware { racks: 6 },
             &mut rng(),
         );
-        // Kill a whole rack: at most 2 of the stripe's 12 blocks die.
-        nn.fail_rack(0, 6);
+        // Kill rack 0 (node `nd` is in rack `nd % 6`): at most 2 of the
+        // stripe's 12 blocks die.
+        for nd in (0..30).step_by(6) {
+            nn.fail_node(nd);
+        }
         let f = nn.file("f").unwrap();
         let alive = f.stripes[0].alive_roles().len();
         assert!(alive >= 10, "rack failure killed too many blocks: {alive}");

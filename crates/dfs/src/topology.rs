@@ -33,9 +33,6 @@ pub struct ClusterSpec {
     pub slow_nodes: usize,
     /// Slow-down factor of straggler nodes (≥ 1.0).
     pub slow_factor: f64,
-    /// Aggregate bandwidth of the core switch every cross-node transfer
-    /// traverses, MB/s; `None` models a non-blocking fabric (the default).
-    pub core_switch_mbps: Option<f64>,
 }
 
 impl ClusterSpec {
@@ -52,20 +49,7 @@ impl ClusterSpec {
             decode_mbps: 350.0,
             slow_nodes: 0,
             slow_factor: 1.0,
-            core_switch_mbps: None,
         }
-    }
-
-    /// Returns a copy with an oversubscribed core switch of the given
-    /// aggregate bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mbps` is not positive.
-    pub fn with_core_switch(mut self, mbps: f64) -> Self {
-        assert!(mbps > 0.0, "switch bandwidth must be positive");
-        self.core_switch_mbps = Some(mbps);
-        self
     }
 
     /// Returns a copy with `count` straggler nodes running `factor`× slower
@@ -111,7 +95,6 @@ pub struct Topology {
     cpu: Vec<ResourceId>,
     client_down: ResourceId,
     client_cpu: ResourceId,
-    core_switch: Option<ResourceId>,
     core_rate: Vec<f64>,
     nodes: usize,
 }
@@ -146,9 +129,6 @@ impl Topology {
         }
         let client_down = engine.add_resource("client.down", spec.client_nic_mbps);
         let client_cpu = engine.add_resource("client.cpu", 16.0);
-        let core_switch = spec
-            .core_switch_mbps
-            .map(|mbps| engine.add_resource("core-switch", mbps));
         Topology {
             disk,
             write_disk,
@@ -157,17 +137,9 @@ impl Topology {
             cpu,
             client_down,
             client_cpu,
-            core_switch,
             core_rate,
             nodes: spec.nodes,
         }
-    }
-
-    fn with_switch(&self, mut path: Vec<ResourceId>) -> Vec<ResourceId> {
-        if let Some(sw) = self.core_switch {
-            path.push(sw);
-        }
-        path
     }
 
     /// Number of worker nodes.
@@ -190,17 +162,17 @@ impl Topology {
         if src == dst {
             return self.local_read(src);
         }
-        self.with_switch(vec![self.disk[src], self.up[src], self.down[dst]])
+        vec![self.disk[src], self.up[src], self.down[dst]]
     }
 
     /// Path for an internal node-to-node transfer (no disk), e.g. shuffle.
     pub fn transfer(&self, src: usize, dst: usize) -> Option<Vec<ResourceId>> {
-        (src != dst).then(|| self.with_switch(vec![self.up[src], self.down[dst]]))
+        (src != dst).then(|| vec![self.up[src], self.down[dst]])
     }
 
     /// Path for the external client downloading from a datanode.
     pub fn client_read(&self, src: usize) -> Vec<ResourceId> {
-        self.with_switch(vec![self.disk[src], self.up[src], self.client_down])
+        vec![self.disk[src], self.up[src], self.client_down]
     }
 
     /// The CPU pool of a node (capacity = cores × core rate; cap tasks at
@@ -252,22 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn core_switch_bottlenecks_cross_traffic() {
-        // 4 parallel transfers over a 40 MB/s switch: 10 MB/s each even
-        // though NICs allow 90.
-        let mut engine: Engine<u32> = Engine::new();
-        let spec = ClusterSpec::default().with_nodes(8).with_core_switch(40.0);
-        let topo = Topology::build(&spec, &mut engine);
-        for i in 0..4 {
-            let path = topo.transfer(i, i + 4).unwrap();
-            assert_eq!(path.len(), 3, "up, down, switch");
-            engine.start_flow(10.0, &path, None, i as u32);
-        }
-        let (t, _) = engine.next_event().unwrap();
-        assert!((t - 1.0).abs() < 1e-9, "10 MB at 10 MB/s each: {t}");
-    }
-
-    #[test]
     fn stragglers_get_derated_resources() {
         let mut engine: Engine<u32> = Engine::new();
         let spec = ClusterSpec::default().with_nodes(4).with_stragglers(2, 2.0);
@@ -297,7 +253,6 @@ mod tests {
                 decode_mbps: 350.0,
                 slow_nodes: 0,
                 slow_factor: 1.0,
-                core_switch_mbps: None,
             },
             &mut engine,
         );

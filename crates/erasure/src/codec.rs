@@ -246,15 +246,6 @@ impl ColumnUpdater {
         }
     }
 
-    /// Encoded units affected by a change to message unit `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn affected_rows(&self, j: usize) -> &[(usize, Gf256)] {
-        &self.cols[j]
-    }
-
     /// Applies `delta` (new XOR old bytes of message unit `j`) to every
     /// affected block in place.
     ///

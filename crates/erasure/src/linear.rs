@@ -140,12 +140,6 @@ impl LinearCode {
         self.generator.select_rows(&rows)
     }
 
-    /// The global generator row of unit `u` of block `i`.
-    pub fn unit_row(&self, node: usize, unit: usize) -> &[Gf256] {
-        assert!(node < self.n && unit < self.sub, "unit out of range");
-        self.generator.row(node * self.sub + unit)
-    }
-
     /// Encodes `data` into `n` blocks, choosing the unit width `w` as
     /// `ceil(len / b)` and zero-padding.
     ///

@@ -36,20 +36,6 @@ pub fn distinct_points_with_distinct_powers(n: usize, alpha: u32) -> Option<Vec<
     None
 }
 
-/// A Vandermonde matrix on caller-chosen points: entry `(i, j) = x_i^j`.
-///
-/// # Panics
-///
-/// Panics if the points are not pairwise distinct.
-pub fn vandermonde_on(points: &[Gf256], cols: usize) -> Matrix {
-    for (i, a) in points.iter().enumerate() {
-        for b in &points[i + 1..] {
-            assert_ne!(a, b, "evaluation points must be distinct");
-        }
-    }
-    Matrix::from_fn(points.len(), cols, |i, j| points[i].pow(j as u32))
-}
-
 /// A general Cauchy matrix `1 / (x_i + y_j)`.
 ///
 /// # Panics
@@ -193,13 +179,5 @@ mod tests {
         let x = [Gf256::new(1), Gf256::new(2)];
         let y = [Gf256::new(2), Gf256::new(3)];
         let _ = cauchy(&x, &y);
-    }
-
-    #[test]
-    fn vandermonde_on_custom_points() {
-        let pts = [Gf256::new(3), Gf256::new(7), Gf256::new(11)];
-        let v = vandermonde_on(&pts, 2);
-        assert_eq!(v.get(1, 0), Gf256::ONE);
-        assert_eq!(v.get(1, 1), Gf256::new(7));
     }
 }

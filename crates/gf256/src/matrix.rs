@@ -166,25 +166,6 @@ impl Matrix {
         }
     }
 
-    /// Concatenates `self` with `other` side by side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts differ.
-    pub fn hstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "row count mismatch");
-        let mut m = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                m.set(r, c, self.get(r, c));
-            }
-            for c in 0..other.cols {
-                m.set(r, self.cols + c, other.get(r, c));
-            }
-        }
-        m
-    }
-
     /// The transpose.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
@@ -222,17 +203,6 @@ impl Matrix {
             seen[p] = true;
         }
         self.select_rows(perm)
-    }
-
-    /// Matrix-vector product `self · v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[Gf256]) -> Vec<Gf256> {
-        let mut out = vec![Gf256::ZERO; self.rows];
-        self.mul_vec_into(v, &mut out);
-        out
     }
 
     /// Matrix-vector product `self · v` written into a caller-provided
@@ -596,12 +566,8 @@ mod tests {
     }
 
     #[test]
-    fn hstack_vstack_shapes() {
-        let a = Matrix::identity(2);
-        let b = Matrix::zeros(2, 3);
-        let h = a.hstack(&b);
-        assert_eq!((h.rows(), h.cols()), (2, 5));
-        let v = a.vstack(&Matrix::identity(2));
+    fn vstack_shapes() {
+        let v = Matrix::identity(2).vstack(&Matrix::identity(2));
         assert_eq!((v.rows(), v.cols()), (4, 2));
         assert_eq!(v.get(2, 0), Gf256::ONE);
     }
@@ -658,7 +624,8 @@ mod tests {
     fn mul_vec_matches_matrix_product() {
         let m = Matrix::vandermonde(4, 3);
         let v = [Gf256::new(9), Gf256::new(4), Gf256::new(200)];
-        let got = m.mul_vec(&v);
+        let mut got = [Gf256::ZERO; 4];
+        m.mul_vec_into(&v, &mut got);
         let col = Matrix::from_fn(3, 1, |r, _| v[r]);
         let want = &m * &col;
         for (r, g) in got.iter().enumerate() {

@@ -58,7 +58,7 @@ pub enum TraceKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowId(usize);
 
-/// Identifies a scheduled timer (for cancellation).
+/// Identifies a scheduled timer in the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
 
@@ -100,12 +100,10 @@ pub struct Engine<E> {
     now: f64,
     seq: u64,
     timers: BinaryHeap<Timer<E>>,
-    cancelled: Vec<TimerId>,
     net: FlowNet,
     /// Completion events for in-flight flows, indexed by flow slot.
     completions: Vec<Option<E>>,
     flows_started: u64,
-    bytes_completed: f64,
     trace: Option<Vec<TraceEvent>>,
     resource_work: Vec<f64>,
     /// Virtual start time of each in-flight flow, indexed by flow slot —
@@ -126,11 +124,9 @@ impl<E> Engine<E> {
             now: 0.0,
             seq: 0,
             timers: BinaryHeap::new(),
-            cancelled: Vec::new(),
             net: FlowNet::new(),
             completions: Vec::new(),
             flows_started: 0,
-            bytes_completed: 0.0,
             trace: None,
             resource_work: Vec::new(),
             flow_started_at: Vec::new(),
@@ -195,11 +191,6 @@ impl<E> Engine<E> {
         self.flows_started
     }
 
-    /// Total work completed by finished flows (MB or core-seconds).
-    pub fn work_completed(&self) -> f64 {
-        self.bytes_completed
-    }
-
     /// Adds a capacity resource (disk, link, CPU pool).
     ///
     /// # Panics
@@ -215,14 +206,6 @@ impl<E> Engine<E> {
     pub fn resource_work(&self, r: ResourceId) -> f64 {
         self.net.capacity(r); // index validation
         self.resource_work[r.index()]
-    }
-
-    /// Mean utilization of a resource over `[0, now]` (0.0 at time zero).
-    pub fn resource_utilization(&self, r: ResourceId) -> f64 {
-        if self.now <= 0.0 {
-            return 0.0;
-        }
-        self.resource_work(r) / (self.net.capacity(r) * self.now)
     }
 
     /// Schedules `event` to fire `delay` seconds from now.
@@ -241,12 +224,6 @@ impl<E> Engine<E> {
             event,
         });
         id
-    }
-
-    /// Cancels a timer; its event will never fire. Unknown/fired timers are
-    /// ignored.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.cancelled.push(id);
     }
 
     /// Starts a flow of `work` units across `path`, firing `on_complete`
@@ -290,36 +267,9 @@ impl<E> Engine<E> {
         FlowId(slot)
     }
 
-    /// Cancels an in-flight flow, returning its completion event if it was
-    /// still active.
-    pub fn cancel_flow(&mut self, id: FlowId) -> Option<E> {
-        self.net.remove(id.0)?;
-        ACTIVE_FLOWS.add(-1);
-        self.completions[id.0].take()
-    }
-
-    /// The current max-min fair rate of a flow (0.0 if finished/cancelled).
-    pub fn flow_rate(&self, id: FlowId) -> f64 {
-        self.net.rate(id.0)
-    }
-
-    /// Work remaining in a flow (0.0 if finished/cancelled).
-    pub fn flow_remaining(&self, id: FlowId) -> f64 {
-        self.net.remaining(id.0)
-    }
-
     /// Advances virtual time to the next timer firing or flow completion
     /// and returns `(time, event)`; `None` when the simulation has drained.
     pub fn next_event(&mut self) -> Option<(f64, E)> {
-        // Drop cancelled timers at the head.
-        while let Some(top) = self.timers.peek() {
-            if let Some(pos) = self.cancelled.iter().position(|c| *c == top.id) {
-                self.cancelled.swap_remove(pos);
-                self.timers.pop();
-            } else {
-                break;
-            }
-        }
         let timer_at = self.timers.peek().map(|t| t.at);
         let flow_eta = self
             .net
@@ -391,13 +341,12 @@ impl<E> Engine<E> {
     }
 
     fn finish_flow(&mut self, slot: usize) -> E {
-        let spec = self.net.remove(slot).expect("completing flow exists");
+        self.net.remove(slot).expect("completing flow exists");
         FLOWS_COMPLETED.inc();
         ACTIVE_FLOWS.add(-1);
         let dur_us = (self.now - self.flow_started_at[slot]).max(0.0) * 1e6;
         FLOW_DURATION.record_f64(dur_us);
         self.record(TraceKind::FlowCompleted { id: FlowId(slot) });
-        self.bytes_completed += spec.remaining.max(0.0); // ~0 at completion
         self.completions[slot]
             .take()
             .expect("completion event present")
@@ -472,25 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_timer_never_fires() {
-        let mut e: Engine<Ev> = Engine::new();
-        let id = e.schedule(1.0, Ev::Timer(1));
-        e.schedule(2.0, Ev::Timer(2));
-        e.cancel_timer(id);
-        assert_eq!(e.next_event(), Some((2.0, Ev::Timer(2))));
-        assert_eq!(e.next_event(), None);
-    }
-
-    #[test]
-    fn cancelled_flow_returns_event() {
-        let mut e: Engine<Ev> = Engine::new();
-        let link = e.add_resource("link", 10.0);
-        let f = e.start_flow(100.0, &[link], None, Ev::Flow(1));
-        assert_eq!(e.cancel_flow(f), Some(Ev::Flow(1)));
-        assert_eq!(e.next_event(), None);
-    }
-
-    #[test]
     fn zero_work_flow_completes_immediately() {
         let mut e: Engine<Ev> = Engine::new();
         let link = e.add_resource("link", 10.0);
@@ -542,17 +472,16 @@ mod tests {
     }
 
     #[test]
-    fn utilization_integrates_allocated_rates() {
+    fn resource_work_integrates_allocated_rates() {
         let mut e: Engine<Ev> = Engine::new();
         let link = e.add_resource("link", 10.0);
         e.start_flow(20.0, &[link], None, Ev::Flow(1)); // busy 2 s at 10 MB/s
         while e.next_event().is_some() {}
         assert!((e.resource_work(link) - 20.0).abs() < 1e-9);
-        assert!((e.resource_utilization(link) - 1.0).abs() < 1e-9);
-        // Idle afterwards: schedule a timer to extend virtual time.
+        // Idle time adds no work.
         e.schedule(2.0, Ev::Timer(1));
         while e.next_event().is_some() {}
-        assert!((e.resource_utilization(link) - 0.5).abs() < 1e-9);
+        assert!((e.resource_work(link) - 20.0).abs() < 1e-9);
     }
 
     #[test]
@@ -577,20 +506,6 @@ mod tests {
             got.push(ev);
         }
         assert_eq!(got.len(), 2);
-    }
-
-    #[test]
-    fn cancel_mid_flight_reallocates_bandwidth() {
-        let mut e: Engine<Ev> = Engine::new();
-        let link = e.add_resource("link", 10.0);
-        let f1 = e.start_flow(10.0, &[link], None, Ev::Flow(1));
-        let _f2 = e.start_flow(10.0, &[link], None, Ev::Flow(2));
-        assert!((e.flow_rate(f1) - 5.0).abs() < 1e-9);
-        // Cancel f1 at t=0: f2 gets the whole link and finishes at t=1.
-        assert_eq!(e.cancel_flow(f1), Some(Ev::Flow(1)));
-        let (t, ev) = e.next_event().unwrap();
-        assert_eq!(ev, Ev::Flow(2));
-        assert!((t - 1.0).abs() < 1e-9);
     }
 
     #[test]

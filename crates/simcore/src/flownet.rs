@@ -71,11 +71,6 @@ impl FlowNet {
         ResourceId(self.resources.len() - 1)
     }
 
-    /// Number of resources.
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
-    }
-
     /// Number of active flows.
     pub fn active_flows(&self) -> usize {
         self.flows.iter().flatten().count()
@@ -112,11 +107,13 @@ impl FlowNet {
         Some(f.spec)
     }
 
-    pub(crate) fn rate(&self, slot: usize) -> f64 {
+    #[cfg(test)]
+    fn rate(&self, slot: usize) -> f64 {
         self.flows[slot].as_ref().map_or(0.0, |f| f.rate)
     }
 
-    pub(crate) fn remaining(&self, slot: usize) -> f64 {
+    #[cfg(test)]
+    fn remaining(&self, slot: usize) -> f64 {
         self.flows[slot].as_ref().map_or(0.0, |f| f.spec.remaining)
     }
 

@@ -4,8 +4,8 @@
 //! §VIII-C/D): it stands in for the 30-node EC2 cluster. The model is
 //! deliberately the minimal one that produces the paper's effects:
 //!
-//! * a set of capacity **resources** (disks, NIC up/down links, CPU pools,
-//!   an aggregate switch), each with a rate limit;
+//! * a set of capacity **resources** (disks, NIC up/down links, CPU pools),
+//!   each with a rate limit;
 //! * **flows** that traverse one or more resources and carry a fixed amount
 //!   of work (bytes or CPU-seconds); concurrent flows share every resource
 //!   **max-min fairly** (progressive filling), with optional per-flow rate

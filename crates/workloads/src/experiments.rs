@@ -228,49 +228,6 @@ pub struct Fig9StatRow {
     pub job: crate::stats::Percentiles,
 }
 
-/// One row of the network-oversubscription extension experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OversubRow {
-    /// Core-switch bandwidth label.
-    pub switch: String,
-    /// terasort job completion, seconds.
-    pub terasort_s: f64,
-    /// wordcount job completion, seconds.
-    pub wordcount_s: f64,
-}
-
-/// Extension experiment: job completion under core-switch oversubscription
-/// (all cross-node traffic shares one fabric). Shuffle-heavy terasort
-/// degrades as the switch tightens; map-local wordcount barely notices.
-pub fn ext_oversubscription(seed: u64) -> Vec<OversubRow> {
-    let policy = Policy::Carousel {
-        n: 12,
-        k: 6,
-        d: 10,
-        p: 12,
-    };
-    [None, Some(2000.0), Some(500.0), Some(125.0)]
-        .into_iter()
-        .map(|switch| {
-            let spec = match switch {
-                None => ClusterSpec::r3_large_cluster(),
-                Some(mbps) => ClusterSpec::r3_large_cluster().with_core_switch(mbps),
-            };
-            let run = |profile: &WorkloadProfile| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut nn = Namenode::new(spec.nodes);
-                let file = nn.store("input", FILE_MB, BLOCK_MB, policy, &mut rng);
-                run_job(&spec, &file.map_splits(), profile).job_s
-            };
-            OversubRow {
-                switch: switch.map_or("non-blocking".into(), |m| format!("{m:.0} MB/s")),
-                terasort_s: run(&WorkloadProfile::terasort()),
-                wordcount_s: run(&WorkloadProfile::wordcount()),
-            }
-        })
-        .collect()
-}
-
 /// One row of the straggler extension experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StragglerRow {
@@ -459,17 +416,6 @@ mod tests {
             fig11(4, CodingRates::default()),
             fig11(4, CodingRates::default())
         );
-    }
-
-    #[test]
-    fn oversubscription_hurts_shuffle_heavy_jobs_most() {
-        let rows = ext_oversubscription(5);
-        let free = &rows[0];
-        let tight = rows.last().unwrap();
-        // terasort (full-volume shuffle) degrades substantially...
-        assert!(tight.terasort_s > free.terasort_s * 1.2, "{rows:?}");
-        // ...while wordcount (tiny shuffle) is barely affected.
-        assert!(tight.wordcount_s < free.wordcount_s * 1.1, "{rows:?}");
     }
 
     #[test]

@@ -3,7 +3,6 @@ pub use carousel;
 pub use dfs;
 pub use erasure;
 pub use gf256;
-pub use lrc;
 pub use mapreduce;
 pub use msr;
 pub use rs_code;

@@ -21,7 +21,6 @@ fn coding_types_are_send_sync() {
     assert_send_sync::<rs_code::ReedSolomon>();
     assert_send_sync::<msr::ProductMatrixMsr>();
     assert_send_sync::<msr::ProductMatrixMbr>();
-    assert_send_sync::<lrc::LocalRepairable>();
     assert_send_sync::<carousel::Carousel>();
 }
 

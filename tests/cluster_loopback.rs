@@ -357,3 +357,18 @@ fn manifest_reconnect_reads_same_bytes() {
     let mut fresh = cluster::ClusterClient::new(std::sync::Arc::new(coord));
     assert_eq!(fresh.get("doc").unwrap(), data);
 }
+
+/// Stopping a node does not wait out its heartbeat period: a 13-node
+/// cluster (the benchmark's size) is torn down in well under one 200 ms
+/// heartbeat per node.
+#[test]
+fn dropping_a_cluster_does_not_wait_out_heartbeats() {
+    let cluster = LocalCluster::start(13).unwrap();
+    let started = std::time::Instant::now();
+    drop(cluster);
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(500),
+        "dropping 13 nodes took {took:?}"
+    );
+}

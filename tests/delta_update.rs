@@ -3,14 +3,13 @@
 //! The mutable write path never re-encodes a stripe: it ships only the
 //! changed data units and per-parity coefficient products
 //! (`erasure::ColumnUpdater`). These tests prove the two are exactly
-//! equivalent — for random edit ranges over all four families
-//! (RS, LRC, MSR, Carousel), through both the local apply path and the
+//! equivalent — for random edit ranges over all three families
+//! (RS, MSR, Carousel), through both the local apply path and the
 //! wire path (`node_updates` + `apply_block_delta`), on the GF(2⁸)
 //! kernel CPU detection dispatches.
 
 use carousel::Carousel;
 use erasure::{apply_block_delta, ColumnUpdater, ErasureCode, SparseEncoder};
-use lrc::LocalRepairable;
 use msr::ProductMatrixMsr;
 use proptest::prelude::*;
 use rs_code::ReedSolomon;
@@ -21,10 +20,6 @@ fn family(idx: usize) -> (&'static str, Box<dyn ErasureCode>) {
     match idx {
         0 => ("rs(6,4)", Box::new(ReedSolomon::new(6, 4).unwrap())),
         1 => (
-            "lrc(4,2,2)",
-            Box::new(LocalRepairable::new(4, 2, 2).unwrap()),
-        ),
-        2 => (
             "msr(8,4,6)",
             Box::new(ProductMatrixMsr::new(8, 4, 6).unwrap()),
         ),
@@ -99,7 +94,7 @@ proptest! {
     /// byte-identical to a from-scratch re-encode, for every family.
     #[test]
     fn delta_equals_reencode_across_families(
-        idx in 0usize..4,
+        idx in 0usize..3,
         data in proptest::collection::vec(any::<u8>(), 8..300),
         patch in proptest::collection::vec(any::<u8>(), 1..80),
         at in any::<u16>(),
@@ -116,7 +111,7 @@ proptest! {
 /// edit must also be a no-op delta.
 #[test]
 fn noop_edit_ships_nothing() {
-    for idx in 0..4 {
+    for idx in 0..3 {
         let (label, code) = family(idx);
         let linear = code.linear();
         let upd = ColumnUpdater::new(linear);
@@ -136,12 +131,12 @@ fn noop_edit_ships_nothing() {
     }
 }
 
-/// A fixed four-family scenario on the dispatched kernel: three edit
+/// A fixed three-family scenario on the dispatched kernel: three edit
 /// shapes per family, each through both delta paths.
 #[test]
 fn delta_identity_holds_on_the_dispatched_kernel() {
     let data: Vec<u8> = (0..1024usize).map(|i| (i * 151 + 13) as u8).collect();
-    for idx in 0..4 {
+    for idx in 0..3 {
         let (label, code) = family(idx);
         // Three edit shapes: sub-unit, unit-spanning, and a long run
         // reaching the padded tail.
